@@ -3,8 +3,8 @@
  * Observability overhead microbench: the instrumentation layer's
  * contract is "zero cost when disabled, negligible when enabled".
  * This bench measures both sides on the hottest instrumented path —
- * the SimBank per-line-size sweeps — by replaying the same captured
- * trace with the registry off and on, and reports the enabled/
+ * the SimBank sweep over a captured columnar trace — by replaying it
+ * with the registry off and on, and reports the enabled/
  * disabled wall-time ratio (expected well under the 2% budget;
  * instrumentation is per-sweep, not per-access).
  *
@@ -38,7 +38,7 @@ namespace
 
 /** Wall time of one full sweep set over the buffer, in ns. */
 uint64_t
-timedSimulate(dse::SimBank &bank, const trace::TraceBuffer &buffer)
+timedSimulate(dse::SimBank &bank, const trace::ColumnarTraceBuffer &buffer)
 {
     uint64_t start = support::monotonicNowNs();
     bank.simulate(buffer, nullptr);
@@ -47,7 +47,7 @@ timedSimulate(dse::SimBank &bank, const trace::TraceBuffer &buffer)
 
 /** Best-of-N sweep time (min filters scheduler noise). */
 uint64_t
-bestOf(dse::SimBank &bank, const trace::TraceBuffer &buffer, int reps)
+bestOf(dse::SimBank &bank, const trace::ColumnarTraceBuffer &buffer, int reps)
 {
     uint64_t best = UINT64_MAX;
     for (int i = 0; i < reps; ++i)
@@ -139,7 +139,7 @@ main(int argc, char **argv)
               << " (metrics+trace off vs on)\n";
 
     auto app = bench::buildApp(app_name);
-    trace::TraceBuffer buffer;
+    trace::ColumnarTraceBuffer buffer;
     for (const auto &a :
          app.traceFor("1111", trace::TraceKind::Instruction))
         buffer(a);
@@ -227,9 +227,9 @@ main(int argc, char **argv)
 
     bench::BenchReport json("observability_overhead");
     json.setInfo("app", app_name);
-    json.setInfo("path", "SimBank::simulate (per-line-size sweeps)");
-    json.setMetric("accesses",
-                   static_cast<uint64_t>(buffer.accesses().size()));
+    json.setInfo("path",
+                 "SimBank::simulate (columnar trace, fused sweep)");
+    json.setMetric("accesses", buffer.size());
     json.setMetric("reps", static_cast<uint64_t>(reps));
     json.setMetric("ns.disabled", off_ns);
     json.setMetric("ns.enabled", on_ns);

@@ -50,7 +50,8 @@ timedSetResident(const std::vector<trace::Access> &refs,
         for (cache::ReplacementPolicy policy : policies) {
             out.emplace_back(line, minSets, maxSets, maxAssoc,
                              policy);
-            out.back().replay(refs);
+            for (const auto &a : refs)
+                out.back().access(a.addr, a.isWrite);
         }
     }
     return support::monotonicNowNs() - start;
@@ -158,7 +159,7 @@ main(int argc, char **argv)
 
     bench::BenchReport json("policy_sweep");
     json.setInfo("app", app_name);
-    json.setInfo("path", "SetResidentSim::replay vs per-config "
+    json.setInfo("path", "SetResidentSim::access vs per-config "
                          "CacheSim");
     json.setMetric("reps", static_cast<uint64_t>(reps));
     json.setMetric("refs", static_cast<uint64_t>(refs.size()));

@@ -172,17 +172,6 @@ SetResidentSim::accessBlock(const uint64_t *addrs,
     }
 }
 
-void
-SetResidentSim::replay(const std::vector<trace::Access> &buffer,
-                       const support::CancelToken *cancel)
-{
-    support::CancelCheck check(cancel);
-    for (const auto &a : buffer) {
-        check.tick("SetResidentSim::replay");
-        access(a.addr, a.isWrite);
-    }
-}
-
 uint64_t
 SetResidentSim::misses(uint32_t sets, uint32_t assoc) const
 {

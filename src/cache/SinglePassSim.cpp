@@ -110,17 +110,6 @@ SinglePassSim::accessBlock(const uint64_t *addrs, size_t n)
     accesses_ += n;
 }
 
-void
-SinglePassSim::replay(const std::vector<trace::Access> &buffer,
-                      const support::CancelToken *cancel)
-{
-    support::CancelCheck check(cancel);
-    for (const auto &a : buffer) {
-        check.tick("SinglePassSim::replay");
-        access(a.addr);
-    }
-}
-
 uint64_t
 SinglePassSim::misses(uint32_t sets, uint32_t assoc) const
 {

@@ -8,6 +8,24 @@
 namespace pico::dse
 {
 
+namespace
+{
+
+/** Stream a whole trace into one evaluator's capture sink. */
+template <typename Evaluator>
+void
+capture(const TraceSource &source, Evaluator &evaluator,
+        const support::CancelToken *cancel)
+{
+    support::CancelCheck check(cancel);
+    source([&](const trace::Access &a) {
+        check.tick("evaluate.capture");
+        evaluator(a);
+    });
+}
+
+} // namespace
+
 SimBank::SimBank(const CacheSpace &space)
 {
     auto lines = space.distinctLineSizes();
@@ -43,56 +61,14 @@ SimBank::SimBank(const CacheSpace &space)
     }
 }
 
-void
-SimBank::access(const trace::Access &a)
+std::string
+SimBank::simTag(size_t i) const
 {
-    for (auto &sim : sims_)
-        sim.access(a.addr);
-    for (auto &sim : policySims_)
-        sim.access(a.addr, a.isWrite);
-}
-
-void
-SimBank::simulate(const trace::TraceBuffer &buffer,
-                  support::ThreadPool *pool,
-                  const support::CancelToken *cancel)
-{
-    // One task per simulator; each task owns exactly one simulator,
-    // so no merge step is needed and the result cannot depend on
-    // the schedule. Each sweep reports its own span and wall time,
-    // keyed by line size — the unit the paper's efficiency claim is
-    // stated in (simulations = distinct line sizes, not configs).
-    // Set-resident (policy) sweeps of extended spaces are extra
-    // tasks after the Cheetah ones.
-    support::parallelFor(
-        sims_.size() + policySims_.size(), pool, [&](size_t i) {
-            if (i < sims_.size()) {
-                std::string line =
-                    std::to_string(sims_[i].lineBytes());
-                support::TimedSpan span("sweep.line" + line,
-                                        "sweep");
-                sims_[i].replay(buffer.accesses(), cancel);
-                PICO_METRIC_COUNT("sweep.runs", 1);
-                if (support::metricsEnabled()) {
-                    support::metrics()
-                        .counter("sweep.line" + line + ".accesses")
-                        .add(buffer.accesses().size());
-                }
-                return;
-            }
-            auto &sim = policySims_[i - sims_.size()];
-            std::string tag =
-                std::string(cache::replacementName(sim.policy())) +
-                ".line" + std::to_string(sim.lineBytes());
-            support::TimedSpan span("sweep." + tag, "sweep");
-            sim.replay(buffer.accesses(), cancel);
-            PICO_METRIC_COUNT("sweep.runs", 1);
-            if (support::metricsEnabled()) {
-                support::metrics()
-                    .counter("sweep." + tag + ".accesses")
-                    .add(buffer.accesses().size());
-            }
-        });
+    if (i < sims_.size())
+        return "line" + std::to_string(sims_[i].lineBytes());
+    const auto &sim = policySims_[i - sims_.size()];
+    return std::string(cache::replacementName(sim.policy())) +
+           ".line" + std::to_string(sim.lineBytes());
 }
 
 void
@@ -100,82 +76,43 @@ SimBank::simulate(const trace::ColumnarTraceBuffer &buffer,
                   support::ThreadPool *pool,
                   const support::CancelToken *cancel)
 {
+    // A lane owns a range of simulators (set-resident ones after the
+    // Cheetah ones) plus a private decode scratch, so lanes share
+    // only the immutable encoded blocks and need no merge step. The
+    // single fused lane is the paper's single pass taken one level
+    // further: one decode per block for the whole bank.
+    const size_t count = simRuns();
     const size_t blocks = buffer.blockCount();
-    if (pool == nullptr || pool->workers() == 0) {
-        // Fused serial sweep: each block is decoded exactly once and
-        // the materialized address span feeds every line-size
-        // simulator back to back — the single-pass structure of the
-        // paper taken one level further (one pass over the *encoded*
-        // trace for the whole bank).
-        support::TimedSpan span("sweep.fused", "sweep");
+    const bool fused = pool == nullptr || pool->workers() == 0;
+    support::parallelFor(fused ? 1 : count, pool, [&](size_t lane) {
+        const size_t first = fused ? 0 : lane;
+        const size_t last = fused ? count : lane + 1;
+        support::TimedSpan span(
+            fused ? "sweep.fused" : "sweep." + simTag(lane), "sweep");
         trace::BlockScratch scratch;
         for (size_t b = 0; b < blocks; ++b) {
             if (cancel != nullptr)
                 cancel->checkpoint("SimBank::simulate");
             trace::BlockView view = buffer.decodeBlock(b, scratch);
-            for (auto &sim : sims_)
-                sim.accessBlock(view.addrs, view.count);
-            for (auto &sim : policySims_)
-                sim.accessBlock(view.addrs, view.kinds, view.count);
-        }
-        PICO_METRIC_COUNT("sweep.runs",
-                          sims_.size() + policySims_.size());
-        if (support::metricsEnabled()) {
-            for (const auto &sim : sims_) {
-                support::metrics()
-                    .counter("sweep.line" +
-                             std::to_string(sim.lineBytes()) +
-                             ".accesses")
-                    .add(buffer.size());
-            }
-        }
-        return;
-    }
-    // One task per simulator, as in the row-wise sweep; each task
-    // owns one simulator plus a private decode scratch, so tasks
-    // share only the immutable encoded blocks.
-    support::parallelFor(
-        sims_.size() + policySims_.size(), pool, [&](size_t i) {
-            trace::BlockScratch scratch;
-            if (i < sims_.size()) {
-                std::string line =
-                    std::to_string(sims_[i].lineBytes());
-                support::TimedSpan span("sweep.line" + line,
-                                        "sweep");
-                for (size_t b = 0; b < blocks; ++b) {
-                    if (cancel != nullptr)
-                        cancel->checkpoint("SimBank::simulate");
-                    trace::BlockView view =
-                        buffer.decodeBlock(b, scratch);
+            for (size_t i = first; i < last; ++i) {
+                if (i < sims_.size())
                     sims_[i].accessBlock(view.addrs, view.count);
-                }
-                PICO_METRIC_COUNT("sweep.runs", 1);
-                if (support::metricsEnabled()) {
-                    support::metrics()
-                        .counter("sweep.line" + line + ".accesses")
-                        .add(buffer.size());
-                }
-                return;
+                else
+                    policySims_[i - sims_.size()].accessBlock(
+                        view.addrs, view.kinds, view.count);
             }
-            auto &sim = policySims_[i - sims_.size()];
-            std::string tag =
-                std::string(cache::replacementName(sim.policy())) +
-                ".line" + std::to_string(sim.lineBytes());
-            support::TimedSpan span("sweep." + tag, "sweep");
-            for (size_t b = 0; b < blocks; ++b) {
-                if (cancel != nullptr)
-                    cancel->checkpoint("SimBank::simulate");
-                trace::BlockView view =
-                    buffer.decodeBlock(b, scratch);
-                sim.accessBlock(view.addrs, view.kinds, view.count);
-            }
-            PICO_METRIC_COUNT("sweep.runs", 1);
-            if (support::metricsEnabled()) {
-                support::metrics()
-                    .counter("sweep." + tag + ".accesses")
-                    .add(buffer.size());
-            }
-        });
+        }
+    });
+    // Counted per simulator, keyed by line size (and policy) — the
+    // unit the paper's efficiency claim is stated in — and the same
+    // at every job count.
+    PICO_METRIC_COUNT("sweep.runs", count);
+    if (support::metricsEnabled()) {
+        for (size_t i = 0; i < count; ++i)
+            support::metrics()
+                .counter("sweep." + simTag(i) + ".accesses")
+                .add(buffer.size());
+    }
 }
 
 bool
@@ -256,13 +193,74 @@ SimBank::oracle() const
     };
 }
 
+// --- SubsystemEvaluator -----------------------------------------------
+
+SubsystemEvaluator::SubsystemEvaluator(CacheSpace space)
+    : space_(std::move(space)),
+      bank_(std::make_unique<SimBank>(space_))
+{}
+
+void
+SubsystemEvaluator::sweepCapture(const char *span_name,
+                                 support::ThreadPool *pool,
+                                 const support::CancelToken *cancel)
+{
+    support::TimedSpan span(span_name, "evaluate");
+    PICO_METRIC_COUNT("evaluate.captured.accesses", trace_.size());
+    PICO_METRIC_COUNT("evaluate.captured.bytes", trace_.encodedBytes());
+    bank_->simulate(trace_, pool, cancel);
+}
+
+double
+SubsystemEvaluator::writeTraffic(const cache::CacheConfig &config) const
+{
+    fatalIf(!evaluated_, "evaluator has not seen a trace yet");
+    return bank_->writeTraffic(config);
+}
+
+ParetoSet
+SubsystemEvaluator::paretoOver(
+    const char *prefix,
+    const std::function<double(const cache::CacheConfig &)> &miss_time,
+    double write_cost) const
+{
+    ParetoSet set;
+    for (const auto &config : space_.enumerate()) {
+        DesignPoint point;
+        point.id = prefix + config.name();
+        point.cost = config.areaCost();
+        point.time = miss_time(config);
+        if (write_cost != 0.0)
+            point.time += writeTraffic(config) * write_cost;
+        set.insertPoint(point);
+    }
+    return set;
+}
+
 // --- IcacheEvaluator ---------------------------------------------------
 
 IcacheEvaluator::IcacheEvaluator(CacheSpace space,
                                  uint64_t granule_refs)
-    : space_(std::move(space)), granuleRefs_(granule_refs)
+    : SubsystemEvaluator(std::move(space)),
+      modeler_(std::in_place, granule_refs)
+{}
+
+void
+IcacheEvaluator::operator()(const trace::Access &a)
 {
-    bank_ = std::make_unique<SimBank>(space_);
+    fatalIf(!a.isInstr, "data reference in an instruction trace");
+    trace_(a);
+    modeler_->access(a);
+}
+
+void
+IcacheEvaluator::sweep(support::ThreadPool *pool,
+                       const support::CancelToken *cancel)
+{
+    sweepCapture("evaluate.icache", pool, cancel);
+    params_ = modeler_->params();
+    modeler_.reset();
+    evaluated_ = true;
 }
 
 void
@@ -270,27 +268,8 @@ IcacheEvaluator::evaluate(const TraceSource &ref_instr_trace,
                           support::ThreadPool *pool,
                           const support::CancelToken *cancel)
 {
-    support::TimedSpan span("evaluate.icache", "evaluate");
-    // Capture the stream once, columnar-compressed; the trace
-    // modeler is inherently serial (granule state) and runs during
-    // capture, while the per-line-size simulator sweeps replay the
-    // encoded blocks afterwards.
-    core::ItraceModeler modeler(granuleRefs_);
-    support::CancelCheck check(cancel);
-    ref_instr_trace([this, &modeler,
-                     &check](const trace::Access &a) {
-        check.tick("IcacheEvaluator::evaluate");
-        fatalIf(!a.isInstr,
-                "data reference in an instruction trace");
-        trace_(a);
-        modeler.access(a);
-    });
-    PICO_METRIC_COUNT("evaluate.captured.accesses", trace_.size());
-    PICO_METRIC_COUNT("evaluate.captured.bytes",
-                      trace_.encodedBytes());
-    bank_->simulate(trace_, pool, cancel);
-    params_ = modeler.params();
-    evaluated_ = true;
+    capture(ref_instr_trace, *this, cancel);
+    sweep(pool, cancel);
 }
 
 double
@@ -319,36 +298,37 @@ IcacheEvaluator::misses(const cache::CacheConfig &config,
     return bank_->misses(config) * scale;
 }
 
-double
-IcacheEvaluator::writeTraffic(const cache::CacheConfig &config) const
-{
-    fatalIf(!evaluated_, "evaluator has not seen a trace yet");
-    return bank_->writeTraffic(config);
-}
-
 ParetoSet
 IcacheEvaluator::pareto(double dilation, double miss_penalty,
                         double write_cost) const
 {
-    ParetoSet set;
-    for (const auto &config : space_.enumerate()) {
-        DesignPoint point;
-        point.id = "I$" + config.name();
-        point.cost = config.areaCost();
-        point.time = misses(config, dilation) * miss_penalty;
-        if (write_cost != 0.0)
-            point.time += writeTraffic(config) * write_cost;
-        set.insertPoint(point);
-    }
-    return set;
+    return paretoOver(
+        "I$",
+        [&](const cache::CacheConfig &config) {
+            return misses(config, dilation) * miss_penalty;
+        },
+        write_cost);
 }
 
 // --- DcacheEvaluator ---------------------------------------------------
 
 DcacheEvaluator::DcacheEvaluator(CacheSpace space)
-    : space_(std::move(space))
+    : SubsystemEvaluator(std::move(space))
+{}
+
+void
+DcacheEvaluator::operator()(const trace::Access &a)
 {
-    bank_ = std::make_unique<SimBank>(space_);
+    fatalIf(a.isInstr, "instruction reference in a data trace");
+    trace_(a);
+}
+
+void
+DcacheEvaluator::sweep(support::ThreadPool *pool,
+                       const support::CancelToken *cancel)
+{
+    sweepCapture("evaluate.dcache", pool, cancel);
+    evaluated_ = true;
 }
 
 void
@@ -356,18 +336,8 @@ DcacheEvaluator::evaluate(const TraceSource &ref_data_trace,
                           support::ThreadPool *pool,
                           const support::CancelToken *cancel)
 {
-    support::TimedSpan span("evaluate.dcache", "evaluate");
-    support::CancelCheck check(cancel);
-    ref_data_trace([this, &check](const trace::Access &a) {
-        check.tick("DcacheEvaluator::evaluate");
-        fatalIf(a.isInstr, "instruction reference in a data trace");
-        trace_(a);
-    });
-    PICO_METRIC_COUNT("evaluate.captured.accesses", trace_.size());
-    PICO_METRIC_COUNT("evaluate.captured.bytes",
-                      trace_.encodedBytes());
-    bank_->simulate(trace_, pool, cancel);
-    evaluated_ = true;
+    capture(ref_data_trace, *this, cancel);
+    sweep(pool, cancel);
 }
 
 double
@@ -377,37 +347,41 @@ DcacheEvaluator::misses(const cache::CacheConfig &config) const
     return bank_->misses(config);
 }
 
-double
-DcacheEvaluator::writeTraffic(const cache::CacheConfig &config) const
-{
-    fatalIf(!evaluated_, "evaluator has not seen a trace yet");
-    return bank_->writeTraffic(config);
-}
-
 ParetoSet
-DcacheEvaluator::pareto(double miss_penalty,
-                        double write_cost) const
+DcacheEvaluator::pareto(double miss_penalty, double write_cost) const
 {
-    ParetoSet set;
-    for (const auto &config : space_.enumerate()) {
-        DesignPoint point;
-        point.id = "D$" + config.name();
-        point.cost = config.areaCost();
-        point.time = misses(config) * miss_penalty;
-        if (write_cost != 0.0)
-            point.time += writeTraffic(config) * write_cost;
-        set.insertPoint(point);
-    }
-    return set;
+    return paretoOver(
+        "D$",
+        [&](const cache::CacheConfig &config) {
+            return misses(config) * miss_penalty;
+        },
+        write_cost);
 }
 
 // --- UcacheEvaluator ---------------------------------------------------
 
 UcacheEvaluator::UcacheEvaluator(CacheSpace space,
                                  uint64_t granule_refs)
-    : space_(std::move(space)), granuleRefs_(granule_refs)
+    : SubsystemEvaluator(std::move(space)),
+      modeler_(std::in_place, granule_refs)
+{}
+
+void
+UcacheEvaluator::operator()(const trace::Access &a)
 {
-    bank_ = std::make_unique<SimBank>(space_);
+    trace_(a);
+    modeler_->access(a);
+}
+
+void
+UcacheEvaluator::sweep(support::ThreadPool *pool,
+                       const support::CancelToken *cancel)
+{
+    sweepCapture("evaluate.ucache", pool, cancel);
+    iParams_ = modeler_->instrParams();
+    dParams_ = modeler_->dataParams();
+    modeler_.reset();
+    evaluated_ = true;
 }
 
 void
@@ -415,22 +389,8 @@ UcacheEvaluator::evaluate(const TraceSource &ref_unified_trace,
                           support::ThreadPool *pool,
                           const support::CancelToken *cancel)
 {
-    support::TimedSpan span("evaluate.ucache", "evaluate");
-    core::UtraceModeler modeler(granuleRefs_);
-    support::CancelCheck check(cancel);
-    ref_unified_trace([this, &modeler,
-                       &check](const trace::Access &a) {
-        check.tick("UcacheEvaluator::evaluate");
-        trace_(a);
-        modeler.access(a);
-    });
-    PICO_METRIC_COUNT("evaluate.captured.accesses", trace_.size());
-    PICO_METRIC_COUNT("evaluate.captured.bytes",
-                      trace_.encodedBytes());
-    bank_->simulate(trace_, pool, cancel);
-    iParams_ = modeler.instrParams();
-    dParams_ = modeler.dataParams();
-    evaluated_ = true;
+    capture(ref_unified_trace, *this, cancel);
+    sweep(pool, cancel);
 }
 
 double
@@ -448,28 +408,16 @@ UcacheEvaluator::misses(const cache::CacheConfig &config,
     return model.estimateUcacheMisses(config, dilation, ref_misses);
 }
 
-double
-UcacheEvaluator::writeTraffic(const cache::CacheConfig &config) const
-{
-    fatalIf(!evaluated_, "evaluator has not seen a trace yet");
-    return bank_->writeTraffic(config);
-}
-
 ParetoSet
 UcacheEvaluator::pareto(double dilation, double miss_penalty,
                         double write_cost) const
 {
-    ParetoSet set;
-    for (const auto &config : space_.enumerate()) {
-        DesignPoint point;
-        point.id = "U$" + config.name();
-        point.cost = config.areaCost();
-        point.time = misses(config, dilation) * miss_penalty;
-        if (write_cost != 0.0)
-            point.time += writeTraffic(config) * write_cost;
-        set.insertPoint(point);
-    }
-    return set;
+    return paretoOver(
+        "U$",
+        [&](const cache::CacheConfig &config) {
+            return misses(config, dilation) * miss_penalty;
+        },
+        write_cost);
 }
 
 } // namespace pico::dse

@@ -3,11 +3,12 @@
  * Cache-subsystem evaluators: single-pass simulation banks plus the
  * dilation-model estimators, one evaluator per cache type.
  *
- * Each evaluator consumes the *reference processor's* trace exactly
- * once (one Cheetah-style pass per distinct line size plus the trace
- * modeler), after which the misses of any configuration in the space
- * at any dilation are available without further simulation — the
- * paper's central efficiency claim.
+ * Each evaluator captures the *reference processor's* trace once
+ * (feeding the trace modeler as it goes) and sweeps it once through
+ * its bank (one Cheetah-style pass per distinct line size), after
+ * which the misses of any configuration in the space at any dilation
+ * are available without further simulation — the paper's central
+ * efficiency claim.
  */
 
 #ifndef PICO_DSE_EVALUATORS_HPP
@@ -15,6 +16,8 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "cache/SetResidentSim.hpp"
@@ -26,7 +29,6 @@
 #include "support/CancelToken.hpp"
 #include "support/ThreadPool.hpp"
 #include "trace/ColumnarTrace.hpp"
-#include "trace/TraceBuffer.hpp"
 
 namespace pico::dse
 {
@@ -60,32 +62,17 @@ class SimBank
 
     explicit SimBank(const CacheSpace &space);
 
-    /** Feed one reference to every line-size simulator. */
-    void access(const trace::Access &a);
-
     /**
-     * Run every line-size simulator over a buffered trace, one
-     * independent read-only sweep each, concurrently on the given
-     * pool (null/zero-worker pool = serial, identical results:
-     * each simulator's state depends only on the trace, never on
-     * the other simulators or the schedule). A cancel token is
-     * checked at sweep granularity; cancellation unwinds with
-     * CancelledError and leaves the bank unusable for misses()
+     * Run every simulator over a columnar trace, in one loop over
+     * lanes. A lane decodes every block once, in capture order, and
+     * feeds the decoded span to its simulators. With no pool workers
+     * (null/zero-worker pool) one lane holds the whole bank; with
+     * workers each simulator gets its own lane and decode scratch.
+     * Either way each simulator sees the identical address sequence,
+     * so miss counts are independent of the schedule. The cancel
+     * token is checked once per encoded block; cancellation unwinds
+     * with CancelledError and leaves the bank unusable for misses()
      * queries (the caller discards it).
-     */
-    void simulate(const trace::TraceBuffer &buffer,
-                  support::ThreadPool *pool,
-                  const support::CancelToken *cancel = nullptr);
-
-    /**
-     * Run every line-size simulator over a columnar trace. Serial
-     * (null/zero-worker pool): the fused path decodes each block
-     * once and the decoded span feeds *all* simulators while it is
-     * hot. Parallel: one task per line size, each decoding into its
-     * own scratch. Either way each simulator sees the identical
-     * address sequence, so miss counts are bit-identical to the
-     * row-wise replay and independent of the schedule. The cancel
-     * token is checked once per encoded block.
      */
     void simulate(const trace::ColumnarTraceBuffer &buffer,
                   support::ThreadPool *pool,
@@ -126,6 +113,9 @@ class SimBank
     core::MissOracle oracle() const;
 
   private:
+    /** Metric and span name of simulator i (Cheetah sims first). */
+    std::string simTag(size_t i) const;
+
     std::vector<cache::SinglePassSim> sims_;
     /**
      * Set-resident simulators for the extended policy axes, one per
@@ -136,21 +126,71 @@ class SimBank
     std::vector<cache::SetResidentSim> policySims_;
 };
 
+/**
+ * What the three cache evaluators share: a cache space, its simulator
+ * bank and the captured reference trace. Each evaluator is a trace
+ * sink: operator() captures one reference (feeding the serial trace
+ * modeler, if any), then sweep() runs the bank over the capture once,
+ * on a pool if given (results are identical without one); evaluate()
+ * is capture-then-sweep. A cancel token aborts with CancelledError
+ * and leaves the evaluator not evaluated.
+ */
+class SubsystemEvaluator
+{
+  public:
+    /** Simulated memory writes of a configuration (see SimBank). */
+    double writeTraffic(const cache::CacheConfig &config) const;
+
+    const CacheSpace &space() const { return space_; }
+    const SimBank &bank() const { return *bank_; }
+    bool evaluated() const { return evaluated_; }
+
+    /** The captured (columnar-compressed) reference trace. */
+    const trace::ColumnarTraceBuffer &
+    capturedTrace() const
+    {
+        return trace_;
+    }
+
+  protected:
+    explicit SubsystemEvaluator(CacheSpace space);
+
+    /** Run the bank over the capture, under the named span. */
+    void sweepCapture(const char *span_name, support::ThreadPool *pool,
+                      const support::CancelToken *cancel);
+
+    /**
+     * Pareto set over the space, ids prefixed; a point's time is
+     * miss_time(config) plus write traffic weighted by write_cost.
+     */
+    ParetoSet paretoOver(
+        const char *prefix,
+        const std::function<double(const cache::CacheConfig &)>
+            &miss_time,
+        double write_cost) const;
+
+    CacheSpace space_;
+    std::unique_ptr<SimBank> bank_;
+    trace::ColumnarTraceBuffer trace_;
+    bool evaluated_ = false;
+};
+
 /** Instruction-cache evaluator (simulation + dilation model). */
-class IcacheEvaluator
+class IcacheEvaluator : public SubsystemEvaluator
 {
   public:
     explicit IcacheEvaluator(CacheSpace space,
                              uint64_t granule_refs =
                                  core::defaultIGranule);
 
-    /**
-     * One pass over the reference instruction trace. The per-line-
-     * size simulator sweeps run concurrently on `pool` (null =
-     * serial; results are identical either way). A cancel token
-     * aborts mid-capture or mid-sweep with CancelledError; the
-     * evaluator then stays in the not-evaluated state.
-     */
+    /** Capture one reference of the reference instruction trace. */
+    void operator()(const trace::Access &a);
+
+    /** Sweep the capture and fit the instruction trace model. */
+    void sweep(support::ThreadPool *pool = nullptr,
+               const support::CancelToken *cancel = nullptr);
+
+    /** Capture the whole reference instruction trace, then sweep. */
     void evaluate(const TraceSource &ref_instr_trace,
                   support::ThreadPool *pool = nullptr,
                   const support::CancelToken *cancel = nullptr);
@@ -164,9 +204,6 @@ class IcacheEvaluator
     double misses(const cache::CacheConfig &config,
                   double dilation) const;
 
-    /** Simulated memory writes of a configuration (see SimBank). */
-    double writeTraffic(const cache::CacheConfig &config) const;
-
     /** Pareto set over the space at one dilation; time is misses
      *  weighted by the L1-miss penalty plus write traffic weighted
      *  by the (default 0) write cost. */
@@ -174,33 +211,28 @@ class IcacheEvaluator
                      double write_cost = 0.0) const;
 
     const core::ComponentParams &params() const { return params_; }
-    const CacheSpace &space() const { return space_; }
-    const SimBank &bank() const { return *bank_; }
-    bool evaluated() const { return evaluated_; }
-
-    /** The captured (columnar-compressed) reference trace. */
-    const trace::ColumnarTraceBuffer &
-    capturedTrace() const
-    {
-        return trace_;
-    }
 
   private:
-    CacheSpace space_;
-    uint64_t granuleRefs_;
-    std::unique_ptr<SimBank> bank_;
-    trace::ColumnarTraceBuffer trace_;
+    /** Fed during capture; dropped once sweep() has fitted params_,
+     *  so its granule buffers do not stay resident with the walker. */
+    std::optional<core::ItraceModeler> modeler_;
     core::ComponentParams params_;
-    bool evaluated_ = false;
 };
 
 /** Data-cache evaluator (simulation only; equation 4.1). */
-class DcacheEvaluator
+class DcacheEvaluator : public SubsystemEvaluator
 {
   public:
     explicit DcacheEvaluator(CacheSpace space);
 
-    /** One pass over the reference data trace. */
+    /** Capture one reference of the reference data trace. */
+    void operator()(const trace::Access &a);
+
+    /** Sweep the capture. */
+    void sweep(support::ThreadPool *pool = nullptr,
+               const support::CancelToken *cancel = nullptr);
+
+    /** Capture the whole reference data trace, then sweep. */
     void evaluate(const TraceSource &ref_data_trace,
                   support::ThreadPool *pool = nullptr,
                   const support::CancelToken *cancel = nullptr);
@@ -208,39 +240,26 @@ class DcacheEvaluator
     /** Misses of a configuration (dilation independent). */
     double misses(const cache::CacheConfig &config) const;
 
-    /** Simulated memory writes of a configuration (see SimBank). */
-    double writeTraffic(const cache::CacheConfig &config) const;
-
     ParetoSet pareto(double miss_penalty,
                      double write_cost = 0.0) const;
-
-    const CacheSpace &space() const { return space_; }
-    const SimBank &bank() const { return *bank_; }
-    bool evaluated() const { return evaluated_; }
-
-    /** The captured (columnar-compressed) reference trace. */
-    const trace::ColumnarTraceBuffer &
-    capturedTrace() const
-    {
-        return trace_;
-    }
-
-  private:
-    CacheSpace space_;
-    std::unique_ptr<SimBank> bank_;
-    trace::ColumnarTraceBuffer trace_;
-    bool evaluated_ = false;
 };
 
 /** Unified-cache evaluator (simulation + equations 4.13–4.15). */
-class UcacheEvaluator
+class UcacheEvaluator : public SubsystemEvaluator
 {
   public:
     explicit UcacheEvaluator(CacheSpace space,
                              uint64_t granule_refs =
                                  core::defaultUGranule);
 
-    /** One pass over the reference unified trace. */
+    /** Capture one reference of the reference unified trace. */
+    void operator()(const trace::Access &a);
+
+    /** Sweep the capture and fit both components' trace models. */
+    void sweep(support::ThreadPool *pool = nullptr,
+               const support::CancelToken *cancel = nullptr);
+
+    /** Capture the whole reference unified trace, then sweep. */
     void evaluate(const TraceSource &ref_unified_trace,
                   support::ThreadPool *pool = nullptr,
                   const support::CancelToken *cancel = nullptr);
@@ -248,33 +267,18 @@ class UcacheEvaluator
     double misses(const cache::CacheConfig &config,
                   double dilation) const;
 
-    /** Simulated memory writes of a configuration (see SimBank). */
-    double writeTraffic(const cache::CacheConfig &config) const;
-
     ParetoSet pareto(double dilation, double miss_penalty,
                      double write_cost = 0.0) const;
 
     const core::ComponentParams &instrParams() const { return iParams_; }
     const core::ComponentParams &dataParams() const { return dParams_; }
-    const CacheSpace &space() const { return space_; }
-    const SimBank &bank() const { return *bank_; }
-    bool evaluated() const { return evaluated_; }
-
-    /** The captured (columnar-compressed) reference trace. */
-    const trace::ColumnarTraceBuffer &
-    capturedTrace() const
-    {
-        return trace_;
-    }
 
   private:
-    CacheSpace space_;
-    uint64_t granuleRefs_;
-    std::unique_ptr<SimBank> bank_;
-    trace::ColumnarTraceBuffer trace_;
+    /** Fed during capture; dropped once sweep() has fitted both
+     *  (see IcacheEvaluator::modeler_). */
+    std::optional<core::UtraceModeler> modeler_;
     core::ComponentParams iParams_;
     core::ComponentParams dParams_;
-    bool evaluated_ = false;
 };
 
 } // namespace pico::dse

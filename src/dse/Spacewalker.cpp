@@ -25,14 +25,28 @@ MemoryWalker::MemoryWalker(MemorySpaces spaces, StallModel stalls,
 {}
 
 void
-MemoryWalker::evaluate(const TraceSource &instr_trace,
-                       const TraceSource &data_trace,
-                       const TraceSource &unified_trace,
+MemoryWalker::evaluate(const TraceSource &unified_trace,
                        const support::CancelToken *cancel)
 {
-    icacheEval_.evaluate(instr_trace, pool_, cancel);
-    dcacheEval_.evaluate(data_trace, pool_, cancel);
-    ucacheEval_.evaluate(unified_trace, pool_, cancel);
+    // The instruction and data traces are exactly the isInstr and
+    // !isInstr subsequences of the unified one (pinned by
+    // TraceGenerator.UnifiedIsSupersetCountOfComponents), so one
+    // emulation feeds all three captures.
+    {
+        support::TimedSpan span("evaluate.capture", "evaluate");
+        support::CancelCheck check(cancel);
+        unified_trace([&](const trace::Access &a) {
+            check.tick("MemoryWalker::evaluate");
+            if (a.isInstr)
+                icacheEval_(a);
+            else
+                dcacheEval_(a);
+            ucacheEval_(a);
+        });
+    }
+    icacheEval_.sweep(pool_, cancel);
+    dcacheEval_.sweep(pool_, cancel);
+    ucacheEval_.sweep(pool_, cancel);
 }
 
 double
@@ -438,8 +452,9 @@ Spacewalker::explore(const ir::Program &prog)
     // reference processor (and one set of reference-trace
     // simulations) per trace-equivalence class — the paper
     // prescribes a separate Pref for each predication/speculation
-    // combination. The reference trace is generated once and its
-    // per-line-size Cheetah sweeps run on the pool.
+    // combination. The class's unified reference trace is emulated
+    // once and feeds all three subsystems' captures; the simulators
+    // of each subsystem's sweep then run on the pool.
     std::map<bool, std::unique_ptr<ClassContext>> classes;
     std::optional<support::TimedSpan> phase;
     phase.emplace("walk.phase2.reference", "phase");
@@ -468,16 +483,12 @@ Spacewalker::explore(const ir::Program &prog)
             trace::TraceGenerator gen(ctx->prog, ctx->refBuild.sched,
                                       ctx->refBuild.bin);
             uint64_t blocks = options_.traceBlocks;
-            auto source = [&gen, blocks](trace::TraceKind kind) {
-                return TraceSource([&gen, kind,
-                                    blocks](const TraceSink &sink) {
-                    gen.generate(kind, sink, blocks);
-                });
-            };
             ctx->memory->evaluate(
-                source(trace::TraceKind::Instruction),
-                source(trace::TraceKind::Data),
-                source(trace::TraceKind::Unified), cancel);
+                [&gen, blocks](const TraceSink &sink) {
+                    gen.generate(trace::TraceKind::Unified, sink,
+                                 blocks);
+                },
+                cancel);
         } catch (const PanicError &) {
             throw; // internal bugs always propagate
         } catch (const std::exception &) {

@@ -79,15 +79,14 @@ class MemoryWalker
                  uint64_t u_granule = core::defaultUGranule);
 
     /**
-     * Evaluate all three subsystems from reference traces, one pass
-     * each. With a thread pool attached, the per-line-size Cheetah
-     * sweeps of each subsystem run concurrently. A cancel token
-     * aborts mid-pass with CancelledError; the walker is then only
-     * partially evaluated and must be discarded.
+     * Evaluate all three subsystems from one reference unified
+     * trace: each reference goes to the I or D capture as its
+     * isInstr bit says, and always to the U capture. Then each
+     * subsystem sweeps its capture, on the attached pool if any. A
+     * cancel token aborts with CancelledError; the walker is then
+     * only partially evaluated and must be discarded.
      */
-    void evaluate(const TraceSource &instr_trace,
-                  const TraceSource &data_trace,
-                  const TraceSource &unified_trace,
+    void evaluate(const TraceSource &unified_trace,
                   const support::CancelToken *cancel = nullptr);
 
     /**

@@ -19,7 +19,6 @@
 #include "support/Random.hpp"
 #include "support/ThreadPool.hpp"
 #include "trace/ColumnarTrace.hpp"
-#include "trace/TraceBuffer.hpp"
 
 namespace pico
 {
@@ -108,17 +107,19 @@ TEST(Differential, SimBankParallelSweepMatchesDirectSims)
     space.assocs = {1, 2, 4};
     space.lineSizes = {16, 32, 64};
 
-    trace::TraceBuffer buffer;
-    for (auto addr : randomTrace(321, 0))
-        buffer(trace::Access{addr, true, false});
+    auto addrs = randomTrace(321, 0);
+    trace::ColumnarTraceBuffer cols;
+    for (auto addr : addrs)
+        cols(trace::Access{addr, true, false});
 
     support::ThreadPool pool(4);
     dse::SimBank bank(space);
-    bank.simulate(buffer, &pool);
+    bank.simulate(cols, &pool);
 
     for (const auto &cfg : space.enumerate()) {
         cache::CacheSim ref(cfg);
-        buffer.replay(ref);
+        for (auto addr : addrs)
+            ref.access(addr);
         EXPECT_EQ(bank.misses(cfg),
                   static_cast<double>(ref.misses()))
             << cfg.name();
@@ -152,32 +153,33 @@ TEST(Differential, ColumnarReplayMatchesRowReplayAcrossCacheSpace)
 {
     // The tentpole claim: the fused columnar sweep produces, for
     // every configuration in the cache space, exactly the miss
-    // count of the row-wise TraceBuffer sweep it replaced — and
-    // both match the external per-config oracle.
+    // count of a row-wise replay (one access() per reference into
+    // a fresh simulator of the same line size) — and both match the
+    // external per-config oracle.
     dse::CacheSpace space;
     space.sizesBytes = {2048, 4096, 8192, 16384};
     space.assocs = {1, 2, 4};
     space.lineSizes = {8, 16, 32, 64};
 
     auto addrs = randomTrace(20260808, 2);
-    trace::TraceBuffer rows;
     trace::ColumnarTraceBuffer cols(/*block_capacity=*/128);
-    for (auto addr : addrs) {
-        trace::Access a{addr, true, false};
-        rows(a);
-        cols(a);
-    }
+    for (auto addr : addrs)
+        cols(trace::Access{addr, true, false});
 
-    dse::SimBank row_bank(space);
-    row_bank.simulate(rows, nullptr);
     dse::SimBank col_bank(space);
     col_bank.simulate(cols, nullptr);
 
     for (const auto &cfg : space.enumerate()) {
-        EXPECT_EQ(col_bank.misses(cfg), row_bank.misses(cfg))
-            << cfg.name();
+        cache::SinglePassSim rows(cfg.lineBytes, space.minSets(),
+                                  space.maxSets(), space.maxAssoc());
         cache::CacheSim ref(cfg);
-        rows.replay(ref);
+        for (auto addr : addrs) {
+            rows.access(addr);
+            ref.access(addr);
+        }
+        EXPECT_EQ(col_bank.misses(cfg),
+                  static_cast<double>(rows.misses(cfg)))
+            << cfg.name();
         EXPECT_EQ(col_bank.misses(cfg),
                   static_cast<double>(ref.misses()))
             << cfg.name();

@@ -88,8 +88,10 @@ TEST(SimBank, CoversDownToOneWordLines)
 TEST(SimBank, MissesThrowOutsideCoverage)
 {
     SimBank bank(smallSpace());
+    trace::ColumnarTraceBuffer captured;
     syntheticInstrTrace(1, 1000)(
-        [&bank](const trace::Access &a) { bank.access(a); });
+        [&captured](const trace::Access &a) { captured(a); });
+    bank.simulate(captured, nullptr);
     EXPECT_THROW(bank.misses(cache::CacheConfig{64, 1, 128}),
                  FatalError);
 }
@@ -174,9 +176,7 @@ TEST(MemoryWalker, StallCyclesAdditive)
     spaces.ucache = CacheSpace::defaultL2Space();
     StallModel stalls;
     MemoryWalker walker(spaces, stalls);
-    walker.evaluate(syntheticInstrTrace(9, 60000),
-                    syntheticDataTrace(10, 50000),
-                    syntheticUnifiedTrace(11, 250000));
+    walker.evaluate(syntheticUnifiedTrace(11, 250000));
 
     cache::CacheConfig ic{64, 1, 32};
     cache::CacheConfig dc{64, 2, 32};
@@ -187,6 +187,41 @@ TEST(MemoryWalker, StallCyclesAdditive)
         walker.dcache().misses(dc) * stalls.l2HitLatency +
         walker.ucache().misses(uc, 1.3) * stalls.memoryLatency;
     EXPECT_DOUBLE_EQ(total, manual);
+}
+
+TEST(MemoryWalker, OneUnifiedSourceMatchesComponentEvaluators)
+{
+    // evaluate() splits one unified trace by isInstr; every answer
+    // must equal evaluating each subsystem on its own component.
+    MemorySpaces spaces{smallSpace(), smallSpace(), smallSpace()};
+    MemoryWalker walker(spaces, StallModel{}, 2000, 10000);
+    TraceSource unified = syntheticUnifiedTrace(15, 120000);
+    walker.evaluate(unified);
+
+    auto component = [&unified](bool instr) {
+        return TraceSource([&unified, instr](const TraceSink &sink) {
+            unified([&](const trace::Access &a) {
+                if (a.isInstr == instr)
+                    sink(a);
+            });
+        });
+    };
+    IcacheEvaluator ieval(spaces.icache, 2000);
+    ieval.evaluate(component(true));
+    DcacheEvaluator deval(spaces.dcache);
+    deval.evaluate(component(false));
+    UcacheEvaluator ueval(spaces.ucache, 10000);
+    ueval.evaluate(unified);
+    for (const auto &cfg : smallSpace().enumerate()) {
+        EXPECT_EQ(walker.icache().misses(cfg, 1.5),
+                  ieval.misses(cfg, 1.5))
+            << cfg.name();
+        EXPECT_EQ(walker.dcache().misses(cfg), deval.misses(cfg))
+            << cfg.name();
+        EXPECT_EQ(walker.ucache().misses(cfg, 1.5),
+                  ueval.misses(cfg, 1.5))
+            << cfg.name();
+    }
 }
 
 TEST(MemoryWalker, ParetoRespectsInclusion)
@@ -201,9 +236,7 @@ TEST(MemoryWalker, ParetoRespectsInclusion)
     spaces.ucache = l2;
 
     MemoryWalker walker(spaces, StallModel{});
-    walker.evaluate(syntheticInstrTrace(12, 60000),
-                    syntheticDataTrace(13, 50000),
-                    syntheticUnifiedTrace(14, 250000));
+    walker.evaluate(syntheticUnifiedTrace(14, 250000));
     auto front = walker.pareto(1.0);
     EXPECT_FALSE(front.empty());
     // Hierarchy ids embed the component names; an 8KB L2 may never

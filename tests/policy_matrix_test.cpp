@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,10 +25,10 @@
 #include "cache/SetResidentSim.hpp"
 #include "cache/SinglePassSim.hpp"
 #include "dse/Evaluators.hpp"
+#include "support/Metrics.hpp"
 #include "support/Random.hpp"
 #include "support/ThreadPool.hpp"
 #include "trace/ColumnarTrace.hpp"
-#include "trace/TraceBuffer.hpp"
 #include "trace/TraceGenerator.hpp"
 #include "workloads/AppSpec.hpp"
 #include "workloads/Toolchain.hpp"
@@ -259,6 +260,17 @@ extendedSpace()
     return space;
 }
 
+/** Per-config oracle run of one cell over a reference list. */
+cache::CacheSim
+oracleRun(const cache::CacheConfig &cfg,
+          const std::vector<trace::Access> &refs)
+{
+    cache::CacheSim ref(cfg);
+    for (const auto &a : refs)
+        ref(a);
+    return ref;
+}
+
 TEST(PolicyMatrix, SimBankRoutesEveryCellToTheOracle)
 {
     // The SimBank serves LRU misses from the Cheetah bank and
@@ -266,19 +278,18 @@ TEST(PolicyMatrix, SimBankRoutesEveryCellToTheOracle)
     // (policy x write mode x geometry) must match a dedicated
     // CacheSim run — misses and write traffic.
     auto space = extendedSpace();
-    trace::TraceBuffer buffer;
     auto refs = randomWriteTrace(321, 0);
+    trace::ColumnarTraceBuffer cols;
     for (const auto &a : refs)
-        buffer(a);
+        cols(a);
 
     dse::SimBank bank(space);
     EXPECT_TRUE(bank.extended());
-    bank.simulate(buffer, nullptr);
+    bank.simulate(cols, nullptr);
 
     for (const auto &cfg : space.enumerate()) {
         ASSERT_TRUE(bank.covers(cfg)) << cfg.name();
-        cache::CacheSim ref(cfg);
-        buffer.replay(ref);
+        cache::CacheSim ref = oracleRun(cfg, refs);
         EXPECT_EQ(bank.misses(cfg),
                   static_cast<double>(ref.misses()))
             << cfg.name();
@@ -292,25 +303,22 @@ TEST(PolicyMatrix, ExtendedColumnarSweepIsJobCountInvariant)
 {
     // Serial fused decode, 2 jobs, 8 jobs: identical misses and
     // write traffic for every extended-space cell, and identical to
-    // the row-wise replay.
+    // the per-config oracle.
     auto space = extendedSpace();
     auto refs = randomWriteTrace(555, 3);
-    trace::TraceBuffer rows;
     trace::ColumnarTraceBuffer cols(/*block_capacity=*/128);
-    for (const auto &a : refs) {
-        rows(a);
+    for (const auto &a : refs)
         cols(a);
-    }
 
-    dse::SimBank row_bank(space);
-    row_bank.simulate(rows, nullptr);
     dse::SimBank serial(space);
     serial.simulate(cols, nullptr);
     for (const auto &cfg : space.enumerate()) {
-        EXPECT_EQ(serial.misses(cfg), row_bank.misses(cfg))
+        cache::CacheSim ref = oracleRun(cfg, refs);
+        EXPECT_EQ(serial.misses(cfg),
+                  static_cast<double>(ref.misses()))
             << cfg.name();
         EXPECT_EQ(serial.writeTraffic(cfg),
-                  row_bank.writeTraffic(cfg))
+                  static_cast<double>(ref.writeTraffic()))
             << cfg.name();
     }
     for (unsigned jobs : {2u, 8u}) {
@@ -325,6 +333,27 @@ TEST(PolicyMatrix, ExtendedColumnarSweepIsJobCountInvariant)
                 << cfg.name() << " jobs=" << jobs;
         }
     }
+
+    // The sweep counters are observables too: one per simulator,
+    // Cheetah and set-resident alike, at jobs 1 and jobs 4.
+    support::setMetricsEnabled(true);
+    std::map<std::string, uint64_t> counters[2];
+    for (unsigned jobs : {1u, 4u}) {
+        support::metrics().resetValues();
+        support::ThreadPool pool(jobs - 1);
+        dse::SimBank bank(space);
+        bank.simulate(cols, &pool);
+        for (const auto &[name, value] :
+             support::metrics().snapshot().counters) {
+            if (name.rfind("sweep.", 0) == 0 && value != 0)
+                counters[jobs == 4][name] = value;
+        }
+    }
+    support::setMetricsEnabled(false);
+    EXPECT_EQ(counters[0], counters[1]);
+    EXPECT_EQ(counters[0]["sweep.runs"], serial.simRuns());
+    EXPECT_EQ(counters[0]["sweep.fifo.line32.accesses"], cols.size());
+    EXPECT_EQ(counters[0]["sweep.line4.accesses"], cols.size());
 }
 
 TEST(PolicyMatrix, EnumerateExpandsAxesWithoutPerturbingClassic)

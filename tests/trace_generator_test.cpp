@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -78,11 +79,34 @@ TEST(TraceGenerator, UnifiedContainsBoth)
 
 TEST(TraceGenerator, UnifiedIsSupersetCountOfComponents)
 {
-    Fixture fx;
-    auto i = fx.gen().collect(TraceKind::Instruction, 500);
-    auto d = fx.gen().collect(TraceKind::Data, 500);
-    auto u = fx.gen().collect(TraceKind::Unified, 500);
-    EXPECT_EQ(u.size(), i.size() + d.size());
+    // The walk emulates one unified trace per trace-equivalence
+    // class and splits it by isInstr, so the instruction and data
+    // traces must be exactly those subsequences — element by
+    // element, for every app and both class reference processors.
+    auto same = [](const Access &x, const Access &y) {
+        return x.addr == y.addr && x.isInstr == y.isInstr &&
+               x.isWrite == y.isWrite;
+    };
+    for (const auto &spec : workloads::paperSuite()) {
+        auto base = workloads::buildAndProfile(spec, 2000);
+        for (const char *machine : {"1111", "1111p"}) {
+            auto mdes = MachineDesc::fromName(machine);
+            auto prog = workloads::programForClass(base, mdes, 2000);
+            auto build = workloads::buildFor(prog, mdes);
+            TraceGenerator gen(prog, build.sched, build.bin);
+            std::vector<Access> split[2]; // indexed by isInstr
+            for (const auto &a : gen.collect(TraceKind::Unified, 2000))
+                split[a.isInstr].push_back(a);
+            auto i = gen.collect(TraceKind::Instruction, 2000);
+            auto d = gen.collect(TraceKind::Data, 2000);
+            EXPECT_TRUE(std::equal(i.begin(), i.end(), split[1].begin(),
+                                   split[1].end(), same))
+                << spec.name << " on " << machine;
+            EXPECT_TRUE(std::equal(d.begin(), d.end(), split[0].begin(),
+                                   split[0].end(), same))
+                << spec.name << " on " << machine;
+        }
+    }
 }
 
 TEST(TraceGenerator, InstructionWordsTileBlockRanges)
