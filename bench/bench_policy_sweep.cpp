@@ -39,6 +39,17 @@ constexpr cache::ReplacementPolicy policies[] = {
     cache::ReplacementPolicy::FIFO,
     cache::ReplacementPolicy::Random};
 
+/** The timed geometry grid: every (sets, assoc) of the ranges. */
+std::vector<cache::SetResidentSim::Geometry>
+grid()
+{
+    std::vector<cache::SetResidentSim::Geometry> out;
+    for (uint32_t sets = minSets; sets <= maxSets; sets *= 2)
+        for (uint32_t assoc = 1; assoc <= maxAssoc; ++assoc)
+            out.push_back({sets, assoc});
+    return out;
+}
+
 /** One all-geometry pass per (line size, policy), in ns. */
 uint64_t
 timedSetResident(const std::vector<trace::Access> &refs,
@@ -48,8 +59,7 @@ timedSetResident(const std::vector<trace::Access> &refs,
     uint64_t start = support::monotonicNowNs();
     for (uint32_t line : lineSizes) {
         for (cache::ReplacementPolicy policy : policies) {
-            out.emplace_back(line, minSets, maxSets, maxAssoc,
-                             policy);
+            out.emplace_back(line, grid(), policy);
             for (const auto &a : refs)
                 out.back().access(a.addr, a.isWrite);
         }

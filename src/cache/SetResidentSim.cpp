@@ -1,66 +1,71 @@
 #include "cache/SetResidentSim.hpp"
 
+#include <algorithm>
+
 #include "support/BitUtils.hpp"
 #include "support/Logging.hpp"
 
 namespace pico::cache
 {
 
-SetResidentSim::SetResidentSim(uint32_t line_bytes, uint32_t min_sets,
-                               uint32_t max_sets, uint32_t max_assoc,
+SetResidentSim::SetResidentSim(uint32_t line_bytes,
+                               std::vector<Geometry> geometries,
                                ReplacementPolicy policy,
                                uint64_t policy_seed)
-    : lineBytes_(line_bytes), minSets_(min_sets), maxSets_(max_sets),
-      maxAssoc_(max_assoc), policy_(policy)
+    : lineBytes_(line_bytes), policy_(policy)
 {
     fatalIf(!isPowerOfTwo(line_bytes) || line_bytes < 4,
             "bad line size ", line_bytes);
-    fatalIf(!isPowerOfTwo(min_sets) || !isPowerOfTwo(max_sets) ||
-                min_sets > max_sets,
-            "bad set-count range [", min_sets, ", ", max_sets, "]");
-    fatalIf(max_assoc == 0, "max associativity must be positive");
     lineShift_ = log2Floor(line_bytes);
 
-    size_t levels = log2Floor(max_sets) - log2Floor(min_sets) + 1;
-    geometries_.reserve(levels * maxAssoc_);
-    for (size_t lv = 0; lv < levels; ++lv) {
-        auto sets = static_cast<uint32_t>(
-            static_cast<uint64_t>(minSets_) << lv);
-        for (uint32_t assoc = 1; assoc <= maxAssoc_; ++assoc) {
-            Geometry g;
-            g.sets = sets;
-            g.assoc = assoc;
-            g.tags.assign(static_cast<size_t>(sets) * assoc,
-                          emptyTag);
-            g.dirty.assign(static_cast<size_t>(sets) * assoc, 0);
-            if (policy_ == ReplacementPolicy::FIFO)
-                g.fifoPtr.assign(sets, 0);
-            if (policy_ == ReplacementPolicy::Random)
-                g.rng = policyRng(sets, assoc, lineBytes_,
-                                  policy_seed);
-            geometries_.push_back(std::move(g));
-        }
+    std::sort(geometries.begin(), geometries.end());
+    geometries.erase(std::unique(geometries.begin(), geometries.end()),
+                     geometries.end());
+    residents_.reserve(geometries.size());
+    for (const Geometry &shape : geometries) {
+        fatalIf(!isPowerOfTwo(shape.sets),
+                "set count ", shape.sets, " is not a power of two");
+        fatalIf(shape.assoc == 0, "associativity must be positive");
+        Resident r;
+        r.shape = shape;
+        size_t ways = static_cast<size_t>(shape.sets) * shape.assoc;
+        r.tags.assign(ways, emptyTag);
+        r.dirty.assign(ways, 0);
+        if (policy_ == ReplacementPolicy::FIFO)
+            r.fifoPtr.assign(shape.sets, 0);
+        if (policy_ == ReplacementPolicy::Random)
+            r.rng = policyRng(shape.sets, shape.assoc, lineBytes_,
+                              policy_seed);
+        residents_.push_back(std::move(r));
     }
 }
 
-size_t
-SetResidentSim::geometryIndex(uint32_t sets, uint32_t assoc) const
+const SetResidentSim::Resident *
+SetResidentSim::find(uint32_t sets, uint32_t assoc) const
 {
-    fatalIf(!isPowerOfTwo(sets) || sets < minSets_ || sets > maxSets_,
-            "set count ", sets, " outside simulated range");
-    fatalIf(assoc == 0 || assoc > maxAssoc_,
-            "associativity ", assoc, " outside simulated range");
-    size_t lv = log2Floor(sets) - log2Floor(minSets_);
-    return lv * maxAssoc_ + (assoc - 1);
+    const Geometry key{sets, assoc};
+    auto it = std::lower_bound(
+        residents_.begin(), residents_.end(), key,
+        [](const Resident &r, const Geometry &g) { return r.shape < g; });
+    return it != residents_.end() && it->shape == key ? &*it : nullptr;
+}
+
+const SetResidentSim::Resident &
+SetResidentSim::at(uint32_t sets, uint32_t assoc) const
+{
+    const Resident *r = find(sets, assoc);
+    fatalIf(r == nullptr, "geometry ", sets, " sets x ", assoc,
+            " ways not simulated");
+    return *r;
 }
 
 void
-SetResidentSim::touch(Geometry &g, uint64_t line, bool write)
+SetResidentSim::touch(Resident &r, uint64_t line, bool write)
 {
-    const uint32_t assoc = g.assoc;
-    const uint64_t set = line & (g.sets - 1);
-    uint64_t *tags = g.tags.data() + set * assoc;
-    uint8_t *dirty = g.dirty.data() + set * assoc;
+    const uint32_t assoc = r.shape.assoc;
+    const uint64_t set = line & (r.shape.sets - 1);
+    uint64_t *tags = r.tags.data() + set * assoc;
+    uint8_t *dirty = r.dirty.data() + set * assoc;
 
     // Resident-set search; also remember the first vacant way so the
     // fill phase installs in slot order (matching the reference
@@ -91,7 +96,7 @@ SetResidentSim::touch(Geometry &g, uint64_t line, bool write)
         return;
     }
 
-    ++g.misses;
+    ++r.misses;
     auto installed = static_cast<uint8_t>(write);
 
     switch (policy_) {
@@ -99,7 +104,7 @@ SetResidentSim::touch(Geometry &g, uint64_t line, bool write)
         // Evict the bottom of the recency order (way assoc-1), then
         // shift everything down and install at the top.
         if (tags[assoc - 1] != emptyTag && dirty[assoc - 1])
-            ++g.writebacks;
+            ++r.writebacks;
         for (uint32_t w = assoc - 1; w > 0; --w) {
             tags[w] = tags[w - 1];
             dirty[w] = dirty[w - 1];
@@ -111,12 +116,12 @@ SetResidentSim::touch(Geometry &g, uint64_t line, bool write)
         // The round-robin pointer always names the oldest-installed
         // way: ways fill 0..assoc-1 in order, and replacing the
         // oldest makes its successor the new oldest.
-        uint32_t w = g.fifoPtr[set];
+        uint32_t w = r.fifoPtr[set];
         if (tags[w] != emptyTag && dirty[w])
-            ++g.writebacks;
+            ++r.writebacks;
         tags[w] = line;
         dirty[w] = installed;
-        g.fifoPtr[set] = w + 1 == assoc ? 0 : w + 1;
+        r.fifoPtr[set] = w + 1 == assoc ? 0 : w + 1;
         return;
     }
     case ReplacementPolicy::Random: {
@@ -125,9 +130,9 @@ SetResidentSim::touch(Geometry &g, uint64_t line, bool write)
         // sequence matches the per-config reference simulator.
         uint32_t w = vacant;
         if (w == assoc) {
-            w = static_cast<uint32_t>(g.rng.below(assoc));
+            w = static_cast<uint32_t>(r.rng.below(assoc));
             if (dirty[w])
-                ++g.writebacks;
+                ++r.writebacks;
         }
         tags[w] = line;
         dirty[w] = installed;
@@ -144,44 +149,61 @@ SetResidentSim::access(uint64_t addr, bool write)
     if (write)
         ++stores_;
     uint64_t line = addr >> lineShift_;
-    // No MRU filter here: a repeat reference is a hit in every
-    // geometry, but a repeat *store* after a clean install must
-    // still set the dirty bit, so every reference walks the bank.
-    for (auto &g : geometries_)
-        touch(g, line, write);
+    // The plain per-reference path: every reference, repeat or not,
+    // walks every geometry. accessBlock() folds same-line runs; it
+    // reads lastLine_ to continue a run across calls.
+    lastLine_ = line;
+    for (auto &r : residents_)
+        touch(r, line, write);
 }
 
 void
 SetResidentSim::accessBlock(const uint64_t *addrs,
                             const uint8_t *kinds, size_t n)
 {
+    // Fold same-line runs first: a repeat of the line touched last
+    // is a hit in every geometry and can only set the dirty bit, so
+    // one touch carrying the OR of the run's store bits stands in
+    // for the run. A run carried over from the previous call is
+    // already resident, so it is touched again only if it stores.
+    runs_.clear();
+    uint64_t last = lastLine_;
+    uint64_t stores = 0;
+    for (size_t i = 0; i < n; ++i) {
+        uint64_t line = addrs[i] >> lineShift_;
+        bool write = kinds != nullptr && kinds[i] == 1;
+        stores += write;
+        if (line != last) {
+            runs_.push_back({line, write});
+            last = line;
+        } else if (!runs_.empty()) {
+            runs_.back().write |= write;
+        } else if (write) {
+            runs_.push_back({line, true});
+        }
+    }
+    lastLine_ = last;
+    accesses_ += n;
+    stores_ += stores;
     // Geometry-outer loop for tag-array locality, exactly as
     // SinglePassSim::accessBlock: geometries are independent, so the
     // reordering touches disjoint state and the counts stay
     // bit-identical to per-reference access().
-    for (auto &g : geometries_) {
-        for (size_t i = 0; i < n; ++i) {
-            bool write = kinds != nullptr && kinds[i] == 1;
-            touch(g, addrs[i] >> lineShift_, write);
-        }
-    }
-    accesses_ += n;
-    if (kinds != nullptr) {
-        for (size_t i = 0; i < n; ++i)
-            stores_ += kinds[i] == 1;
-    }
+    for (auto &r : residents_)
+        for (const Touch &t : runs_)
+            touch(r, t.line, t.write);
 }
 
 uint64_t
 SetResidentSim::misses(uint32_t sets, uint32_t assoc) const
 {
-    return geometries_[geometryIndex(sets, assoc)].misses;
+    return at(sets, assoc).misses;
 }
 
 uint64_t
 SetResidentSim::writebacks(uint32_t sets, uint32_t assoc) const
 {
-    return geometries_[geometryIndex(sets, assoc)].writebacks;
+    return at(sets, assoc).writebacks;
 }
 
 uint64_t
@@ -204,9 +226,8 @@ bool
 SetResidentSim::covers(const CacheConfig &config) const
 {
     return config.replacement == policy_ &&
-           config.lineBytes == lineBytes_ && config.assoc >= 1 &&
-           config.assoc <= maxAssoc_ && isPowerOfTwo(config.sets) &&
-           config.sets >= minSets_ && config.sets <= maxSets_;
+           config.lineBytes == lineBytes_ &&
+           find(config.sets, config.assoc) != nullptr;
 }
 
 } // namespace pico::cache

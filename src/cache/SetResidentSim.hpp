@@ -9,16 +9,26 @@
  * set yields every associativity at once. FIFO and random
  * replacement break that property — eviction order is independent of
  * reuse — so each (sets, assoc) geometry needs its own resident-set
- * state. This simulator keeps one flat tag array *per geometry* and
- * updates all of them in a single pass over the trace: still one
- * trace traversal per line size (the expensive part — decode plus
- * memory streaming), at the cost of per-geometry tag updates.
+ * state. This simulator keeps one flat tag array *per listed
+ * geometry* and updates all of them in a single pass over the trace:
+ * still one trace traversal per line size (the expensive part —
+ * decode plus memory streaming), at the cost of per-geometry tag
+ * updates. The caller lists the geometries it will query (a design
+ * space's enumerated ones); nothing else is simulated, so the cost
+ * scales with the space, not with its bounding rectangle.
  *
  * Unlike SinglePassSim it also carries a dirty bit per resident
  * line, so it reports write-back traffic (dirty-line writebacks on
  * eviction) alongside misses for every geometry. Write-through
  * traffic needs no simulation at all: with write-allocate it is
  * exactly the store count, which the caller reads from the trace.
+ *
+ * accessBlock() folds each run of same-line references into one
+ * touch carrying the OR of the run's store bits. That is exact:
+ * after a reference to line X, X is resident in every geometry (at
+ * way 0 under LRU, at a fixed way under FIFO and random), so a
+ * repeat is a hit everywhere. It can only set the dirty bit; it
+ * moves no FIFO pointer and draws no random victim.
  *
  * Determinism contract for random replacement: victims for geometry
  * (S, A) are drawn from policyRng(S, A, line), and a draw happens
@@ -31,6 +41,7 @@
 #ifndef PICO_CACHE_SET_RESIDENT_SIM_HPP
 #define PICO_CACHE_SET_RESIDENT_SIM_HPP
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -42,27 +53,36 @@
 namespace pico::cache
 {
 
-/** All-geometry simulator for one line size and one policy. */
+/** Listed-geometry simulator for one line size and one policy. */
 class SetResidentSim
 {
   public:
     /** Sentinel tag of an empty way (never a real line tag). */
     static constexpr uint64_t emptyTag = ~0ULL;
 
+    /** One (sets, assoc) shape at the simulator's line size. */
+    struct Geometry
+    {
+        uint32_t sets = 0;
+        uint32_t assoc = 0;
+
+        auto operator<=>(const Geometry &) const = default;
+    };
+
     /**
      * @param line_bytes fixed line size (power of two)
-     * @param min_sets smallest set count simulated (power of two)
-     * @param max_sets largest set count simulated (power of two)
-     * @param max_assoc largest associativity simulated
+     * @param geometries the geometries to simulate (set counts
+     *        powers of two, associativities positive; duplicates
+     *        are merged); queries outside the list throw
      * @param policy replacement policy of every simulated geometry
      * @param policy_seed seed of the random-victim streams
      */
-    SetResidentSim(uint32_t line_bytes, uint32_t min_sets,
-                   uint32_t max_sets, uint32_t max_assoc,
+    SetResidentSim(uint32_t line_bytes,
+                   std::vector<Geometry> geometries,
                    ReplacementPolicy policy,
                    uint64_t policy_seed = policyDefaultSeed);
 
-    /** Feed one reference. */
+    /** Feed one reference; every geometry sees it. */
     void access(uint64_t addr, bool write);
 
     /** Sink-compatible overload. */
@@ -71,9 +91,10 @@ class SetResidentSim
     /**
      * Feed a span of decoded columnar references. `kinds` holds the
      * per-reference kind codes of BlockView (1 = data write; 0 and 2
-     * are reads); nullptr means all reads. Bit-identical to calling
-     * access() per reference — geometries are independent, so the
-     * geometry-outer loop only reorders writes to disjoint state.
+     * are reads); nullptr means all reads. Same-line runs fold into
+     * one touch (see the file comment), runs may span calls, and
+     * the geometry-outer loop only reorders writes to disjoint
+     * state, so counts are bit-identical to access() per reference.
      */
     void accessBlock(const uint64_t *addrs, const uint8_t *kinds,
                      size_t n);
@@ -97,28 +118,25 @@ class SetResidentSim
     uint64_t writebacks(const CacheConfig &config) const;
 
     /**
-     * True when the configuration's geometry is simulated and its
-     * replacement policy matches. The write policy is ignored: both
-     * write policies are write-allocate, so misses are shared, and
-     * writebacks() reports the write-back model's traffic.
+     * True when the configuration's geometry is listed and its line
+     * size and replacement policy match. The write policy is
+     * ignored: both write policies are write-allocate, so misses are
+     * shared, and writebacks() reports the write-back model's
+     * traffic.
      */
     bool covers(const CacheConfig &config) const;
 
     ReplacementPolicy policy() const { return policy_; }
     uint32_t lineBytes() const { return lineBytes_; }
-    uint32_t minSets() const { return minSets_; }
-    uint32_t maxSets() const { return maxSets_; }
-    uint32_t maxAssoc() const { return maxAssoc_; }
 
   private:
     /**
-     * One simulated geometry: a flat resident-set array of
+     * The state of one listed geometry: a flat resident-set array of
      * sets x assoc ways plus its statistics.
      */
-    struct Geometry
+    struct Resident
     {
-        uint32_t sets;
-        uint32_t assoc;
+        Geometry shape;
         /** [set * assoc + way]; emptyTag when vacant. */
         std::vector<uint64_t> tags;
         /** Dirty bit per way, parallel to tags. */
@@ -131,18 +149,29 @@ class SetResidentSim
         uint64_t writebacks = 0;
     };
 
-    size_t geometryIndex(uint32_t sets, uint32_t assoc) const;
-    void touch(Geometry &g, uint64_t line, bool write);
+    /** One folded same-line run of accessBlock(). */
+    struct Touch
+    {
+        uint64_t line = 0;
+        bool write = false;
+    };
+
+    /** The listed geometry's state; nullptr when not listed. */
+    const Resident *find(uint32_t sets, uint32_t assoc) const;
+    const Resident &at(uint32_t sets, uint32_t assoc) const;
+    void touch(Resident &r, uint64_t line, bool write);
 
     uint32_t lineBytes_;
-    uint32_t minSets_;
-    uint32_t maxSets_;
-    uint32_t maxAssoc_;
     uint32_t lineShift_;
     ReplacementPolicy policy_;
     uint64_t accesses_ = 0;
     uint64_t stores_ = 0;
-    std::vector<Geometry> geometries_;
+    /** Line of the most recent reference (emptyTag before any). */
+    uint64_t lastLine_ = emptyTag;
+    /** accessBlock scratch: the block's folded runs. */
+    std::vector<Touch> runs_;
+    /** Sorted by (sets, assoc). */
+    std::vector<Resident> residents_;
 };
 
 } // namespace pico::cache

@@ -10,12 +10,24 @@ namespace pico::core::ahh
 namespace
 {
 
+/**
+ * log|Gamma(x)| without touching the process-wide `signgam` that
+ * lgamma() writes: the estimates run on pool workers, and glibc
+ * computes both functions through the same routine.
+ */
+double
+logGamma(double x)
+{
+    int sign = 0;
+    return lgamma_r(x, &sign);
+}
+
 /** log of the generalized binomial coefficient C(n, a), real n. */
 double
 logBinomialCoeff(double n, uint32_t a)
 {
-    return std::lgamma(n + 1.0) - std::lgamma(a + 1.0) -
-           std::lgamma(n - a + 1.0);
+    return logGamma(n + 1.0) - logGamma(a + 1.0) -
+           logGamma(n - a + 1.0);
 }
 
 } // namespace

@@ -42,9 +42,10 @@ SimBank::SimBank(const CacheSpace &space)
     }
 
     // Extended policy axes add one set-resident pass per (enumerated
-    // line size, policy). LRU is included when present so its
-    // write-back traffic is modeled; its misses still come from the
-    // Cheetah bank above. Classic spaces build nothing here.
+    // line size, policy), over exactly the geometries the space
+    // enumerates at that line size. LRU is included when present so
+    // its write-back traffic is modeled; its misses still come from
+    // the Cheetah bank above. Classic spaces build nothing here.
     if (space.extendedAxes()) {
         std::vector<cache::ReplacementPolicy> policies;
         for (auto policy : space.replacements) {
@@ -52,10 +53,16 @@ SimBank::SimBank(const CacheSpace &space)
                           policy) == policies.end())
                 policies.push_back(policy);
         }
+        const auto configs = space.enumerate();
         for (auto policy : policies) {
             for (uint32_t line : lines) {
-                policySims_.emplace_back(line, min_sets, max_sets,
-                                         max_assoc, policy);
+                std::vector<cache::SetResidentSim::Geometry> shapes;
+                for (const auto &cfg : configs) {
+                    if (cfg.lineBytes == line)
+                        shapes.push_back({cfg.sets, cfg.assoc});
+                }
+                policySims_.emplace_back(line, std::move(shapes),
+                                         policy);
             }
         }
     }

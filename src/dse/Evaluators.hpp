@@ -49,10 +49,13 @@ using TraceSource = std::function<void(const TraceSink &)>;
  * reads misses from the Cheetah single-pass simulators; FIFO and
  * random (not stack algorithms) read them from DEW-style
  * set-resident simulators, one per (line size, policy) over the
- * space's enumerated line sizes. The set-resident bank — which also
- * carries dirty bits, so it reports write-back traffic — is built
- * only when the space's policy axes are extended; classic LRU/WB
- * spaces pay nothing and stay bit-identical.
+ * space's enumerated line sizes. Each set-resident simulator holds
+ * only the (sets, assoc) geometries the space enumerates at its line
+ * size, so a non-LRU geometry the space does not list is not
+ * covered. The set-resident bank — which also carries dirty bits, so
+ * it reports write-back traffic — is built only when the space's
+ * policy axes are extended; classic LRU/WB spaces pay nothing and
+ * stay bit-identical.
  */
 class SimBank
 {

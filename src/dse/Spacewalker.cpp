@@ -79,22 +79,19 @@ MemoryWalker::pareto(double dilation, uint32_t dcache_ports,
     // Subsystem Pareto fronts first: with additive cost and additive
     // stall time, any hierarchy containing a dominated component is
     // itself dominated, so the product of the subsystem fronts
-    // covers the full hierarchy Pareto set.
+    // covers the full hierarchy Pareto set. Each front is built once,
+    // before the composition loops.
     struct Candidate
     {
         cache::CacheConfig cfg;
-        std::string id;
-        double cost;
-        double time;
+        DesignPoint point;
     };
-    auto front = [](std::vector<Candidate> cands) {
+    auto front = [](const std::vector<Candidate> &cands) {
         std::vector<Candidate> kept;
         for (const auto &c : cands) {
             bool dominated = false;
             for (const auto &other : cands) {
-                DesignPoint a{other.id, other.cost, other.time};
-                DesignPoint b{c.id, c.cost, c.time};
-                if (a.dominates(b)) {
+                if (other.point.dominates(c.point)) {
                     dominated = true;
                     break;
                 }
@@ -127,17 +124,20 @@ MemoryWalker::pareto(double dilation, uint32_t dcache_ports,
             support::parallelFor(
                 configs.size(), pool_, [&](size_t i) {
                     const auto &cfg = configs[i];
-                    std::string id = prefix + cfg.name();
+                    auto candidate = [&] {
+                        return Candidate{
+                            cfg, DesignPoint{prefix + cfg.name(),
+                                             cfg.areaCost(),
+                                             stall_cycles(cfg)}};
+                    };
                     if (cancel != nullptr)
                         cancel->checkpoint("MemoryWalker::pareto");
                     if (!failures) {
-                        slots[i] = Candidate{cfg, id, cfg.areaCost(),
-                                             stall_cycles(cfg)};
+                        slots[i] = candidate();
                         return;
                     }
                     try {
-                        slots[i] = Candidate{cfg, id, cfg.areaCost(),
-                                             stall_cycles(cfg)};
+                        slots[i] = candidate();
                     } catch (const PanicError &) {
                         throw; // internal bugs always propagate
                     } catch (const CancelledError &) {
@@ -191,10 +191,13 @@ MemoryWalker::pareto(double dilation, uint32_t dcache_ports,
             return t;
         });
 
+    const auto i_front = front(i_cands);
+    const auto d_front = front(d_cands);
+    const auto u_front = front(u_cands);
     ParetoSet out;
-    for (const auto &ic : front(i_cands)) {
-        for (const auto &dc : front(d_cands)) {
-            for (const auto &uc : front(u_cands)) {
+    for (const auto &ic : i_front) {
+        for (const auto &dc : d_front) {
+            for (const auto &uc : u_front) {
                 // Inclusion requirement (section 3.1).
                 if (uc.cfg.sizeBytes() < ic.cfg.sizeBytes() ||
                     uc.cfg.sizeBytes() < dc.cfg.sizeBytes() ||
@@ -203,9 +206,12 @@ MemoryWalker::pareto(double dilation, uint32_t dcache_ports,
                     continue;
                 }
                 DesignPoint point;
-                point.id = ic.id + "+" + dc.id + "+" + uc.id;
-                point.cost = ic.cost + dc.cost + uc.cost;
-                point.time = ic.time + dc.time + uc.time;
+                point.id = ic.point.id + "+" + dc.point.id + "+" +
+                           uc.point.id;
+                point.cost =
+                    ic.point.cost + dc.point.cost + uc.point.cost;
+                point.time =
+                    ic.point.time + dc.point.time + uc.point.time;
                 out.insertPoint(point);
             }
         }

@@ -150,7 +150,7 @@ EvalService::evalCall(const Request &req)
                                : options_.defaultDeadlineMs;
     uint64_t deadline_ns =
         deadline_ms != 0
-            ? support::monotonicNowNs() + deadline_ms * 1000000ULL
+            ? support::CancelToken::deadlineAfterMs(deadline_ms)
             : support::CancelToken::noDeadline;
     auto task = std::make_shared<Task>(req, deadline_ns);
     // The worker resumes this request's tree: same request id, its

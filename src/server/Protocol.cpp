@@ -1,5 +1,6 @@
 #include "server/Protocol.hpp"
 
+#include <cctype>
 #include <cerrno>
 #include <cstring>
 #include <sstream>
@@ -110,11 +111,17 @@ parseU64(const std::map<std::string, std::string> &kv,
     auto it = kv.find(k);
     if (it == kv.end())
         return true; // optional field keeps its default
+    // strtoull accepts a sign and wraps "-1" to 2^64-1, and skips
+    // leading blanks: only a leading digit is an unsigned integer.
+    // The whole value must parse, embedded NUL bytes included.
+    const std::string &text = it->second;
     errno = 0;
     char *end = nullptr;
-    unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-    if (errno != 0 || end == it->second.c_str() || *end != '\0') {
-        error = "field " + k + " is not an integer: " + it->second;
+    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        errno != 0 || end != text.c_str() + text.size()) {
+        error = "field " + k + " is not an unsigned integer: " +
+                it->second;
         return false;
     }
     out = v;
@@ -234,7 +241,8 @@ decodeResponse(const std::string &payload, Response &resp,
         errno = 0;
         char *end = nullptr;
         double d = std::strtod(v.c_str(), &end);
-        if (errno != 0 || end == v.c_str() || *end != '\0') {
+        if (errno != 0 || end == v.c_str() ||
+            end != v.c_str() + v.size()) {
             error = "field " + k + " is not a number: " + v;
             return false;
         }

@@ -71,11 +71,25 @@ class CancelToken
         : deadlineNs_(deadline_ns)
     {}
 
+    /**
+     * The absolute deadline `ms` milliseconds from now, saturated to
+     * noDeadline when it does not fit in 64-bit nanoseconds (an
+     * overflowing sum would wrap into the past and fire at once).
+     */
+    static uint64_t
+    deadlineAfterMs(uint64_t ms)
+    {
+        const uint64_t now = monotonicNowNs();
+        return ms < (noDeadline - now) / 1000000ULL
+                   ? now + ms * 1000000ULL
+                   : noDeadline;
+    }
+
     /** Token whose deadline is `ms` milliseconds from now. */
     static CancelToken
     afterMs(uint64_t ms)
     {
-        return CancelToken(monotonicNowNs() + ms * 1000000ULL);
+        return CancelToken(deadlineAfterMs(ms));
     }
 
     /** Request cancellation (idempotent, thread-safe). */

@@ -296,6 +296,17 @@ TEST(CancelToken, FutureDeadlineNotYetCancelled)
     EXPECT_NO_THROW(t.checkpoint("early"));
 }
 
+TEST(CancelToken, OverflowingDeadlineSaturatesToNone)
+{
+    // A deadline past the end of 64-bit nanoseconds is no deadline,
+    // not one that wrapped into the past.
+    CancelToken t = CancelToken::afterMs(~0ULL);
+    EXPECT_FALSE(t.hasDeadline());
+    EXPECT_FALSE(t.cancelled());
+    EXPECT_EQ(CancelToken::deadlineAfterMs(~0ULL / 1000),
+              CancelToken::noDeadline);
+}
+
 TEST(CancelToken, CancelVisibleAcrossThreads)
 {
     CancelToken t;

@@ -68,10 +68,83 @@ randomWriteTrace(uint64_t seed, uint64_t stream)
 }
 
 /**
+ * Same-line runs of 1..20 references over 512 lines (16 KB at
+ * 32-byte lines), four run kinds in turn: a store at the start, a
+ * store in the middle, a store only after a boundary of `chunk`
+ * (the run starts before it), and no store. Fed in `chunk`-sized
+ * blocks, runs straddle block boundaries.
+ */
+std::vector<trace::Access>
+runHeavyTrace(uint64_t seed, size_t chunk, size_t length)
+{
+    Rng rng = Rng::forStream(seed, 0);
+    std::vector<trace::Access> out;
+    uint64_t prev_line = ~0ULL;
+    for (size_t kind = 0; out.size() < length; kind = (kind + 1) % 4) {
+        uint64_t line = rng.below(512);
+        if (line == prev_line)
+            line = (line + 1) % 512;
+        prev_line = line;
+        size_t pos = out.size();
+        size_t len = 1 + rng.below(20);
+        size_t store = 0;
+        if (kind == 1)
+            store = len / 2;
+        if (kind == 2) {
+            size_t to_boundary = chunk - pos % chunk;
+            len = to_boundary + 1 + rng.below(8);
+            store = to_boundary + rng.below(len - to_boundary);
+        }
+        for (size_t i = 0; i < len; ++i)
+            out.push_back({line * 32 + 4 * (i % 8), false,
+                           kind != 3 && i == store});
+    }
+    return out;
+}
+
+/** Every (sets, assoc) with sets in [min, max] and assoc <= max. */
+std::vector<cache::SetResidentSim::Geometry>
+rectangle(uint32_t min_sets, uint32_t max_sets, uint32_t max_assoc)
+{
+    std::vector<cache::SetResidentSim::Geometry> out;
+    for (uint32_t sets = min_sets; sets <= max_sets; sets *= 2)
+        for (uint32_t assoc = 1; assoc <= max_assoc; ++assoc)
+            out.push_back({sets, assoc});
+    return out;
+}
+
+/**
+ * Feed references through accessBlock(): one block per entry of
+ * `chunks`, then the rest in one block.
+ */
+void
+feedBlocks(cache::SetResidentSim &sim,
+           const std::vector<trace::Access> &refs,
+           const std::vector<size_t> &chunks)
+{
+    std::vector<uint64_t> addrs;
+    std::vector<uint8_t> kinds;
+    for (const auto &a : refs) {
+        addrs.push_back(a.addr);
+        kinds.push_back(a.isWrite ? 1 : 0);
+    }
+    size_t i = 0;
+    for (size_t chunk : chunks) {
+        size_t n = std::min(chunk, addrs.size() - i);
+        sim.accessBlock(addrs.data() + i, kinds.data() + i, n);
+        i += n;
+    }
+    sim.accessBlock(addrs.data() + i, kinds.data() + i,
+                    addrs.size() - i);
+}
+
+/**
  * Exhaustive cross-check of one SetResidentSim against per-config
  * CacheSim oracles over its whole covered (sets, assoc) range, for
  * both write policies: misses and write traffic must be
- * bit-identical in every cell.
+ * bit-identical in every cell. The simulator is fed twice over: per
+ * reference through access(), and through accessBlock() in uneven
+ * blocks, as the product sweep feeds it.
  */
 void
 crossCheckPolicy(ReplacementPolicy policy, uint32_t line,
@@ -79,15 +152,19 @@ crossCheckPolicy(ReplacementPolicy policy, uint32_t line,
                  uint32_t max_assoc,
                  const std::vector<trace::Access> &refs)
 {
-    cache::SetResidentSim fast(line, min_sets, max_sets, max_assoc,
-                               policy);
+    const auto shapes = rectangle(min_sets, max_sets, max_assoc);
+    cache::SetResidentSim fast(line, shapes, policy);
     for (const auto &a : refs)
         fast(a);
+    cache::SetResidentSim blocks(line, shapes, policy);
+    feedBlocks(blocks, refs, {13, 1, 64, 7, 250, 3});
 
     uint64_t stores = 0;
     for (const auto &a : refs)
         stores += a.isWrite ? 1 : 0;
     EXPECT_EQ(fast.stores(), stores);
+    EXPECT_EQ(blocks.stores(), stores);
+    EXPECT_EQ(blocks.accesses(), refs.size());
 
     for (uint32_t sets = min_sets; sets <= max_sets; sets *= 2) {
         for (uint32_t assoc = 1; assoc <= max_assoc; ++assoc) {
@@ -109,6 +186,14 @@ crossCheckPolicy(ReplacementPolicy policy, uint32_t line,
                         : fast.stores();
                 EXPECT_EQ(fast_traffic, ref.writeTraffic())
                     << cfg.name();
+                EXPECT_EQ(blocks.misses(sets, assoc), ref.misses())
+                    << cfg.name() << " (accessBlock)";
+                uint64_t block_traffic =
+                    wp == WritePolicy::WriteBack
+                        ? blocks.writebacks(sets, assoc)
+                        : blocks.stores();
+                EXPECT_EQ(block_traffic, ref.writeTraffic())
+                    << cfg.name() << " (accessBlock)";
             }
         }
     }
@@ -150,6 +235,8 @@ TEST(PolicyMatrix, SetResidentMatchesOracleOnAdversarialTraces)
     for (ReplacementPolicy policy : kPolicies) {
         crossCheckPolicy(policy, 32, 16, 64, 4, thrash);
         crossCheckPolicy(policy, 16, 8, 32, 2, cyclic);
+        crossCheckPolicy(policy, 32, 1, 64, 4,
+                         runHeavyTrace(8080, 10, 1500));
     }
 }
 
@@ -161,7 +248,7 @@ TEST(PolicyMatrix, SetResidentLruAgreesWithSinglePass)
     // bank it extends.
     auto refs = randomWriteTrace(99, 0);
     cache::SinglePassSim stack(32, 16, 64, 4);
-    cache::SetResidentSim resident(32, 16, 64, 4,
+    cache::SetResidentSim resident(32, rectangle(16, 64, 4),
                                    ReplacementPolicy::LRU);
     for (const auto &a : refs) {
         stack.access(a.addr);
@@ -177,35 +264,34 @@ TEST(PolicyMatrix, SetResidentLruAgreesWithSinglePass)
 TEST(PolicyMatrix, AccessBlockMatchesPerAccessCalls)
 {
     // The SoA entry point the columnar replay feeds, against the
-    // per-reference one, with kind codes (1 = write) in play.
-    auto refs = randomWriteTrace(5150, 2);
-    std::vector<uint64_t> addrs;
-    std::vector<uint8_t> kinds;
-    for (const auto &a : refs) {
-        addrs.push_back(a.addr);
-        kinds.push_back(a.isWrite ? 1 : 0);
-    }
-    for (ReplacementPolicy policy : kPolicies) {
-        cache::SetResidentSim one(32, 16, 64, 4, policy);
-        cache::SetResidentSim block(32, 16, 64, 4, policy);
-        for (const auto &a : refs)
-            one(a);
-        size_t i = 0;
-        for (size_t chunk : {7ul, 100ul, 1ul, 500ul}) {
-            size_t n = std::min(chunk, addrs.size() - i);
-            block.accessBlock(addrs.data() + i, kinds.data() + i, n);
-            i += n;
+    // per-reference one, with kind codes (1 = write) in play: a
+    // random trace in uneven blocks, and a run-heavy trace in
+    // 10-reference blocks that split its same-line runs (stores at
+    // a run's start, middle, only past a block boundary, or none).
+    auto check = [](const std::vector<trace::Access> &refs,
+                    const std::vector<size_t> &chunks) {
+        for (ReplacementPolicy policy : kPolicies) {
+            cache::SetResidentSim one(32, rectangle(16, 64, 4),
+                                      policy);
+            cache::SetResidentSim block(32, rectangle(16, 64, 4),
+                                        policy);
+            for (const auto &a : refs)
+                one(a);
+            feedBlocks(block, refs, chunks);
+            EXPECT_EQ(block.accesses(), one.accesses());
+            EXPECT_EQ(block.stores(), one.stores());
+            for (uint32_t sets = 16; sets <= 64; sets *= 2)
+                for (uint32_t assoc = 1; assoc <= 4; ++assoc) {
+                    EXPECT_EQ(block.misses(sets, assoc),
+                              one.misses(sets, assoc));
+                    EXPECT_EQ(block.writebacks(sets, assoc),
+                              one.writebacks(sets, assoc));
+                }
         }
-        block.accessBlock(addrs.data() + i, kinds.data() + i,
-                          addrs.size() - i);
-        for (uint32_t sets = 16; sets <= 64; sets *= 2)
-            for (uint32_t assoc = 1; assoc <= 4; ++assoc) {
-                EXPECT_EQ(block.misses(sets, assoc),
-                          one.misses(sets, assoc));
-                EXPECT_EQ(block.writebacks(sets, assoc),
-                          one.writebacks(sets, assoc));
-            }
-    }
+    };
+    check(randomWriteTrace(5150, 2), {7, 100, 1, 500});
+    auto runs = runHeavyTrace(5150, 10, 2000);
+    check(runs, std::vector<size_t>(runs.size() / 10, 10));
 }
 
 TEST(PolicyMatrix, RandomReplacementIsDeterministic)
@@ -214,8 +300,10 @@ TEST(PolicyMatrix, RandomReplacementIsDeterministic)
     // from the same geometry-derived victim stream, so counts are
     // reproducible run to run (the basis of --jobs invariance).
     auto refs = randomWriteTrace(42, 11);
-    cache::SetResidentSim a(32, 16, 64, 4, ReplacementPolicy::Random);
-    cache::SetResidentSim b(32, 16, 64, 4, ReplacementPolicy::Random);
+    cache::SetResidentSim a(32, rectangle(16, 64, 4),
+                            ReplacementPolicy::Random);
+    cache::SetResidentSim b(32, rectangle(16, 64, 4),
+                            ReplacementPolicy::Random);
     for (const auto &r : refs) {
         a(r);
         b(r);
@@ -297,6 +385,59 @@ TEST(PolicyMatrix, SimBankRoutesEveryCellToTheOracle)
                   static_cast<double>(ref.writeTraffic()))
             << cfg.name();
     }
+}
+
+TEST(PolicyMatrix, SimBankSimulatesOnlyListedGeometries)
+{
+    // The set-resident bank holds the geometries the space lists at
+    // each line size, not their bounding rectangle. Every listed
+    // non-LRU cell is covered and matches the oracle; a geometry
+    // inside the rectangle but not listed — an associativity off
+    // the axis, or a set count outside its line size's band — is
+    // not covered, and asking for it throws.
+    auto space = extendedSpace();
+    space.assocs = {1, 2, 4, 8};
+    auto refs = randomWriteTrace(4242, 1);
+    trace::ColumnarTraceBuffer cols(/*block_capacity=*/100);
+    for (const auto &a : refs)
+        cols(a);
+    dse::SimBank bank(space);
+    bank.simulate(cols, nullptr);
+
+    size_t checked = 0;
+    for (const auto &cfg : space.enumerate()) {
+        if (cfg.replacement == ReplacementPolicy::LRU)
+            continue;
+        ASSERT_TRUE(bank.covers(cfg)) << cfg.name();
+        cache::CacheSim ref = oracleRun(cfg, refs);
+        EXPECT_EQ(bank.misses(cfg),
+                  static_cast<double>(ref.misses()))
+            << cfg.name();
+        EXPECT_EQ(bank.writeTraffic(cfg),
+                  static_cast<double>(ref.writeTraffic()))
+            << cfg.name();
+        ++checked;
+    }
+    EXPECT_EQ(checked, space.enumerate().size() * 2 / 3);
+
+    // At 32-byte lines the space lists 8..256 sets; 512 sets is
+    // listed only at 16-byte lines (8 KB direct-mapped).
+    for (ReplacementPolicy policy :
+         {ReplacementPolicy::FIFO, ReplacementPolicy::Random}) {
+        for (cache::CacheConfig cfg :
+             {cache::CacheConfig{64, 3, 32, 1, policy,
+                                 WritePolicy::WriteBack},
+              cache::CacheConfig{512, 1, 32, 1, policy,
+                                 WritePolicy::WriteBack}}) {
+            EXPECT_FALSE(bank.covers(cfg)) << cfg.name();
+            EXPECT_THROW(bank.misses(cfg), FatalError) << cfg.name();
+            EXPECT_THROW(bank.writeTraffic(cfg), FatalError)
+                << cfg.name();
+        }
+    }
+    EXPECT_TRUE(bank.covers(cache::CacheConfig{
+        512, 1, 16, 1, ReplacementPolicy::FIFO,
+        WritePolicy::WriteBack}));
 }
 
 TEST(PolicyMatrix, ExtendedColumnarSweepIsJobCountInvariant)

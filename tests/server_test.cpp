@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
@@ -28,6 +29,7 @@
 #include "support/Backoff.hpp"
 #include "support/FaultInjection.hpp"
 #include "support/FlightRecorder.hpp"
+#include "support/Random.hpp"
 #include "support/TraceEvents.hpp"
 #include "verify/ResultVerifier.hpp"
 
@@ -192,6 +194,167 @@ TEST(Protocol, RequestIdAndBodyRoundTrip)
     EXPECT_EQ(resp_out.body, "two lines");
 }
 
+TEST(Protocol, RejectsSignedIntegers)
+{
+    // strtoull alone wraps "-1" to 2^64-1; a sign is not part of an
+    // unsigned field, and neither is leading blank space.
+    for (const char *field : {"trace_blocks", "deadline_ms",
+                              "request_id"}) {
+        for (const char *value : {"-1", "+1", " 1", "-0"}) {
+            Request req;
+            std::string error;
+            std::string payload = std::string(server::requestTag) +
+                                  "\n" + field + " " + value + "\n";
+            EXPECT_FALSE(server::decodeRequest(payload, req, error))
+                << field << "=" << value;
+            EXPECT_FALSE(error.empty()) << field << "=" << value;
+        }
+    }
+    Response resp;
+    std::string error;
+    EXPECT_FALSE(server::decodeResponse(
+        std::string(server::responseTag) +
+            "\nstatus shed\nretry_after_ms -1\n",
+        resp, error));
+    EXPECT_FALSE(error.empty());
+}
+
+/**
+ * One seeded mutation of an encoded payload: truncate, flip a bit,
+ * insert or delete a byte, duplicate or drop a line, or splice in
+ * random bytes with NUL, CR and LF over-represented.
+ */
+std::string
+mutatePayload(std::string s, Rng &rng)
+{
+    auto byte = [&rng] {
+        const char special[] = {'\0', '\r', '\n', ' '};
+        return rng.coin(0.5) ? special[rng.below(4)]
+                             : static_cast<char>(rng.below(256));
+    };
+    auto at = [&rng, &s] { return rng.below(s.size() + 1); };
+    switch (rng.below(7)) {
+    case 0:
+        s.resize(at());
+        break;
+    case 1:
+        if (!s.empty())
+            s[rng.below(s.size())] ^=
+                static_cast<char>(1u << rng.below(8));
+        break;
+    case 2:
+        s.insert(at(), 1, byte());
+        break;
+    case 3:
+        if (!s.empty())
+            s.erase(rng.below(s.size()), 1);
+        break;
+    case 4:
+    case 5: {
+        std::vector<std::string> lines;
+        size_t start = 0;
+        while (start < s.size()) {
+            size_t nl = s.find('\n', start);
+            size_t end = nl == std::string::npos ? s.size() : nl + 1;
+            lines.push_back(s.substr(start, end - start));
+            start = end;
+        }
+        if (lines.empty())
+            break;
+        size_t i = rng.below(lines.size());
+        if (rng.below(2) == 0)
+            lines.insert(lines.begin() + i, lines[i]);
+        else
+            lines.erase(lines.begin() + i);
+        s.clear();
+        for (const auto &line : lines)
+            s += line;
+        break;
+    }
+    default: {
+        size_t pos = at();
+        size_t cut = std::min<size_t>(rng.below(4), s.size() - pos);
+        std::string bytes;
+        for (size_t n = 1 + rng.below(8); n > 0; --n)
+            bytes += byte();
+        s.replace(pos, cut, bytes);
+        break;
+    }
+    }
+    return s;
+}
+
+/**
+ * The decoder contract on arbitrary bytes: no throw; false with a
+ * reason, or true with a message whose encoding is a fixed point of
+ * decode-then-encode (compared as bytes, so NaN values compare
+ * equal).
+ */
+template <typename Msg, typename Decode, typename Encode>
+void
+checkDecoder(const std::string &payload, Decode decode, Encode encode)
+{
+    Msg msg;
+    std::string error;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = decode(payload, msg, error));
+    if (!ok) {
+        EXPECT_FALSE(error.empty());
+        return;
+    }
+    const std::string once = encode(msg);
+    Msg again;
+    ASSERT_TRUE(decode(once, again, error)) << error;
+    EXPECT_EQ(encode(again), once);
+}
+
+TEST(Protocol, DecodersSurviveSeededMutations)
+{
+    Request req = smallEval("1111,2211");
+    req.deadlineMs = 250;
+    req.key = "k-1";
+    req.requestId = 77;
+    Response resp;
+    resp.status = Status::DeadlineExceeded;
+    resp.error = "deadline exceeded after 3 designs";
+    resp.retryAfterMs = 40;
+    resp.body = "{\"kind\":\"fault\"}";
+    resp.values["designs.evaluated"] = 3;
+    resp.values["machine.1111.dilation"] = 1.0625;
+    resp.values["nan"] = std::numeric_limits<double>::quiet_NaN();
+    resp.values["inf"] = -std::numeric_limits<double>::infinity();
+    const std::string requests[] = {server::encodeRequest(Request{}),
+                                    server::encodeRequest(req)};
+    const std::string responses[] = {
+        server::encodeResponse(Response{}),
+        server::encodeResponse(resp)};
+
+    size_t accepted = 0, rejected = 0;
+    for (uint64_t seed = 0; seed < 1500; ++seed) {
+        Rng rng = Rng::forStream(20261017, seed);
+        std::string request = requests[seed % 2];
+        std::string response = responses[seed % 2];
+        for (uint64_t n = 1 + rng.below(3); n > 0; --n) {
+            request = mutatePayload(request, rng);
+            response = mutatePayload(response, rng);
+        }
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        checkDecoder<Request>(request, server::decodeRequest,
+                              server::encodeRequest);
+        checkDecoder<Response>(response, server::decodeResponse,
+                               server::encodeResponse);
+        Request probe;
+        std::string error;
+        if (server::decodeRequest(request, probe, error))
+            ++accepted;
+        else
+            ++rejected;
+    }
+    // The mutations exercise both outcomes.
+    EXPECT_GT(accepted, 100u);
+    EXPECT_GT(rejected, 100u);
+}
+
 // ---------------------------------------------------------------
 // EvalService
 // ---------------------------------------------------------------
@@ -307,6 +470,23 @@ TEST(EvalService, DeadlineExceededReturnsPartialTaggedResponse)
     EXPECT_EQ(resp.status, Status::DeadlineExceeded);
     EXPECT_FALSE(resp.error.empty());
     EXPECT_DOUBLE_EQ(service.statsValues()["deadline"], 1.0);
+}
+
+TEST(EvalService, HugeDeadlineIsNoDeadline)
+{
+    // now + deadline_ms * 10^6 overflows for a deadline near 2^64
+    // ms; it must saturate to "no deadline", not wrap into the past
+    // and expire before the walk starts. With 2^64-1 ms the wrapped
+    // sum is now - 1 ms, which lies in the past only once the
+    // process clock (zero at its first read) has passed 1 ms.
+    support::monotonicNowNs();
+    support::sleepForMs(5);
+    EvalService service(fastOptions());
+    Request req = smallEval();
+    req.deadlineMs = std::numeric_limits<uint64_t>::max();
+    Response resp = service.call(req);
+    EXPECT_EQ(resp.status, Status::Ok) << resp.error;
+    EXPECT_DOUBLE_EQ(service.statsValues()["deadline"], 0.0);
 }
 
 TEST(EvalService, DeadlineFiredWhileQueuedNeverStartsTheWalk)

@@ -57,6 +57,17 @@ fuzzTrace(uint64_t seed, uint64_t stream)
     return out;
 }
 
+/** Every (sets, assoc) with sets in [min, max] and assoc <= max. */
+std::vector<cache::SetResidentSim::Geometry>
+rectangle(uint32_t min_sets, uint32_t max_sets, uint32_t max_assoc)
+{
+    std::vector<cache::SetResidentSim::Geometry> out;
+    for (uint32_t sets = min_sets; sets <= max_sets; sets *= 2)
+        for (uint32_t assoc = 1; assoc <= max_assoc; ++assoc)
+            out.push_back({sets, assoc});
+    return out;
+}
+
 TEST(WriteModel, ConservationHoldsOnFuzzedTraces)
 {
     // For every fuzzed trace, policy and geometry: writebacks are
@@ -69,7 +80,7 @@ TEST(WriteModel, ConservationHoldsOnFuzzedTraces)
             stores += a.isWrite ? 1 : 0;
 
         for (ReplacementPolicy policy : kPolicies) {
-            cache::SetResidentSim sim(16, 4, 16, 3, policy);
+            cache::SetResidentSim sim(16, rectangle(4, 16, 3), policy);
             for (const auto &a : refs)
                 sim(a);
             EXPECT_EQ(sim.stores(), stores);
@@ -125,7 +136,7 @@ TEST(WriteModel, ReadOnlyTraceGeneratesNoWriteTraffic)
     for (auto &a : refs)
         a.isWrite = false;
     for (ReplacementPolicy policy : kPolicies) {
-        cache::SetResidentSim sim(16, 4, 16, 2, policy);
+        cache::SetResidentSim sim(16, rectangle(4, 16, 2), policy);
         for (const auto &a : refs)
             sim(a);
         EXPECT_EQ(sim.stores(), 0u);
@@ -174,10 +185,11 @@ TEST(WriteModel, DirtyBitSurvivesHitsUnderEveryPolicy)
 {
     // Install clean (load miss), dirty on a later store hit, then
     // force the eviction: exactly one writeback under write-back.
-    // This is the scenario that outlaws an MRU shortcut in the
-    // set-resident simulator — the store hit must reach the bank.
+    // This is the scenario that outlaws an MRU shortcut that drops
+    // stores in the set-resident simulator — the store hit must
+    // reach the bank (accessBlock's run folding carries it).
     for (ReplacementPolicy policy : kPolicies) {
-        cache::SetResidentSim sim(16, 1, 1, 1, policy);
+        cache::SetResidentSim sim(16, {{1, 1}}, policy);
         sim.access(0x000, false); // install clean
         sim.access(0x000, true);  // dirty on hit
         sim.access(0x100, false); // evict -> writeback

@@ -36,6 +36,10 @@ Checks C++ sources under src/ for constructions the project bans:
                  src/server. Fixed-delay retry loops synchronize into
                  retry storms; pacing goes through support::Backoff
                  (full-jitter, seeded) or support::sleepForMs via it.
+  racy-lgamma    lgamma() / std::lgamma() (and the f/l variants)
+                 anywhere in src/. The call writes glibc's
+                 process-wide `signgam`, so two pool workers calling
+                 it race; use lgamma_r with a local sign variable.
   nondet-iteration  iteration over a std::unordered_map/unordered_set
                  inside a function that writes serialized output
                  (reports, cache files, protocol frames). Hash order
@@ -141,6 +145,15 @@ RULES = [
         "message": "raw sleep in the serving layer (fixed-delay "
                    "retries synchronize into storms; pace through "
                    "support::Backoff)",
+    },
+    {
+        "name": "racy-lgamma",
+        # lgamma_r does not match: the name must be followed by '('.
+        "pattern": re.compile(r"\blgamma[fl]?\s*\("),
+        "allow_files": [],
+        "message": "lgamma writes the process-wide signgam, so it is "
+                   "unsafe on pool workers (call lgamma_r with a "
+                   "local sign)",
     },
 ]
 
