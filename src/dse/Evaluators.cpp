@@ -26,19 +26,40 @@ capture(const TraceSource &source, Evaluator &evaluator,
 
 } // namespace
 
-SimBank::SimBank(const CacheSpace &space)
+SimBank::SimBank(const CacheSpace &space, Coverage coverage)
 {
     auto lines = space.distinctLineSizes();
     fatalIf(lines.empty(), "cache space has no line sizes");
-    uint32_t max_line = lines.back();
-    uint32_t min_sets = space.minSets();
-    uint32_t max_sets = space.maxSets();
-    uint32_t max_assoc = space.maxAssoc();
+    const auto configs = space.enumerate();
+    fatalIf(configs.empty(), "empty cache space");
 
-    // Cover every power-of-two line size down to one word so the
-    // dilation model can interpolate at any contracted line size.
-    for (uint32_t line = minCoveredLine; line <= max_line; line *= 2) {
-        sims_.emplace_back(line, min_sets, max_sets, max_assoc);
+    if (coverage == Coverage::ContractedLines) {
+        uint32_t min_sets = space.minSets();
+        uint32_t max_sets = space.maxSets();
+        uint32_t max_assoc = space.maxAssoc();
+        // Cover every power-of-two line size down to one word so the
+        // dilation model can interpolate at any contracted line size.
+        for (uint32_t line = minCoveredLine; line <= lines.back();
+             line *= 2) {
+            sims_.emplace_back(line, min_sets, max_sets, max_assoc);
+        }
+    } else {
+        // One pass per listed line size, over the band of set counts
+        // and associativities the space enumerates at that line.
+        for (uint32_t line : lines) {
+            uint32_t min_sets = ~0u;
+            uint32_t max_sets = 0;
+            uint32_t max_assoc = 0;
+            for (const auto &cfg : configs) {
+                if (cfg.lineBytes != line)
+                    continue;
+                min_sets = std::min(min_sets, cfg.sets);
+                max_sets = std::max(max_sets, cfg.sets);
+                max_assoc = std::max(max_assoc, cfg.assoc);
+            }
+            if (max_sets != 0)
+                sims_.emplace_back(line, min_sets, max_sets, max_assoc);
+        }
     }
 
     // Extended policy axes add one set-resident pass per (enumerated
@@ -53,7 +74,6 @@ SimBank::SimBank(const CacheSpace &space)
                           policy) == policies.end())
                 policies.push_back(policy);
         }
-        const auto configs = space.enumerate();
         for (auto policy : policies) {
             for (uint32_t line : lines) {
                 std::vector<cache::SetResidentSim::Geometry> shapes;
@@ -79,47 +99,80 @@ SimBank::simTag(size_t i) const
 }
 
 void
-SimBank::simulate(const trace::ColumnarTraceBuffer &buffer,
+SimBank::accessBlock(size_t i, const trace::BlockView &view)
+{
+    if (i < sims_.size())
+        sims_[i].accessBlock(view.addrs, view.count);
+    else
+        policySims_[i - sims_.size()].accessBlock(view.addrs, view.kinds,
+                                                  view.count);
+}
+
+void
+SimBank::simulate(std::span<const Sweep> sweeps,
                   support::ThreadPool *pool,
                   const support::CancelToken *cancel)
 {
-    // A lane owns a range of simulators (set-resident ones after the
-    // Cheetah ones) plus a private decode scratch, so lanes share
-    // only the immutable encoded blocks and need no merge step. The
-    // single fused lane is the paper's single pass taken one level
-    // further: one decode per block for the whole bank.
-    const size_t count = simRuns();
-    const size_t blocks = buffer.blockCount();
+    // A lane owns a range of one bank's simulators (set-resident ones
+    // after the Cheetah ones) plus a private decode scratch, so lanes
+    // share only the immutable encoded blocks and need no merge step.
+    // The single fused lane per bank is the paper's single pass taken
+    // one level further: one decode per block for the whole bank.
+    // With workers, every simulator of every bank is a lane of the
+    // same loop, so the banks share one barrier.
+    struct Lane
+    {
+        const Sweep *sweep;
+        size_t first;
+        size_t last;
+    };
     const bool fused = pool == nullptr || pool->workers() == 0;
-    support::parallelFor(fused ? 1 : count, pool, [&](size_t lane) {
-        const size_t first = fused ? 0 : lane;
-        const size_t last = fused ? count : lane + 1;
+    std::vector<Lane> lanes;
+    for (const Sweep &s : sweeps) {
+        const size_t count = s.bank->simRuns();
+        if (fused)
+            lanes.push_back({&s, 0, count});
+        else
+            for (size_t i = 0; i < count; ++i)
+                lanes.push_back({&s, i, i + 1});
+    }
+    support::parallelFor(lanes.size(), pool, [&](size_t l) {
+        const Lane &lane = lanes[l];
+        SimBank &bank = *lane.sweep->bank;
+        const trace::ColumnarTraceBuffer &buffer = *lane.sweep->trace;
         support::TimedSpan span(
-            fused ? "sweep.fused" : "sweep." + simTag(lane), "sweep");
+            fused ? "sweep.fused" : "sweep." + bank.simTag(lane.first),
+            "sweep");
         trace::BlockScratch scratch;
-        for (size_t b = 0; b < blocks; ++b) {
+        for (size_t b = 0; b < buffer.blockCount(); ++b) {
             if (cancel != nullptr)
                 cancel->checkpoint("SimBank::simulate");
             trace::BlockView view = buffer.decodeBlock(b, scratch);
-            for (size_t i = first; i < last; ++i) {
-                if (i < sims_.size())
-                    sims_[i].accessBlock(view.addrs, view.count);
-                else
-                    policySims_[i - sims_.size()].accessBlock(
-                        view.addrs, view.kinds, view.count);
-            }
+            for (size_t i = lane.first; i < lane.last; ++i)
+                bank.accessBlock(i, view);
         }
     });
     // Counted per simulator, keyed by line size (and policy) — the
     // unit the paper's efficiency claim is stated in — and the same
     // at every job count.
-    PICO_METRIC_COUNT("sweep.runs", count);
-    if (support::metricsEnabled()) {
-        for (size_t i = 0; i < count; ++i)
-            support::metrics()
-                .counter("sweep." + simTag(i) + ".accesses")
-                .add(buffer.size());
+    for (const Sweep &s : sweeps) {
+        PICO_METRIC_COUNT("sweep.runs", s.bank->simRuns());
+        if (support::metricsEnabled()) {
+            for (size_t i = 0; i < s.bank->simRuns(); ++i)
+                support::metrics()
+                    .counter("sweep." + s.bank->simTag(i) + ".accesses")
+                    .add(s.trace->size());
+        }
     }
+}
+
+void
+SimBank::simulate(const trace::ColumnarTraceBuffer &buffer,
+                  support::ThreadPool *pool,
+                  const support::CancelToken *cancel)
+{
+    const Sweep sweep{this, &buffer};
+    simulate(std::span<const Sweep>(&sweep, 1), pool, cancel);
 }
 
 bool
@@ -202,20 +255,32 @@ SimBank::oracle() const
 
 // --- SubsystemEvaluator -----------------------------------------------
 
-SubsystemEvaluator::SubsystemEvaluator(CacheSpace space)
+SubsystemEvaluator::SubsystemEvaluator(CacheSpace space,
+                                       SimBank::Coverage coverage)
     : space_(std::move(space)),
-      bank_(std::make_unique<SimBank>(space_))
+      bank_(std::make_unique<SimBank>(space_, coverage))
 {}
 
 void
-SubsystemEvaluator::sweepCapture(const char *span_name,
-                                 support::ThreadPool *pool,
-                                 const support::CancelToken *cancel)
+SubsystemEvaluator::sweep(
+    std::initializer_list<SubsystemEvaluator *> evaluators,
+    support::ThreadPool *pool, const support::CancelToken *cancel)
 {
-    support::TimedSpan span(span_name, "evaluate");
-    PICO_METRIC_COUNT("evaluate.captured.accesses", trace_.size());
-    PICO_METRIC_COUNT("evaluate.captured.bytes", trace_.encodedBytes());
-    bank_->simulate(trace_, pool, cancel);
+    std::vector<SimBank::Sweep> sweeps;
+    for (SubsystemEvaluator *e : evaluators) {
+        PICO_METRIC_COUNT("evaluate.captured.accesses", e->trace_.size());
+        PICO_METRIC_COUNT("evaluate.captured.bytes",
+                          e->trace_.encodedBytes());
+        sweeps.push_back({e->bank_.get(), &e->trace_});
+    }
+    {
+        support::TimedSpan span("evaluate.sweep", "evaluate");
+        SimBank::simulate(sweeps, pool, cancel);
+    }
+    for (SubsystemEvaluator *e : evaluators) {
+        e->fit();
+        e->evaluated_ = true;
+    }
 }
 
 double
@@ -248,7 +313,8 @@ SubsystemEvaluator::paretoOver(
 
 IcacheEvaluator::IcacheEvaluator(CacheSpace space,
                                  uint64_t granule_refs)
-    : SubsystemEvaluator(std::move(space)),
+    : SubsystemEvaluator(std::move(space),
+                         SimBank::Coverage::ContractedLines),
       modeler_(std::in_place, granule_refs)
 {}
 
@@ -261,13 +327,10 @@ IcacheEvaluator::operator()(const trace::Access &a)
 }
 
 void
-IcacheEvaluator::sweep(support::ThreadPool *pool,
-                       const support::CancelToken *cancel)
+IcacheEvaluator::fit()
 {
-    sweepCapture("evaluate.icache", pool, cancel);
     params_ = modeler_->params();
     modeler_.reset();
-    evaluated_ = true;
 }
 
 void
@@ -276,7 +339,7 @@ IcacheEvaluator::evaluate(const TraceSource &ref_instr_trace,
                           const support::CancelToken *cancel)
 {
     capture(ref_instr_trace, *this, cancel);
-    sweep(pool, cancel);
+    sweep({this}, pool, cancel);
 }
 
 double
@@ -331,20 +394,12 @@ DcacheEvaluator::operator()(const trace::Access &a)
 }
 
 void
-DcacheEvaluator::sweep(support::ThreadPool *pool,
-                       const support::CancelToken *cancel)
-{
-    sweepCapture("evaluate.dcache", pool, cancel);
-    evaluated_ = true;
-}
-
-void
 DcacheEvaluator::evaluate(const TraceSource &ref_data_trace,
                           support::ThreadPool *pool,
                           const support::CancelToken *cancel)
 {
     capture(ref_data_trace, *this, cancel);
-    sweep(pool, cancel);
+    sweep({this}, pool, cancel);
 }
 
 double
@@ -381,14 +436,11 @@ UcacheEvaluator::operator()(const trace::Access &a)
 }
 
 void
-UcacheEvaluator::sweep(support::ThreadPool *pool,
-                       const support::CancelToken *cancel)
+UcacheEvaluator::fit()
 {
-    sweepCapture("evaluate.ucache", pool, cancel);
     iParams_ = modeler_->instrParams();
     dParams_ = modeler_->dataParams();
     modeler_.reset();
-    evaluated_ = true;
 }
 
 void
@@ -397,7 +449,7 @@ UcacheEvaluator::evaluate(const TraceSource &ref_unified_trace,
                           const support::CancelToken *cancel)
 {
     capture(ref_unified_trace, *this, cancel);
-    sweep(pool, cancel);
+    sweep({this}, pool, cancel);
 }
 
 double

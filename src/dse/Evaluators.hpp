@@ -5,18 +5,23 @@
  *
  * Each evaluator captures the *reference processor's* trace once
  * (feeding the trace modeler as it goes) and sweeps it once through
- * its bank (one Cheetah-style pass per distinct line size), after
- * which the misses of any configuration in the space at any dilation
- * are available without further simulation — the paper's central
- * efficiency claim.
+ * its bank (one Cheetah-style pass per line size the answers read),
+ * after which the misses of any configuration in the space at any
+ * dilation are available without further simulation — the paper's
+ * central efficiency claim. Only the I-cache model reads contracted
+ * line sizes, so only its bank simulates lines the space does not
+ * list. A walk sweeps the three banks of a trace-equivalence class in
+ * one lane loop (MemoryWalker::evaluate).
  */
 
 #ifndef PICO_DSE_EVALUATORS_HPP
 #define PICO_DSE_EVALUATORS_HPP
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,9 +46,19 @@ using TraceSink = std::function<void(const trace::Access &)>;
 using TraceSource = std::function<void(const TraceSink &)>;
 
 /**
- * Bank of single-pass simulators covering every power-of-two line
- * size from minCoveredLine up to the space's largest line, so the
- * dilation model can interpolate at contracted line sizes.
+ * Bank of single-pass simulators over one cache space.
+ *
+ * Its Cheetah simulators cover what the evaluator's model reads. The
+ * I-cache dilation model interpolates at contracted line sizes
+ * (Lemma 1, equation 4.12), so ContractedLines covers every
+ * power-of-two line size from minCoveredLine up to the space's
+ * largest line, over the space's whole set-count range. The D-cache
+ * estimate is the simulated count itself (equation 4.1) and the
+ * unified estimate scales the count at the configuration's own line
+ * size (equations 4.13–4.15), so Enumerated builds one simulator per
+ * line size the space lists, over only the set counts and
+ * associativities the space enumerates at that line; a configuration
+ * outside that band is not covered.
  *
  * Designs are routed by replacement policy: LRU (a stack algorithm)
  * reads misses from the Cheetah single-pass simulators; FIFO and
@@ -63,20 +78,42 @@ class SimBank
     /** Smallest line size simulated (one word). */
     static constexpr uint32_t minCoveredLine = 4;
 
-    explicit SimBank(const CacheSpace &space);
+    /** Which configurations the Cheetah simulators cover. */
+    enum class Coverage
+    {
+        /** Every line from minCoveredLine, the space's set range. */
+        ContractedLines,
+        /** Only the line sizes and set bands the space enumerates. */
+        Enumerated,
+    };
+
+    explicit SimBank(const CacheSpace &space,
+                     Coverage coverage = Coverage::ContractedLines);
+
+    /** One bank and the capture it sweeps. */
+    struct Sweep
+    {
+        SimBank *bank;
+        const trace::ColumnarTraceBuffer *trace;
+    };
 
     /**
-     * Run every simulator over a columnar trace, in one loop over
-     * lanes. A lane decodes every block once, in capture order, and
-     * feeds the decoded span to its simulators. With no pool workers
-     * (null/zero-worker pool) one lane holds the whole bank; with
-     * workers each simulator gets its own lane and decode scratch.
-     * Either way each simulator sees the identical address sequence,
-     * so miss counts are independent of the schedule. The cancel
-     * token is checked once per encoded block; cancellation unwinds
-     * with CancelledError and leaves the bank unusable for misses()
-     * queries (the caller discards it).
+     * Run every simulator of every bank over its capture, in one loop
+     * over lanes. A lane decodes every block of its capture once, in
+     * capture order, and feeds the decoded span to its simulators.
+     * With no pool workers (null/zero-worker pool) each bank is one
+     * lane; with workers each simulator gets its own lane and decode
+     * scratch. Either way each simulator sees the identical address
+     * sequence, so miss counts are independent of the schedule. The cancel token is
+     * checked once per encoded block; cancellation unwinds with
+     * CancelledError and leaves the banks unusable for misses()
+     * queries (the caller discards them).
      */
+    static void simulate(std::span<const Sweep> sweeps,
+                         support::ThreadPool *pool,
+                         const support::CancelToken *cancel = nullptr);
+
+    /** simulate() of this bank alone. */
     void simulate(const trace::ColumnarTraceBuffer &buffer,
                   support::ThreadPool *pool,
                   const support::CancelToken *cancel = nullptr);
@@ -119,6 +156,9 @@ class SimBank
     /** Metric and span name of simulator i (Cheetah sims first). */
     std::string simTag(size_t i) const;
 
+    /** Feed one decoded block to simulator i. */
+    void accessBlock(size_t i, const trace::BlockView &view);
+
     std::vector<cache::SinglePassSim> sims_;
     /**
      * Set-resident simulators for the extended policy axes, one per
@@ -133,10 +173,12 @@ class SimBank
  * What the three cache evaluators share: a cache space, its simulator
  * bank and the captured reference trace. Each evaluator is a trace
  * sink: operator() captures one reference (feeding the serial trace
- * modeler, if any), then sweep() runs the bank over the capture once,
- * on a pool if given (results are identical without one); evaluate()
- * is capture-then-sweep. A cancel token aborts with CancelledError
- * and leaves the evaluator not evaluated.
+ * modeler, if any). evaluate() captures a whole trace, then sweeps
+ * the bank over it once, on a pool if given (results are identical
+ * without one); MemoryWalker::evaluate instead captures all three
+ * evaluators from one trace and sweeps their banks in one lane loop.
+ * A cancel token aborts with CancelledError and leaves the evaluator
+ * not evaluated.
  */
 class SubsystemEvaluator
 {
@@ -156,11 +198,21 @@ class SubsystemEvaluator
     }
 
   protected:
-    explicit SubsystemEvaluator(CacheSpace space);
+    explicit SubsystemEvaluator(
+        CacheSpace space,
+        SimBank::Coverage coverage = SimBank::Coverage::Enumerated);
 
-    /** Run the bank over the capture, under the named span. */
-    void sweepCapture(const char *span_name, support::ThreadPool *pool,
+    /**
+     * Sweep the evaluators' captures through their banks in one
+     * SimBank::simulate lane loop, under the span evaluate.sweep, then
+     * fit each one's trace models and mark it evaluated.
+     */
+    static void sweep(std::initializer_list<SubsystemEvaluator *> evaluators,
+                      support::ThreadPool *pool,
                       const support::CancelToken *cancel);
+
+    /** Fit the trace models fed during capture, after the sweep. */
+    virtual void fit() {}
 
     /**
      * Pareto set over the space, ids prefixed; a point's time is
@@ -176,6 +228,9 @@ class SubsystemEvaluator
     std::unique_ptr<SimBank> bank_;
     trace::ColumnarTraceBuffer trace_;
     bool evaluated_ = false;
+
+    /** Sweeps its three evaluators in one lane loop. */
+    friend class MemoryWalker;
 };
 
 /** Instruction-cache evaluator (simulation + dilation model). */
@@ -189,11 +244,8 @@ class IcacheEvaluator : public SubsystemEvaluator
     /** Capture one reference of the reference instruction trace. */
     void operator()(const trace::Access &a);
 
-    /** Sweep the capture and fit the instruction trace model. */
-    void sweep(support::ThreadPool *pool = nullptr,
-               const support::CancelToken *cancel = nullptr);
-
-    /** Capture the whole reference instruction trace, then sweep. */
+    /** Capture the whole reference instruction trace, sweep it and
+     *  fit the instruction trace model. */
     void evaluate(const TraceSource &ref_instr_trace,
                   support::ThreadPool *pool = nullptr,
                   const support::CancelToken *cancel = nullptr);
@@ -216,8 +268,10 @@ class IcacheEvaluator : public SubsystemEvaluator
     const core::ComponentParams &params() const { return params_; }
 
   private:
-    /** Fed during capture; dropped once sweep() has fitted params_,
-     *  so its granule buffers do not stay resident with the walker. */
+    void fit() override;
+
+    /** Fed during capture; dropped once fit() has set params_, so
+     *  its granule buffers do not stay resident with the walker. */
     std::optional<core::ItraceModeler> modeler_;
     core::ComponentParams params_;
 };
@@ -231,11 +285,7 @@ class DcacheEvaluator : public SubsystemEvaluator
     /** Capture one reference of the reference data trace. */
     void operator()(const trace::Access &a);
 
-    /** Sweep the capture. */
-    void sweep(support::ThreadPool *pool = nullptr,
-               const support::CancelToken *cancel = nullptr);
-
-    /** Capture the whole reference data trace, then sweep. */
+    /** Capture the whole reference data trace, then sweep it. */
     void evaluate(const TraceSource &ref_data_trace,
                   support::ThreadPool *pool = nullptr,
                   const support::CancelToken *cancel = nullptr);
@@ -258,11 +308,8 @@ class UcacheEvaluator : public SubsystemEvaluator
     /** Capture one reference of the reference unified trace. */
     void operator()(const trace::Access &a);
 
-    /** Sweep the capture and fit both components' trace models. */
-    void sweep(support::ThreadPool *pool = nullptr,
-               const support::CancelToken *cancel = nullptr);
-
-    /** Capture the whole reference unified trace, then sweep. */
+    /** Capture the whole reference unified trace, sweep it and fit
+     *  both components' trace models. */
     void evaluate(const TraceSource &ref_unified_trace,
                   support::ThreadPool *pool = nullptr,
                   const support::CancelToken *cancel = nullptr);
@@ -277,7 +324,9 @@ class UcacheEvaluator : public SubsystemEvaluator
     const core::ComponentParams &dataParams() const { return dParams_; }
 
   private:
-    /** Fed during capture; dropped once sweep() has fitted both
+    void fit() override;
+
+    /** Fed during capture; dropped once fit() has set both
      *  (see IcacheEvaluator::modeler_). */
     std::optional<core::UtraceModeler> modeler_;
     core::ComponentParams iParams_;

@@ -44,9 +44,10 @@ MemoryWalker::evaluate(const TraceSource &unified_trace,
             ucacheEval_(a);
         });
     }
-    icacheEval_.sweep(pool_, cancel);
-    dcacheEval_.sweep(pool_, cancel);
-    ucacheEval_.sweep(pool_, cancel);
+    // One lane loop over the three banks: on a pool, no bank waits
+    // for its own slowest lane while the others' lanes could run.
+    SubsystemEvaluator::sweep({&icacheEval_, &dcacheEval_, &ucacheEval_},
+                              pool_, cancel);
 }
 
 double
@@ -460,7 +461,7 @@ Spacewalker::explore(const ir::Program &prog)
     // prescribes a separate Pref for each predication/speculation
     // combination. The class's unified reference trace is emulated
     // once and feeds all three subsystems' captures; the simulators
-    // of each subsystem's sweep then run on the pool.
+    // of the three banks then run on the pool as one lane loop.
     std::map<bool, std::unique_ptr<ClassContext>> classes;
     std::optional<support::TimedSpan> phase;
     phase.emplace("walk.phase2.reference", "phase");

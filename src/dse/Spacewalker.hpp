@@ -81,10 +81,10 @@ class MemoryWalker
     /**
      * Evaluate all three subsystems from one reference unified
      * trace: each reference goes to the I or D capture as its
-     * isInstr bit says, and always to the U capture. Then each
-     * subsystem sweeps its capture, on the attached pool if any. A
-     * cancel token aborts with CancelledError; the walker is then
-     * only partially evaluated and must be discarded.
+     * isInstr bit says, and always to the U capture. Then the three
+     * banks sweep their captures in one lane loop, on the attached
+     * pool if any. A cancel token aborts with CancelledError; the
+     * walker is then only partially evaluated and must be discarded.
      */
     void evaluate(const TraceSource &unified_trace,
                   const support::CancelToken *cancel = nullptr);

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include "support/Logging.hpp"
+#include "support/SchedulePerturb.hpp"
 #include "support/TraceEvents.hpp"
 
 namespace pico::server
@@ -52,6 +53,7 @@ Server::Server(std::string socket_path, EvalService *service)
 Server::~Server()
 {
     stop();
+    ::close(listenFd_);
 }
 
 void
@@ -72,6 +74,9 @@ Server::run()
         }
         if (ready == 0)
             continue;
+        // The window a stop() can land in: a shut-down listener still
+        // hands out a connection queued before the shutdown.
+        support::perturbPoint("server.accept");
         int fd = ::accept(listenFd_, nullptr, nullptr);
         if (fd < 0) {
             if (errno == EINTR || errno == ECONNABORTED)
@@ -80,8 +85,16 @@ Server::run()
                 warn("accept failed: ", std::strerror(errno));
             break;
         }
-        connections_.fetch_add(1, std::memory_order_relaxed);
         support::MutexLock lock(connMutex_);
+        // stop() sets stopping_ before it locks connMutex_ to shut the
+        // connections down and take their threads, so checking it
+        // under the lock drops a late connection instead of leaving
+        // it unjoined.
+        if (stopping_.load(std::memory_order_acquire)) {
+            ::close(fd);
+            break;
+        }
+        connections_.fetch_add(1, std::memory_order_relaxed);
         connFds_.push_back(fd);
         connThreads_.emplace_back(
             [this, fd] { handleConnection(fd); });
@@ -132,11 +145,9 @@ Server::stop()
     bool expected = false;
     if (!stopping_.compare_exchange_strong(expected, true))
         return;
-    if (listenFd_ >= 0) {
-        ::shutdown(listenFd_, SHUT_RDWR);
-        ::close(listenFd_);
-        listenFd_ = -1;
-    }
+    // Wakes run()'s poll(); run() drops whatever it accepts from now
+    // on. The fd stays open until the destructor (see listenFd_).
+    ::shutdown(listenFd_, SHUT_RDWR);
     closeAllConnections();
     std::vector<std::thread> threads;
     {

@@ -74,6 +74,8 @@ class Server
 
     std::string path_;
     EvalService *service_;
+    /** Listening socket. run() reads it until it returns, so stop()
+     *  only shuts it down and the destructor closes it. */
     int listenFd_ = -1;
     std::atomic<bool> stopping_{false};
     std::atomic<uint64_t> connections_{0};

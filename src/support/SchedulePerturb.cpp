@@ -1,7 +1,9 @@
 #include "support/SchedulePerturb.hpp"
 
 #include <chrono>
+#include <cstring>
 #include <thread>
+#include <utility>
 
 namespace pico::support
 {
@@ -14,6 +16,8 @@ std::atomic<bool> perturbOn{false};
 namespace
 {
 
+std::atomic<bool> seeded{false};
+std::atomic<ScopedPointAction *> pointAction{nullptr};
 std::atomic<uint64_t> perturbSeed{0};
 std::atomic<uint64_t> arrivals{0};
 std::atomic<uint64_t> decisions{0};
@@ -48,6 +52,13 @@ namespace detail
 void
 perturbSlow(const char *point)
 {
+    ScopedPointAction *action =
+        pointAction.load(std::memory_order_acquire);
+    if (action != nullptr && std::strcmp(action->point_, point) == 0 &&
+        !action->fired_.exchange(true, std::memory_order_acq_rel))
+        action->action_();
+    if (!seeded.load(std::memory_order_relaxed))
+        return;
     uint64_t n = arrivals.fetch_add(1, std::memory_order_relaxed);
     uint64_t r = mix(perturbSeed.load(std::memory_order_relaxed) ^
                      hashPoint(point) ^ (n * 0x2545f4914f6cdd1dull));
@@ -74,25 +85,42 @@ armSchedulePerturb(uint64_t seed)
     perturbSeed.store(seed, std::memory_order_relaxed);
     arrivals.store(0, std::memory_order_relaxed);
     decisions.store(0, std::memory_order_relaxed);
+    seeded.store(true, std::memory_order_relaxed);
     detail::perturbOn.store(true, std::memory_order_relaxed);
 }
 
 void
 disarmSchedulePerturb()
 {
-    detail::perturbOn.store(false, std::memory_order_relaxed);
+    seeded.store(false, std::memory_order_relaxed);
+    detail::perturbOn.store(pointAction.load() != nullptr,
+                            std::memory_order_relaxed);
 }
 
 bool
 schedulePerturbArmed()
 {
-    return detail::perturbOn.load(std::memory_order_relaxed);
+    return seeded.load(std::memory_order_relaxed);
 }
 
 uint64_t
 perturbCount()
 {
     return decisions.load(std::memory_order_relaxed);
+}
+
+ScopedPointAction::ScopedPointAction(const char *point,
+                                     std::function<void()> action)
+    : point_(point), action_(std::move(action))
+{
+    pointAction.store(this, std::memory_order_release);
+    detail::perturbOn.store(true, std::memory_order_relaxed);
+}
+
+ScopedPointAction::~ScopedPointAction()
+{
+    pointAction.store(nullptr, std::memory_order_release);
+    detail::perturbOn.store(seeded.load(), std::memory_order_relaxed);
 }
 
 } // namespace pico::support

@@ -33,13 +33,15 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 
 namespace pico::support
 {
 
 namespace detail
 {
-/** Master switch: one relaxed load per point when disarmed. */
+/** Master switch: one relaxed load per point when disarmed (no seed
+ *  armed and no ScopedPointAction alive). */
 extern std::atomic<bool> perturbOn;
 
 /** Armed-path body of perturbPoint() (yield/sleep decision). */
@@ -65,7 +67,7 @@ void armSchedulePerturb(uint64_t seed);
 /** Disarm the harness (perturbPoint() returns to its fast path). */
 void disarmSchedulePerturb();
 
-/** True while the harness is armed. */
+/** True while the harness is armed with a seed. */
 bool schedulePerturbArmed();
 
 /** Perturbation decisions taken (yields + sleeps) since arming. */
@@ -80,6 +82,34 @@ class ScopedPerturb
 
     ScopedPerturb(const ScopedPerturb &) = delete;
     ScopedPerturb &operator=(const ScopedPerturb &) = delete;
+};
+
+/**
+ * Run an action once, on the first thread to reach a named point
+ * while this scope lives, before that thread goes on. A seed sweep
+ * reaches an interleaving by chance; this pins one, e.g. a stop()
+ * landing between a poll() and its accept(). Seeded decisions, if
+ * armed, still apply at every point. The scope must outlive every
+ * thread that can reach a perturbation point meanwhile.
+ */
+class ScopedPointAction
+{
+  public:
+    ScopedPointAction(const char *point, std::function<void()> action);
+    ~ScopedPointAction();
+
+    ScopedPointAction(const ScopedPointAction &) = delete;
+    ScopedPointAction &operator=(const ScopedPointAction &) = delete;
+
+    /** True once the action has run. */
+    bool fired() const { return fired_.load(std::memory_order_acquire); }
+
+  private:
+    friend void detail::perturbSlow(const char *point);
+
+    const char *point_;
+    std::function<void()> action_;
+    std::atomic<bool> fired_{false};
 };
 
 } // namespace pico::support

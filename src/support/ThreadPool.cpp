@@ -172,12 +172,19 @@ parallelFor(size_t n, ThreadPool *pool,
     // nested parallelFor calls deadlock-free.
     state->drain();
 
-    MutexLock lock(state->loopMutex);
-    while (state->done.load(std::memory_order_acquire) !=
-           state->total)
-        state->cv.wait(lock.native());
-    if (state->error)
-        std::rethrow_exception(state->error);
+    // The error leaves the shared state under the lock, so its last
+    // reference drops on this thread even when a helper task still
+    // holds the state and destroys it later.
+    std::exception_ptr error;
+    {
+        MutexLock lock(state->loopMutex);
+        while (state->done.load(std::memory_order_acquire) !=
+               state->total)
+            state->cv.wait(lock.native());
+        error = std::move(state->error);
+    }
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace pico::support

@@ -109,15 +109,19 @@ checkOperands(const ir::Program &prog, Diagnostics &diags)
                                 " does not exist");
             for (size_t o = 0; o < block.ops.size(); ++o) {
                 const auto &op = block.ops[o];
-                std::string what = blockName(func, b) + " op " +
-                                   std::to_string(o);
+                // Named only on error: building the name for every
+                // operation was most of the program check's time.
+                auto what = [&] {
+                    return blockName(func, b) + " op " +
+                           std::to_string(o);
+                };
                 if (op.latency < 1)
-                    diags.error("ir.operands", what,
+                    diags.error("ir.operands", what(),
                                 "operation latency must be >= 1");
                 if (op.isMem() &&
                     op.streamId >= prog.streams.size())
                     diags.error(
-                        "ir.operands", what,
+                        "ir.operands", what(),
                         "memory operation references stream " +
                             std::to_string(op.streamId) +
                             " but the program has " +
@@ -126,7 +130,7 @@ checkOperands(const ir::Program &prog, Diagnostics &diags)
                 for (uint16_t dep : op.deps) {
                     if (dep >= o)
                         diags.error(
-                            "ir.operands", what,
+                            "ir.operands", what(),
                             "dependence on operation " +
                                 std::to_string(dep) +
                                 " which is not earlier in the "

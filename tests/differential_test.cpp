@@ -113,16 +113,19 @@ TEST(Differential, SimBankParallelSweepMatchesDirectSims)
         cols(trace::Access{addr, true, false});
 
     support::ThreadPool pool(4);
-    dse::SimBank bank(space);
-    bank.simulate(cols, &pool);
+    for (auto coverage : {dse::SimBank::Coverage::ContractedLines,
+                          dse::SimBank::Coverage::Enumerated}) {
+        dse::SimBank bank(space, coverage);
+        bank.simulate(cols, &pool);
 
-    for (const auto &cfg : space.enumerate()) {
-        cache::CacheSim ref(cfg);
-        for (auto addr : addrs)
-            ref.access(addr);
-        EXPECT_EQ(bank.misses(cfg),
-                  static_cast<double>(ref.misses()))
-            << cfg.name();
+        for (const auto &cfg : space.enumerate()) {
+            cache::CacheSim ref(cfg);
+            for (auto addr : addrs)
+                ref.access(addr);
+            EXPECT_EQ(bank.misses(cfg),
+                      static_cast<double>(ref.misses()))
+                << cfg.name();
+        }
     }
 }
 
@@ -198,15 +201,18 @@ TEST(Differential, ColumnarSweepIsJobCountInvariant)
     for (auto addr : randomTrace(555, 3))
         cols(trace::Access{addr, false, false});
 
-    dse::SimBank serial(space);
-    serial.simulate(cols, nullptr);
-    for (unsigned jobs : {2u, 8u}) {
-        support::ThreadPool pool(jobs);
-        dse::SimBank parallel(space);
-        parallel.simulate(cols, &pool);
-        for (const auto &cfg : space.enumerate())
-            EXPECT_EQ(parallel.misses(cfg), serial.misses(cfg))
-                << cfg.name() << " jobs=" << jobs;
+    for (auto coverage : {dse::SimBank::Coverage::ContractedLines,
+                          dse::SimBank::Coverage::Enumerated}) {
+        dse::SimBank serial(space, coverage);
+        serial.simulate(cols, nullptr);
+        for (unsigned jobs : {2u, 8u}) {
+            support::ThreadPool pool(jobs);
+            dse::SimBank parallel(space, coverage);
+            parallel.simulate(cols, &pool);
+            for (const auto &cfg : space.enumerate())
+                EXPECT_EQ(parallel.misses(cfg), serial.misses(cfg))
+                    << cfg.name() << " jobs=" << jobs;
+        }
     }
 }
 

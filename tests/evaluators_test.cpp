@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "dse/Evaluators.hpp"
 #include "dse/Spacewalker.hpp"
+#include "support/Metrics.hpp"
 #include "support/Random.hpp"
 
 namespace pico::dse
@@ -54,10 +58,11 @@ syntheticDataTrace(uint64_t seed, int length)
     };
 }
 
+/** Unified trace; store_frac of the data references are stores. */
 TraceSource
-syntheticUnifiedTrace(uint64_t seed, int length)
+syntheticUnifiedTrace(uint64_t seed, int length, double store_frac = 0.0)
 {
-    return [seed, length](const TraceSink &sink) {
+    return [seed, length, store_frac](const TraceSink &sink) {
         Rng rng(seed);
         uint64_t pc = 0x01000000;
         for (int i = 0; i < length; ++i) {
@@ -68,11 +73,28 @@ syntheticUnifiedTrace(uint64_t seed, int length)
                 sink({pc, true, false});
                 pc += 4;
             } else {
-                sink({0x40000000 + (rng.below(1 << 16) & ~3ULL),
-                      false, false});
+                uint64_t addr =
+                    0x40000000 + (rng.below(1 << 16) & ~3ULL);
+                sink({addr, false,
+                      store_frac > 0.0 && rng.coin(store_frac)});
             }
         }
     };
+}
+
+/** The default memory spaces with the D$ and U$ policy axes on. */
+MemorySpaces
+extendedSpaces()
+{
+    MemorySpaces spaces;
+    for (CacheSpace *space : {&spaces.dcache, &spaces.ucache}) {
+        space->replacements = {cache::ReplacementPolicy::LRU,
+                               cache::ReplacementPolicy::FIFO,
+                               cache::ReplacementPolicy::Random};
+        space->writePolicies = {cache::WritePolicy::WriteBack,
+                                cache::WritePolicy::WriteThrough};
+    }
+    return spaces;
 }
 
 TEST(SimBank, CoversDownToOneWordLines)
@@ -94,6 +116,59 @@ TEST(SimBank, MissesThrowOutsideCoverage)
     bank.simulate(captured, nullptr);
     EXPECT_THROW(bank.misses(cache::CacheConfig{64, 1, 128}),
                  FatalError);
+}
+
+TEST(SimBank, EvaluatorBanksCoverWhatTheirModelsRead)
+{
+    // The I$ model reads contracted line sizes, so its bank keeps the
+    // full coverage of SimBank(space). The D$ and U$ estimates read
+    // only the configurations their spaces enumerate, so their banks
+    // hold one Cheetah pass per listed line size, over the set band
+    // the space enumerates at that line: 11 passes, not 16.
+    MemorySpaces spaces;
+    MemoryWalker walker(spaces, StallModel{}, 2000, 10000);
+    walker.evaluate(syntheticUnifiedTrace(31, 60000));
+
+    SimBank full_l1(spaces.icache);
+    const SimBank &ibank = walker.icache().bank();
+    EXPECT_EQ(ibank.simRuns(), full_l1.simRuns());
+    EXPECT_EQ(ibank.simRuns(), 5u);
+    for (uint32_t line = SimBank::minCoveredLine; line <= 128; line *= 2)
+        for (uint32_t sets = 1; sets <= 8192; sets *= 2)
+            for (uint32_t assoc = 1; assoc <= 8; ++assoc) {
+                cache::CacheConfig cfg{sets, assoc, line};
+                EXPECT_EQ(ibank.covers(cfg), full_l1.covers(cfg))
+                    << cfg.name();
+            }
+    EXPECT_TRUE(ibank.covers(cache::CacheConfig{2048, 1, 4}));
+
+    const SimBank &dbank = walker.dcache().bank();
+    const SimBank &ubank = walker.ucache().bank();
+    EXPECT_EQ(dbank.simRuns(), 3u);
+    EXPECT_EQ(ubank.simRuns(), 3u);
+    for (const auto &cfg : spaces.dcache.enumerate())
+        EXPECT_TRUE(dbank.covers(cfg)) << cfg.name();
+    for (const auto &cfg : spaces.ucache.enumerate())
+        EXPECT_TRUE(ubank.covers(cfg)) << cfg.name();
+
+    // A line below the space's smallest, and a set count outside a
+    // line's band: the full-coverage bank simulates both, the
+    // evaluator's bank neither.
+    SimBank full_l2(spaces.ucache);
+    for (cache::CacheConfig cfg : {cache::CacheConfig{128, 1, 8},
+                                   cache::CacheConfig{2048, 1, 64}}) {
+        EXPECT_TRUE(full_l1.covers(cfg)) << cfg.name();
+        EXPECT_FALSE(dbank.covers(cfg)) << cfg.name();
+        EXPECT_THROW(walker.dcache().misses(cfg), FatalError)
+            << cfg.name();
+    }
+    for (cache::CacheConfig cfg : {cache::CacheConfig{1024, 1, 16},
+                                   cache::CacheConfig{8192, 1, 128}}) {
+        EXPECT_TRUE(full_l2.covers(cfg)) << cfg.name();
+        EXPECT_FALSE(ubank.covers(cfg)) << cfg.name();
+        EXPECT_THROW(walker.ucache().misses(cfg, 1.0), FatalError)
+            << cfg.name();
+    }
 }
 
 TEST(IcacheEvaluator, UnitDilationEqualsSimulation)
@@ -221,6 +296,93 @@ TEST(MemoryWalker, OneUnifiedSourceMatchesComponentEvaluators)
         EXPECT_EQ(walker.ucache().misses(cfg, 1.5),
                   ueval.misses(cfg, 1.5))
             << cfg.name();
+    }
+}
+
+TEST(MemoryWalker, LaneLoopIsJobCountInvariant)
+{
+    // evaluate() sweeps the three banks in one lane loop: one fused
+    // lane per bank without pool workers, one lane per simulator with
+    // them. Every enumerated cell's misses and write traffic, and
+    // every sweep.* counter, must not depend on which ran.
+    for (const MemorySpaces &spaces : {MemorySpaces{}, extendedSpaces()}) {
+        auto run = [&spaces](unsigned jobs) {
+            support::ThreadPool pool(jobs - 1);
+            MemoryWalker walker(spaces, StallModel{}, 2000, 10000);
+            walker.setThreadPool(&pool);
+            support::metrics().resetValues();
+            walker.evaluate(syntheticUnifiedTrace(51, 120000, 0.3));
+            std::map<std::string, double> out;
+            for (const auto &[name, value] :
+                 support::metrics().snapshot().counters) {
+                if (name.rfind("sweep.", 0) == 0 && value != 0)
+                    out[name] = static_cast<double>(value);
+            }
+            for (const auto &cfg : spaces.icache.enumerate()) {
+                out["I$" + cfg.name()] = walker.icache().misses(cfg, 1.0);
+                out["I$1.5" + cfg.name()] =
+                    walker.icache().misses(cfg, 1.5);
+            }
+            for (const auto &cfg : spaces.dcache.enumerate()) {
+                out["D$" + cfg.name()] = walker.dcache().misses(cfg);
+                out["D$w" + cfg.name()] = walker.dcache().writeTraffic(cfg);
+            }
+            for (const auto &cfg : spaces.ucache.enumerate()) {
+                out["U$" + cfg.name()] = walker.ucache().misses(cfg, 1.0);
+                out["U$1.5" + cfg.name()] =
+                    walker.ucache().misses(cfg, 1.5);
+                out["U$w" + cfg.name()] = walker.ucache().writeTraffic(cfg);
+            }
+            out["runs"] = static_cast<double>(
+                walker.icache().bank().simRuns() +
+                walker.dcache().bank().simRuns() +
+                walker.ucache().bank().simRuns());
+            return out;
+        };
+        support::setMetricsEnabled(true);
+        auto serial = run(1);
+        auto two = run(2);
+        auto eight = run(8);
+        support::setMetricsEnabled(false);
+        EXPECT_EQ(serial["sweep.runs"], serial["runs"]);
+        EXPECT_EQ(serial, two);
+        EXPECT_EQ(serial, eight);
+    }
+}
+
+TEST(MemoryWalker, CancelDuringSweepRejectsQueries)
+{
+    // The token is cancelled once the last reference is captured, so
+    // the first checkpoint to see it is the lane loop's. The walk
+    // unwinds with CancelledError and no evaluator answers.
+    for (unsigned jobs : {1u, 4u}) {
+        support::ThreadPool pool(jobs - 1);
+        MemorySpaces spaces;
+        MemoryWalker walker(spaces, StallModel{}, 2000, 10000);
+        walker.setThreadPool(&pool);
+        support::CancelToken token;
+        TraceSource trace = syntheticUnifiedTrace(61, 60000);
+        try {
+            walker.evaluate(
+                [&](const TraceSink &sink) {
+                    trace(sink);
+                    token.cancel();
+                },
+                &token);
+            ADD_FAILURE() << "not cancelled, jobs=" << jobs;
+        } catch (const CancelledError &e) {
+            EXPECT_NE(std::string(e.what()).find("SimBank::simulate"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_FALSE(walker.icache().evaluated());
+        EXPECT_FALSE(walker.dcache().evaluated());
+        EXPECT_FALSE(walker.ucache().evaluated());
+        cache::CacheConfig l1{64, 2, 32};
+        cache::CacheConfig l2{512, 2, 64};
+        EXPECT_THROW(walker.icache().misses(l1, 1.0), FatalError);
+        EXPECT_THROW(walker.dcache().misses(l1), FatalError);
+        EXPECT_THROW(walker.ucache().misses(l2, 1.0), FatalError);
     }
 }
 

@@ -371,19 +371,22 @@ TEST(PolicyMatrix, SimBankRoutesEveryCellToTheOracle)
     for (const auto &a : refs)
         cols(a);
 
-    dse::SimBank bank(space);
-    EXPECT_TRUE(bank.extended());
-    bank.simulate(cols, nullptr);
+    for (auto coverage : {dse::SimBank::Coverage::ContractedLines,
+                          dse::SimBank::Coverage::Enumerated}) {
+        dse::SimBank bank(space, coverage);
+        EXPECT_TRUE(bank.extended());
+        bank.simulate(cols, nullptr);
 
-    for (const auto &cfg : space.enumerate()) {
-        ASSERT_TRUE(bank.covers(cfg)) << cfg.name();
-        cache::CacheSim ref = oracleRun(cfg, refs);
-        EXPECT_EQ(bank.misses(cfg),
-                  static_cast<double>(ref.misses()))
-            << cfg.name();
-        EXPECT_EQ(bank.writeTraffic(cfg),
-                  static_cast<double>(ref.writeTraffic()))
-            << cfg.name();
+        for (const auto &cfg : space.enumerate()) {
+            ASSERT_TRUE(bank.covers(cfg)) << cfg.name();
+            cache::CacheSim ref = oracleRun(cfg, refs);
+            EXPECT_EQ(bank.misses(cfg),
+                      static_cast<double>(ref.misses()))
+                << cfg.name();
+            EXPECT_EQ(bank.writeTraffic(cfg),
+                      static_cast<double>(ref.writeTraffic()))
+                << cfg.name();
+        }
     }
 }
 
@@ -464,14 +467,17 @@ TEST(PolicyMatrix, ExtendedColumnarSweepIsJobCountInvariant)
     }
     for (unsigned jobs : {2u, 8u}) {
         support::ThreadPool pool(jobs);
-        dse::SimBank parallel(space);
-        parallel.simulate(cols, &pool);
-        for (const auto &cfg : space.enumerate()) {
-            EXPECT_EQ(parallel.misses(cfg), serial.misses(cfg))
-                << cfg.name() << " jobs=" << jobs;
-            EXPECT_EQ(parallel.writeTraffic(cfg),
-                      serial.writeTraffic(cfg))
-                << cfg.name() << " jobs=" << jobs;
+        for (auto coverage : {dse::SimBank::Coverage::ContractedLines,
+                              dse::SimBank::Coverage::Enumerated}) {
+            dse::SimBank parallel(space, coverage);
+            parallel.simulate(cols, &pool);
+            for (const auto &cfg : space.enumerate()) {
+                EXPECT_EQ(parallel.misses(cfg), serial.misses(cfg))
+                    << cfg.name() << " jobs=" << jobs;
+                EXPECT_EQ(parallel.writeTraffic(cfg),
+                          serial.writeTraffic(cfg))
+                    << cfg.name() << " jobs=" << jobs;
+            }
         }
     }
 

@@ -99,6 +99,26 @@ TEST(SchedulePerturb, DecisionStreamIsSeedDeterministic)
     EXPECT_FALSE(support::schedulePerturbArmed());
 }
 
+TEST(SchedulePerturb, PointActionRunsOnceAtItsPoint)
+{
+    int runs = 0;
+    const uint64_t decisions = support::perturbCount();
+    {
+        support::ScopedPointAction at("test.target", [&] { ++runs; });
+        EXPECT_FALSE(support::schedulePerturbArmed());
+        support::perturbPoint("test.other");
+        EXPECT_FALSE(at.fired());
+        for (int i = 0; i < 3; ++i)
+            support::perturbPoint("test.target");
+        EXPECT_TRUE(at.fired());
+        // No seed is armed, so no point takes a seeded decision.
+        EXPECT_EQ(support::perturbCount(), decisions);
+    }
+    EXPECT_EQ(runs, 1);
+    support::perturbPoint("test.target");
+    EXPECT_EQ(runs, 1);
+}
+
 // ---------------------------------------------------------------
 // EvaluationCache: concurrent flush + getOrCompute
 // ---------------------------------------------------------------

@@ -14,13 +14,19 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include "server/Client.hpp"
 #include "server/EvalService.hpp"
@@ -30,6 +36,7 @@
 #include "support/FaultInjection.hpp"
 #include "support/FlightRecorder.hpp"
 #include "support/Random.hpp"
+#include "support/SchedulePerturb.hpp"
 #include "support/TraceEvents.hpp"
 #include "verify/ResultVerifier.hpp"
 
@@ -883,6 +890,38 @@ TEST(ServerSocket, RoundTripOverUnixSocket)
 
     srv.stop();
     accept_thread.join();
+}
+
+TEST(ServerSocket, ConnectionQueuedAtStopIsDropped)
+{
+    // A client waits in the backlog when run()'s poll() wakes, and
+    // stop() runs to completion before run() calls accept(). The
+    // shut-down listener still hands the connection out; run() must
+    // drop it, not start a handler that stop() has already stopped
+    // joining (~Server would destroy it joinable and terminate).
+    std::string sock = tempPath("picoeval_stop.sock");
+    std::unique_ptr<server::Server> srv;
+    support::ScopedPointAction stop_at_accept("server.accept", [&] {
+        std::thread watcher([&] { srv->stop(); });
+        watcher.join();
+    });
+    EvalService service(fastOptions());
+    srv = std::make_unique<server::Server>(sock, &service);
+
+    int client = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(client, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, sock.c_str(), sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(::connect(client, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+
+    srv->run();
+    EXPECT_TRUE(stop_at_accept.fired());
+    EXPECT_EQ(srv->connections(), 0u);
+    srv.reset();
+    ::close(client);
 }
 
 TEST(ServerSocket, ClientGivesUpCleanlyWhenServerAbsent)
