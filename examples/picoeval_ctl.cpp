@@ -26,29 +26,10 @@
 
 #include "server/Client.hpp"
 
+#include "CliFlags.hpp"
+
 using namespace pico;
-
-namespace
-{
-
-/** Match `--flag value` or `--flag=value`; fills `value` on match. */
-bool
-flagValue(int argc, char **argv, int &i, const std::string &flag,
-          std::string &value)
-{
-    std::string arg = argv[i];
-    if (arg == flag && i + 1 < argc) {
-        value = argv[++i];
-        return true;
-    }
-    if (arg.rfind(flag + "=", 0) == 0) {
-        value = arg.substr(flag.size() + 1);
-        return true;
-    }
-    return false;
-}
-
-} // namespace
+using cli::flagValue;
 
 int
 main(int argc, char **argv)

@@ -57,46 +57,14 @@
 #include "support/Metrics.hpp"
 #include "support/Random.hpp"
 
+#include "CliFlags.hpp"
+
 using namespace pico;
+using cli::flagValue;
+using cli::splitList;
 
 namespace
 {
-
-/** Match `--flag value` or `--flag=value`; fills `value` on match. */
-bool
-flagValue(int argc, char **argv, int &i, const std::string &flag,
-          std::string &value)
-{
-    std::string arg = argv[i];
-    if (arg == flag && i + 1 < argc) {
-        value = argv[++i];
-        return true;
-    }
-    if (arg.rfind(flag + "=", 0) == 0) {
-        value = arg.substr(flag.size() + 1);
-        return true;
-    }
-    return false;
-}
-
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : csv) {
-        if (c == ',') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    return out;
-}
 
 /** Per-client tally, merged after the join. */
 struct ClientTally

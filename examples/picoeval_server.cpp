@@ -61,7 +61,10 @@
 #include "support/TraceEvents.hpp"
 #include "verify/ResultVerifier.hpp"
 
+#include "CliFlags.hpp"
+
 using namespace pico;
+using cli::flagValue;
 
 namespace
 {
@@ -96,23 +99,6 @@ fatalFlightDump(const char *, const std::string &)
     if (!g_flight_path.empty())
         support::FlightRecorder::instance().dumpToFile(
             g_flight_path);
-}
-
-/** Match `--flag value` or `--flag=value`; fills `value` on match. */
-bool
-flagValue(int argc, char **argv, int &i, const std::string &flag,
-          std::string &value)
-{
-    std::string arg = argv[i];
-    if (arg == flag && i + 1 < argc) {
-        value = argv[++i];
-        return true;
-    }
-    if (arg.rfind(flag + "=", 0) == 0) {
-        value = arg.substr(flag.size() + 1);
-        return true;
-    }
-    return false;
 }
 
 uint64_t

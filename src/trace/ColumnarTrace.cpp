@@ -16,6 +16,19 @@
 namespace pico::trace
 {
 
+uint64_t
+traceChecksumStep(uint64_t sum, int kind, uint64_t addr)
+{
+    constexpr uint64_t prime = 0x100000001b3ULL;
+    sum ^= static_cast<uint64_t>(kind) & 0xff;
+    sum *= prime;
+    for (int i = 0; i < 8; ++i) {
+        sum ^= (addr >> (8 * i)) & 0xff;
+        sum *= prime;
+    }
+    return sum;
+}
+
 namespace
 {
 
@@ -100,6 +113,17 @@ readU64(const uint8_t *p)
     for (int i = 0; i < 8; ++i)
         v |= static_cast<uint64_t>(p[i]) << (8 * i);
     return v;
+}
+
+/**
+ * True when `need` bytes starting at byte `off` lie inside a file of
+ * `size` bytes. Compares by subtraction, so a corrupt offset near
+ * 2^64 cannot wrap a sum back inside the mapping.
+ */
+bool
+spanFits(uint64_t off, uint64_t need, uint64_t size)
+{
+    return off <= size && size - off >= need;
 }
 
 /** Packed kind-stream length for `count` records (2 bits each). */
@@ -518,7 +542,7 @@ ColumnarTraceReader::parseHeader()
     bool index_ok =
         sealed && index_offset >= fileHeaderBytes &&
         block_count <= (bytes_ / 8) &&
-        index_offset + block_count * 8 <= bytes_;
+        spanFits(index_offset, block_count * 8, bytes_);
     if (index_ok) {
         offsets_.reserve(block_count);
         for (uint64_t b = 0; b < block_count; ++b)
@@ -539,17 +563,16 @@ ColumnarTraceReader::parseHeader()
         warn("trace '", path_, "': header unsealed or index ",
              "corrupt; scanning for salvageable blocks");
         uint64_t off = fileHeaderBytes;
-        while (off + blockHeaderBytes <= bytes_) {
+        while (spanFits(off, blockHeaderBytes, bytes_)) {
             BlockHeader h = readBlockHeader(data_ + off);
             if (h.magic != columnarBlockMagic ||
                 h.count == 0 || h.count > blockCapacity_)
                 break;
-            uint64_t end = off + blockHeaderBytes + h.deltaBytes +
-                           h.kindBytes;
-            if (end > bytes_)
+            uint64_t streams = uint64_t{h.deltaBytes} + h.kindBytes;
+            if (!spanFits(off + blockHeaderBytes, streams, bytes_))
                 break;
             offsets_.push_back(off);
-            off = end;
+            off += blockHeaderBytes + streams;
         }
         recordCount_ = 0;
         fileChecksum_ = 0;
@@ -590,16 +613,15 @@ ColumnarTraceReader::decodeBlock(size_t index, BlockScratch &scratch,
         return false;
     };
 
-    if (off + blockHeaderBytes > bytes_)
+    if (!spanFits(off, blockHeaderBytes, bytes_))
         return corrupt("block offset out of bounds");
     BlockHeader h = readBlockHeader(data_ + off);
     if (h.magic != columnarBlockMagic)
         return corrupt("bad block magic");
     if (h.count == 0 || h.count > blockCapacity_)
         return corrupt("block record count out of range");
-    uint64_t end =
-        off + blockHeaderBytes + h.deltaBytes + h.kindBytes;
-    if (end > bytes_)
+    if (!spanFits(off + blockHeaderBytes,
+                  uint64_t{h.deltaBytes} + h.kindBytes, bytes_))
         return corrupt("block streams out of bounds");
 
     const uint8_t *deltas = data_ + off + blockHeaderBytes;
@@ -643,31 +665,6 @@ ColumnarTraceReader::finish(uint64_t delivered)
     PICO_METRIC_COUNT("tracefile.read.records", delivered);
     if (mode_ == TraceReadMode::Lenient && !summary_.clean())
         warn("trace '", path_, "': ", summary_.describe());
-}
-
-// --- Version sniffing --------------------------------------------------
-
-int
-sniffTraceFileVersion(const std::string &path)
-{
-    int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-        ioFatal("cannot open trace file '", path, "'");
-    char head[32] = {};
-    ssize_t n = ::read(fd, head, sizeof head);
-    ::close(fd);
-    auto matches = [&](const char *tag) {
-        size_t len = std::strlen(tag);
-        return n >= 0 && static_cast<size_t>(n) >= len &&
-               std::memcmp(head, tag, len) == 0;
-    };
-    if (matches(traceMagicV3))
-        return 3;
-    if (matches(traceHeaderV2))
-        return 2;
-    if (matches(traceHeaderV1))
-        return 1;
-    corruptFatal("'", path, "' is not a picoeval trace file");
 }
 
 } // namespace pico::trace

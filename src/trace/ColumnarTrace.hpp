@@ -18,8 +18,8 @@
  *    instruction) packed at two bits per record; record sizes are
  *    implicit — every reference is one word;
  *  - each block carries its own header (record count, first address,
- *    FNV-1a checksum over the records) so a decoder can validate —
- *    and in lenient mode salvage — blocks independently.
+ *    the traceChecksumStep chain over its records) so a decoder can
+ *    validate — and in lenient mode salvage — blocks independently.
  *
  * Decoding a block materializes a plain address array in a reusable
  * scratch buffer; SinglePassSim::accessBlock() then consumes the hot
@@ -28,11 +28,12 @@
  *
  * Trace format v3 is the same layout on disk, binary and mmap-able:
  * the encoded block streams are simulated straight out of the file
- * mapping with no row-wise materialization. The text formats v1/v2
- * remain readable through TraceFileReader; replayTraceFile() sniffs
- * the version and dispatches, and the checksum chain of v3 is the
- * v2 chain (traceChecksumStep), so a lossless v2 -> v3 conversion
- * preserves the file checksum bit-for-bit.
+ * mapping with no row-wise materialization. It is the only trace file
+ * format the library reads and writes; examples/trace_convert imports
+ * files of the retired text format v2. The capture buffer, every
+ * block and every v3 file checksum their records with one FNV-1a
+ * chain (traceChecksumStep), so that import preserves a v2 file's
+ * checksum bit-for-bit.
  *
  * On-disk layout (all integers little-endian):
  *
@@ -61,10 +62,24 @@
 
 #include "support/Logging.hpp"
 #include "trace/Access.hpp"
-#include "trace/TraceFile.hpp"
 
 namespace pico::trace
 {
+
+/** FNV-1a 64 running checksum over one trace record. */
+uint64_t traceChecksumStep(uint64_t sum, int kind, uint64_t addr);
+
+/** Initial value of the running trace checksum. */
+inline constexpr uint64_t traceChecksumSeed = 0xcbf29ce484222325ULL;
+
+/** How a ColumnarTraceReader reacts to corruption. */
+enum class TraceReadMode
+{
+    /** TraceCorruptionError on the first corrupt block (default). */
+    Strict,
+    /** Skip corrupt blocks whole, warn, and account in summary(). */
+    Lenient,
+};
 
 /** Magic prefix of a version-3 (binary columnar) trace file. */
 inline constexpr const char *traceMagicV3 = "picoeval-trace-v3";
@@ -166,7 +181,7 @@ class ColumnarTraceBuffer
 
     uint32_t blockCapacity() const { return blockCapacity_; }
 
-    /** Running FNV-1a checksum over every record (the v2 chain). */
+    /** Running traceChecksumStep chain over every record. */
     uint64_t checksum() const { return checksum_; }
 
     /** Encoded payload bytes (delta + kind streams, all blocks). */
@@ -305,9 +320,9 @@ struct ColumnarCorruptionSummary
  * is written, into the caller's scratch).
  *
  * Corruption is never reported as a clean end: Strict mode raises
- * FatalError naming the block and byte offset; Lenient mode skips
- * exactly the corrupt blocks (whole-block salvage) and accounts for
- * them in summary().
+ * TraceCorruptionError naming the block and byte offset; Lenient
+ * mode skips exactly the corrupt blocks (whole-block salvage) and
+ * accounts for them in summary(). A missing file raises TraceIoError.
  */
 class ColumnarTraceReader
 {
@@ -399,33 +414,6 @@ class ColumnarTraceReader
     ColumnarCorruptionSummary summary_;
     uint64_t warned_ = 0;
 };
-
-/**
- * Version of the trace file at `path`: 1 or 2 (text formats, from
- * the header line) or 3 (binary columnar). fatal() when the file is
- * missing or matches no known format.
- */
-int sniffTraceFileVersion(const std::string &path);
-
-/**
- * Replay a trace file of *any* format version into a sink: v1/v2 go
- * through TraceFileReader, v3 through ColumnarTraceReader. This is
- * the back-compat entry point — consumers of serialized traces never
- * need to know which format they were handed.
- * @return records delivered
- */
-template <typename Sink>
-uint64_t
-replayTraceFile(const std::string &path, Sink &&sink,
-                TraceReadMode mode = TraceReadMode::Strict)
-{
-    if (sniffTraceFileVersion(path) == 3) {
-        ColumnarTraceReader reader(path, mode);
-        return reader.replay(std::forward<Sink>(sink));
-    }
-    TraceFileReader reader(path, mode);
-    return reader.replay(std::forward<Sink>(sink));
-}
 
 } // namespace pico::trace
 

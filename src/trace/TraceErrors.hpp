@@ -2,11 +2,12 @@
  * @file
  * Typed trace-layer errors: corrupt input vs. I/O failure.
  *
- * Tools that consume trace files (trace_convert, replay pipelines)
- * need to tell a *corrupt file* (bad header, malformed record,
- * checksum mismatch — the file itself is wrong, retrying is
- * pointless) apart from an *I/O failure* (cannot open, short read,
- * write error — the environment is wrong, the file may be fine).
+ * Tools that consume trace files (ColumnarTraceReader's callers,
+ * trace_convert's v2 import) need to tell a *corrupt file* (bad
+ * magic, unsealed header, corrupt block, checksum mismatch — the file
+ * itself is wrong, retrying is pointless) apart from an *I/O failure*
+ * (cannot open, map or write — the environment is wrong, the file
+ * may be fine).
  * Both derive from FatalError, so existing catch sites and the
  * fatal()-throws contract are unchanged; the subtype only adds
  * discrimination for callers that want distinct exit codes.

@@ -301,27 +301,4 @@ verifyColumnarTrace(const trace::ColumnarTraceBuffer &buffer,
     return diags.errorCount() == before;
 }
 
-bool
-verifyTraceFileV3(const std::string &path, Diagnostics &diags)
-{
-    size_t before = diags.errorCount();
-    try {
-        if (trace::sniffTraceFileVersion(path) != 3) {
-            diags.error("result.tracefile", path,
-                        "not a trace format v3 file");
-            return false;
-        }
-        // Lenient: corruption becomes findings, not exceptions.
-        trace::ColumnarTraceReader reader(
-            path, trace::TraceReadMode::Lenient);
-        reader.replay([](const trace::Access &) {});
-        const auto &s = reader.summary();
-        if (!s.clean())
-            diags.error("result.tracefile", path, s.describe());
-    } catch (const std::exception &e) {
-        diags.error("result.tracefile", path, e.what());
-    }
-    return diags.errorCount() == before;
-}
-
 } // namespace pico::verify

@@ -31,9 +31,6 @@
  *                     counts are full except the tail, the chained
  *                     whole-trace checksum matches, and the decoded
  *                     record count equals the captured size
- *  - result.tracefile a persisted trace format v3 file replays back
- *                     cleanly (sealed header, valid index, every
- *                     block decodes, file checksum matches)
  */
 
 #ifndef PICO_VERIFY_RESULT_VERIFIER_HPP
@@ -107,15 +104,6 @@ bool verifyWalkResult(const dse::ExplorationResult &result,
 bool verifyColumnarTrace(const trace::ColumnarTraceBuffer &buffer,
                          const std::string &what,
                          Diagnostics &diags);
-
-/**
- * Replay a persisted trace format v3 file (leniently, so corruption
- * is reported as findings rather than thrown) and check that it is
- * clean: sealed header, valid index, every block decodes, record
- * count and file checksum match.
- * @return true when no error-severity finding was added
- */
-bool verifyTraceFileV3(const std::string &path, Diagnostics &diags);
 
 } // namespace pico::verify
 

@@ -10,12 +10,12 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "dse/EvaluationCache.hpp"
 #include "dse/Spacewalker.hpp"
 #include "support/FaultInjection.hpp"
-#include "trace/TraceFile.hpp"
+#include "trace/ColumnarTrace.hpp"
+#include "trace/TraceErrors.hpp"
 #include "workloads/AppSpec.hpp"
 #include "workloads/Toolchain.hpp"
 
@@ -47,41 +47,38 @@ class FaultInjection : public ::testing::Test
         out << content;
     }
 
-    /** Replace one line (0-based, header = 0) of a text file. */
+    /** Append n records mixing all three kinds. */
     static void
-    replaceLine(const std::filesystem::path &p, size_t index,
-                const std::string &replacement)
+    fill(trace::ColumnarTraceWriter &writer, size_t n)
     {
-        std::ifstream in(p);
-        std::vector<std::string> lines;
-        std::string line;
-        while (std::getline(in, line))
-            lines.push_back(line);
-        in.close();
-        ASSERT_LT(index, lines.size());
-        lines[index] = replacement;
-        std::ostringstream joined;
-        for (const auto &l : lines)
-            joined << l << '\n';
-        writeFile(p, joined.str());
-    }
-
-    /** Write a small v2 trace and return the record set. */
-    static std::vector<trace::Access>
-    writeTrace(const std::filesystem::path &p, size_t n = 20)
-    {
-        std::vector<trace::Access> accesses;
-        trace::TraceFileWriter writer(p.string());
         for (size_t i = 0; i < n; ++i) {
             trace::Access a;
             a.addr = 0x1000 + 4 * i;
             a.isInstr = i % 3 == 0;
             a.isWrite = !a.isInstr && i % 3 == 1;
             writer.write(a);
-            accesses.push_back(a);
         }
+    }
+
+    /** Write a sealed v3 trace: 1024 records in 4 blocks of 256. */
+    static void
+    writeTrace(const std::filesystem::path &p)
+    {
+        trace::ColumnarTraceWriter writer(p.string(), /*cap=*/256);
+        fill(writer, 1024);
         writer.close();
-        return accesses;
+    }
+
+    /** Replay `p` leniently; returns the records delivered. */
+    static uint64_t
+    replayLenient(const std::filesystem::path &p,
+                  trace::ColumnarCorruptionSummary &summary)
+    {
+        trace::ColumnarTraceReader reader(p.string(),
+                                          trace::TraceReadMode::Lenient);
+        uint64_t n = reader.replay([](const trace::Access &) {});
+        summary = reader.summary();
+        return n;
     }
 };
 
@@ -147,91 +144,119 @@ TEST_F(FaultInjection, CorruptionOffsetsAreDeterministic)
 
 TEST_F(FaultInjection, TruncatedTraceRejectedStrict)
 {
-    auto path = tmpFile("pico_fi_trunc.trace");
-    writeTrace(path);
-    // Drop the tail (footer and then some): the classic killed-
-    // mid-write artifact. Never silently accepted.
-    auto size = std::filesystem::file_size(path);
-    support::truncateFile(path.string(), size * 6 / 10);
-
-    trace::TraceFileReader reader(path.string());
-    trace::Access a;
-    try {
-        while (reader.next(a)) {
+    // Every cut past the magic (header, block, index) is rejected
+    // naming a position; none reads as a clean end of trace.
+    auto pristine = tmpFile("pico_fi_trunc.trace");
+    auto path = tmpFile("pico_fi_trunc_cut.trace");
+    writeTrace(pristine);
+    const LogLevel level = logLevel();
+    setLogLevel(LogLevel::Silent); // one rejection per cut
+    const auto size = std::filesystem::file_size(pristine);
+    for (uint64_t cut = trace::traceMagicV3Bytes; cut < size; ++cut) {
+        std::filesystem::copy_file(
+            pristine, path,
+            std::filesystem::copy_options::overwrite_existing);
+        support::truncateFile(path.string(), cut);
+        try {
+            trace::ColumnarTraceReader reader(path.string());
+            reader.replay([](const trace::Access &) {});
+            ADD_FAILURE() << "cut at byte " << cut << " read clean";
+        } catch (const trace::TraceCorruptionError &e) {
+            EXPECT_NE(std::string(e.what()).find("byte"),
+                      std::string::npos)
+                << "error must name the position: " << e.what();
         }
-        FAIL() << "truncated trace accepted as clean EOF";
-    } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("byte"),
-                  std::string::npos)
-            << "error must name the position: " << e.what();
     }
+    setLogLevel(level);
+    std::filesystem::remove(pristine);
     std::filesystem::remove(path);
 }
 
 TEST_F(FaultInjection, TruncatedTraceAccountedLenient)
 {
-    auto path = tmpFile("pico_fi_trunc_lenient.trace");
-    auto accesses = writeTrace(path);
-    auto size = std::filesystem::file_size(path);
-    support::truncateFile(path.string(), size * 6 / 10);
-
-    trace::TraceFileReader reader(path.string(),
-                                  trace::TraceReadMode::Lenient);
-    uint64_t n = reader.replay([](const trace::Access &) {});
-    EXPECT_LT(n, accesses.size());
-    const auto &s = reader.summary();
-    EXPECT_TRUE(s.footerMissing);
-    EXPECT_FALSE(s.clean());
-    EXPECT_EQ(s.recordsRead, n);
+    // Every cut past the magic salvages only whole blocks and is
+    // accounted as a truncated header, never as a clean trace.
+    auto pristine = tmpFile("pico_fi_trunc_lenient.trace");
+    auto path = tmpFile("pico_fi_trunc_lenient_cut.trace");
+    writeTrace(pristine);
+    const LogLevel level = logLevel();
+    setLogLevel(LogLevel::Silent); // one salvage warning per cut
+    const auto size = std::filesystem::file_size(pristine);
+    for (uint64_t cut = trace::traceMagicV3Bytes; cut < size; ++cut) {
+        std::filesystem::copy_file(
+            pristine, path,
+            std::filesystem::copy_options::overwrite_existing);
+        support::truncateFile(path.string(), cut);
+        trace::ColumnarCorruptionSummary s;
+        uint64_t n = replayLenient(path, s);
+        EXPECT_EQ(n % 256, 0u) << "cut at byte " << cut;
+        EXPECT_EQ(s.recordsRead, n) << "cut at byte " << cut;
+        EXPECT_TRUE(s.headerTruncated) << "cut at byte " << cut;
+        EXPECT_FALSE(s.clean()) << "cut at byte " << cut;
+    }
+    setLogLevel(level);
+    std::filesystem::remove(pristine);
     std::filesystem::remove(path);
 }
 
 TEST_F(FaultInjection, CorruptRecordDroppedCountIsExact)
 {
-    auto path = tmpFile("pico_fi_badline.trace");
-    auto accesses = writeTrace(path);
-    // Corrupt two record lines but leave the footer intact: the
-    // footer count makes the dropped-record accounting exact.
-    replaceLine(path, 5, "not a record");
-    replaceLine(path, 9, "2 zz@@");
+    // Corrupt a record in blocks 1 and 3 but leave the header intact:
+    // its record count makes the dropped-record accounting exact.
+    auto path = tmpFile("pico_fi_badblocks.trace");
+    writeTrace(path);
+    // The index (the last 4 x 8 bytes) holds each block's offset;
+    // the block's delta bytes follow its 32-byte header.
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    const size_t index_at = bytes.size() - 4 * 8;
+    for (size_t b : {1, 3}) {
+        uint64_t off = 0;
+        for (size_t i = 8; i-- > 0;)
+            off = off << 8 |
+                  static_cast<uint8_t>(bytes[index_at + b * 8 + i]);
+        support::flipBit(path.string(), off + 32 + 5, 2);
+    }
 
-    trace::TraceFileReader reader(path.string(),
-                                  trace::TraceReadMode::Lenient);
-    uint64_t n = reader.replay([](const trace::Access &) {});
-    EXPECT_EQ(n, accesses.size() - 2);
-    const auto &s = reader.summary();
-    EXPECT_EQ(s.corruptLines, 2u);
-    EXPECT_EQ(s.expectedRecords, accesses.size());
-    EXPECT_EQ(s.droppedRecords(), 2u);
-    EXPECT_TRUE(s.countMismatch);
+    trace::ColumnarCorruptionSummary s;
+    EXPECT_EQ(replayLenient(path, s), 1024u - 2 * 256);
+    EXPECT_EQ(s.corruptBlocks, 2u);
+    EXPECT_EQ(s.salvagedBlocks, 2u);
+    EXPECT_EQ(s.expectedRecords, 1024u);
+    EXPECT_EQ(s.droppedRecords(), 2u * 256);
+    EXPECT_TRUE(s.checksumMismatch);
     EXPECT_FALSE(s.clean());
 
     // The same file in strict mode is rejected outright.
-    trace::TraceFileReader strict(path.string());
-    trace::Access a;
-    EXPECT_THROW(
-        while (strict.next(a)) {}, FatalError);
+    trace::ColumnarTraceReader strict(path.string());
+    EXPECT_THROW(strict.replay([](const trace::Access &) {}),
+                 trace::TraceCorruptionError);
     std::filesystem::remove(path);
 }
 
 TEST_F(FaultInjection, BitFlipNeverReadsClean)
 {
-    auto path = tmpFile("pico_fi_bitflip.trace");
-    writeTrace(path, 50);
-    // Deterministic seed-driven corruption, past the header so the
-    // file still opens.
-    auto offsets = support::corruptionOffsets(
-        path.string(), /*seed=*/7, /*n=*/3,
-        std::string(trace::traceHeaderV2).size() + 1);
-    for (auto off : offsets)
-        support::flipBit(path.string(), off, 6);
-
-    // Whatever the flips hit — a record, a newline, the footer —
-    // the count+checksum pair must notice.
-    trace::TraceFileReader reader(path.string(),
-                                  trace::TraceReadMode::Lenient);
-    reader.replay([](const trace::Access &) {});
-    EXPECT_FALSE(reader.summary().clean());
+    // Seeded flips anywhere past the 88-byte file header (block
+    // headers, payload, index): whatever they hit, the per-block
+    // checksums and the file chain notice. Every block is full, so
+    // no kind byte carries unread padding bits.
+    auto pristine = tmpFile("pico_fi_bitflip.trace");
+    auto path = tmpFile("pico_fi_bitflip_case.trace");
+    writeTrace(pristine);
+    for (uint64_t seed = 1; seed <= 16; ++seed) {
+        std::filesystem::copy_file(
+            pristine, path,
+            std::filesystem::copy_options::overwrite_existing);
+        for (auto off : support::corruptionOffsets(path.string(), seed,
+                                                   3, /*lo=*/88))
+            support::flipBit(path.string(), off,
+                             static_cast<unsigned>(seed % 8));
+        trace::ColumnarCorruptionSummary s;
+        replayLenient(path, s);
+        EXPECT_FALSE(s.clean()) << "seed " << seed;
+    }
+    std::filesystem::remove(pristine);
     std::filesystem::remove(path);
 }
 
@@ -239,22 +264,23 @@ TEST_F(FaultInjection, WriterCrashLeavesDetectableFile)
 {
     auto path = tmpFile("pico_fi_writer_crash.trace");
     {
-        // Injected failure on close (armed permanently so the
-        // destructor's retry fails too): the footer is never
-        // written, as if the process died. The destructor must
-        // swallow the error (never throw during unwind).
-        ScopedFault f("TraceFileWriter::close:before-footer",
+        // Injected failure before the index is written (armed
+        // permanently so the destructor's retry fails too): the tail
+        // block, the index and the seal are never written, as if the
+        // process died. The destructor must swallow the error (never
+        // throw during unwind).
+        ScopedFault f("ColumnarTraceWriter::close:before-index",
                       /*skip=*/0, /*fires=*/0);
-        trace::TraceFileWriter writer(path.string());
-        trace::Access a;
-        a.addr = 0x2000;
-        writer.write(a);
+        trace::ColumnarTraceWriter writer(path.string(), /*cap=*/256);
+        fill(writer, 600);
         EXPECT_THROW(writer.close(), FaultInjectedError);
     }
-    trace::TraceFileReader reader(path.string(),
-                                  trace::TraceReadMode::Lenient);
-    reader.replay([](const trace::Access &) {});
-    EXPECT_TRUE(reader.summary().footerMissing);
+    EXPECT_THROW(trace::ColumnarTraceReader(path.string()),
+                 trace::TraceCorruptionError);
+    // Lenient salvages the two blocks flushed before the crash.
+    trace::ColumnarCorruptionSummary s;
+    EXPECT_EQ(replayLenient(path, s), 512u);
+    EXPECT_TRUE(s.headerTruncated);
     std::filesystem::remove(path);
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for trace-file serialization: round trips, header checking,
- * and simulator equivalence between live and replayed traces.
+ * Tests for trace format v3 and the columnar capture buffer: round
+ * trips, header checking, corruption handling, and simulator
+ * equivalence between live and replayed traces.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +13,7 @@
 #include "cache/CacheSim.hpp"
 #include "support/FaultInjection.hpp"
 #include "trace/ColumnarTrace.hpp"
-#include "trace/TraceFile.hpp"
+#include "trace/TraceErrors.hpp"
 #include "trace/TraceGenerator.hpp"
 #include "workloads/AppSpec.hpp"
 #include "workloads/Toolchain.hpp"
@@ -30,20 +31,22 @@ tempTrace(const char *name)
 
 TEST(TraceFile, RoundTripPreservesRecords)
 {
+    // Wide deltas: an address above 32 bits and a jump of ~2^36.
     auto path = tempTrace("pico_roundtrip.trace");
     std::vector<Access> accesses = {
         {0x01000000, true, false},
         {0x40000004, false, false},
         {0x40000008, false, true},
         {0xdeadbeef0, false, true},
+        {0x4, true, false},
     };
     {
-        TraceFileWriter writer(path.string());
+        ColumnarTraceWriter writer(path.string());
         for (const auto &a : accesses)
             writer.write(a);
         EXPECT_EQ(writer.count(), accesses.size());
     }
-    TraceFileReader reader(path.string());
+    ColumnarTraceReader reader(path.string());
     std::vector<Access> read;
     reader.replay([&read](const Access &a) { read.push_back(a); });
     ASSERT_EQ(read.size(), accesses.size());
@@ -57,23 +60,34 @@ TEST(TraceFile, RoundTripPreservesRecords)
 
 TEST(TraceFile, WritesVersionedHeaderAndFooter)
 {
-    auto path = tempTrace("pico_v2format.trace");
+    // The documented v3 layout: the NUL-padded magic, a sealed header
+    // whose counts match, and the block index as the last bytes.
+    auto path = tempTrace("pico_v3layout.trace");
     {
-        TraceFileWriter writer(path.string());
+        ColumnarTraceWriter writer(path.string());
         writer.write({0x1000, true, false});
         writer.write({0x2000, false, true});
         writer.close();
     }
-    std::ifstream in(path);
-    std::string line, last;
-    std::getline(in, line);
-    EXPECT_EQ(line, traceHeaderV2);
-    while (std::getline(in, line))
-        last = line;
-    EXPECT_EQ(last.rfind(traceFooterTag, 0), 0u);
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    auto u64At = [&bytes](size_t at) {
+        uint64_t v = 0;
+        for (size_t i = 8; i-- > 0;)
+            v = v << 8 | static_cast<uint8_t>(bytes.at(at + i));
+        return v;
+    };
+    std::string magic(traceMagicV3);
+    magic.resize(traceMagicV3Bytes, '\0');
+    EXPECT_EQ(bytes.substr(0, traceMagicV3Bytes), magic);
+    EXPECT_EQ(u64At(32), 2u);                    // recordCount
+    EXPECT_EQ(u64At(40), 1u);                    // blockCount
+    EXPECT_EQ(u64At(48), bytes.size() - 8);      // indexOffset
+    EXPECT_EQ(u64At(64), columnarHeaderSeal);    // headerSeal
+    EXPECT_EQ(u64At(bytes.size() - 8), 88u);     // block 0's offset
 
-    TraceFileReader reader(path.string());
-    EXPECT_EQ(reader.version(), 2);
+    ColumnarTraceReader reader(path.string());
     EXPECT_EQ(reader.replay([](const Access &) {}), 2u);
     const auto &s = reader.summary();
     EXPECT_TRUE(s.clean());
@@ -82,79 +96,10 @@ TEST(TraceFile, WritesVersionedHeaderAndFooter)
     std::filesystem::remove(path);
 }
 
-TEST(TraceFile, ReadsV1Files)
-{
-    auto path = tempTrace("pico_v1compat.trace");
-    {
-        std::ofstream out(path);
-        out << traceHeaderV1 << "\n2 1000\n0 2000\n1 2004\n";
-    }
-    TraceFileReader reader(path.string());
-    EXPECT_EQ(reader.version(), 1);
-    std::vector<Access> read;
-    reader.replay([&read](const Access &a) { read.push_back(a); });
-    ASSERT_EQ(read.size(), 3u);
-    EXPECT_TRUE(read[0].isInstr);
-    EXPECT_EQ(read[1].addr, 0x2000u);
-    EXPECT_TRUE(read[2].isWrite);
-    EXPECT_TRUE(reader.summary().clean());
-    std::filesystem::remove(path);
-}
-
-TEST(TraceFile, V1MalformedRecordNamesTheLine)
-{
-    auto path = tempTrace("pico_v1malformed.trace");
-    {
-        std::ofstream out(path);
-        out << traceHeaderV1 << "\n2 1000\ngarbage here\n0 2000\n";
-    }
-    TraceFileReader reader(path.string());
-    Access a;
-    EXPECT_TRUE(reader.next(a));
-    try {
-        reader.next(a);
-        FAIL() << "malformed record accepted";
-    } catch (const FatalError &e) {
-        // Line 3: header is line 1, first record line 2.
-        EXPECT_NE(std::string(e.what()).find("line 3"),
-                  std::string::npos)
-            << e.what();
-    }
-    std::filesystem::remove(path);
-}
-
-TEST(TraceFile, V1TruncatedMidRecordIsNotCleanEof)
-{
-    auto path = tempTrace("pico_v1truncated.trace");
-    {
-        std::ofstream out(path);
-        // Killed mid-write: the last record lost its address.
-        out << traceHeaderV1 << "\n2 1000\n1";
-    }
-    TraceFileReader reader(path.string());
-    Access a;
-    EXPECT_TRUE(reader.next(a));
-    EXPECT_THROW(reader.next(a), FatalError);
-    std::filesystem::remove(path);
-}
-
-TEST(TraceFile, V1LenientSkipsAndAccounts)
-{
-    auto path = tempTrace("pico_v1lenient.trace");
-    {
-        std::ofstream out(path);
-        out << traceHeaderV1 << "\n2 1000\nnoise\n0 2000\n";
-    }
-    TraceFileReader reader(path.string(), TraceReadMode::Lenient);
-    EXPECT_EQ(reader.replay([](const Access &) {}), 2u);
-    EXPECT_EQ(reader.summary().corruptLines, 1u);
-    EXPECT_EQ(reader.summary().droppedRecords(), 1u);
-    std::filesystem::remove(path);
-}
-
 TEST(TraceFile, RejectsMissingFile)
 {
-    EXPECT_THROW(TraceFileReader("/nonexistent/trace"), FatalError);
+    EXPECT_THROW(ColumnarTraceReader("/nonexistent/trace"),
+                 TraceIoError);
 }
 
 TEST(TraceFile, RejectsBadHeader)
@@ -164,7 +109,8 @@ TEST(TraceFile, RejectsBadHeader)
         std::ofstream out(path);
         out << "not a trace\n2 1000\n";
     }
-    EXPECT_THROW(TraceFileReader reader(path.string()), FatalError);
+    EXPECT_THROW(ColumnarTraceReader reader(path.string()),
+                 TraceCorruptionError);
     std::filesystem::remove(path);
 }
 
@@ -180,7 +126,7 @@ TEST(TraceFile, ReplayedTraceSimulatesIdentically)
     cache::CacheConfig cfg = cache::CacheConfig::fromSize(4096, 2, 32);
     cache::CacheSim live(cfg);
     {
-        TraceFileWriter writer(path.string());
+        ColumnarTraceWriter writer(path.string());
         gen.generate(TraceKind::Unified,
                      [&](const Access &a) {
                          live.access(a.addr, a.isWrite);
@@ -190,7 +136,7 @@ TEST(TraceFile, ReplayedTraceSimulatesIdentically)
     }
 
     cache::CacheSim replayed(cfg);
-    TraceFileReader reader(path.string());
+    ColumnarTraceReader reader(path.string());
     uint64_t n = reader.replay([&replayed](const Access &a) {
         replayed.access(a.addr, a.isWrite);
     });
@@ -251,7 +197,6 @@ TEST(ColumnarFile, RoundTripPreservesRecords)
 {
     auto accesses = syntheticAccesses(10000); // 3 blocks at 4096
     auto path = writeColumnar("pico_v3roundtrip.trace", accesses);
-    EXPECT_EQ(sniffTraceFileVersion(path.string()), 3);
 
     ColumnarTraceReader reader(path.string());
     EXPECT_EQ(reader.recordCount(), accesses.size());
@@ -280,73 +225,6 @@ TEST(ColumnarFile, SmallBlocksAndEmptyTraceRoundTrip)
     EXPECT_EQ(empty_reader.replay([](const Access &) {}), 0u);
     EXPECT_TRUE(empty_reader.summary().clean());
     std::filesystem::remove(empty);
-}
-
-TEST(ColumnarFile, V2ToV3ConversionPreservesChecksumChain)
-{
-    auto accesses = syntheticAccesses(5000);
-    auto v2 = tempTrace("pico_v3conv.v2trace");
-    {
-        TraceFileWriter writer(v2.string());
-        for (const auto &a : accesses)
-            writer.write(a);
-        writer.close();
-    }
-
-    // Convert by replaying the v2 file into a v3 writer — the
-    // checksum chain of v3 is the v2 chain, so the converted file
-    // must validate and deliver the identical record stream.
-    auto v3 = tempTrace("pico_v3conv.v3trace");
-    {
-        ColumnarTraceWriter writer(v3.string());
-        EXPECT_EQ(replayTraceFile(v2.string(), writer),
-                  accesses.size());
-        writer.close();
-    }
-    EXPECT_EQ(sniffTraceFileVersion(v2.string()), 2);
-    EXPECT_EQ(sniffTraceFileVersion(v3.string()), 3);
-
-    ColumnarTraceReader reader(v3.string());
-    std::vector<Access> read;
-    reader.replay([&read](const Access &a) { read.push_back(a); });
-    expectSameAccesses(read, accesses);
-    EXPECT_TRUE(reader.summary().clean());
-
-    // The in-memory capture buffer carries the same chain.
-    ColumnarTraceBuffer buffer;
-    uint64_t chain = traceChecksumSeed;
-    for (const auto &a : accesses) {
-        buffer.append(a);
-        int kind = a.isInstr ? 2 : (a.isWrite ? 1 : 0);
-        chain = traceChecksumStep(chain, kind, a.addr);
-    }
-    EXPECT_EQ(buffer.checksum(), chain);
-    std::filesystem::remove(v2);
-    std::filesystem::remove(v3);
-}
-
-TEST(ColumnarFile, ReplayTraceFileDispatchesByVersion)
-{
-    auto accesses = syntheticAccesses(3000);
-    auto v2 = tempTrace("pico_v3dispatch.v2trace");
-    {
-        TraceFileWriter writer(v2.string());
-        for (const auto &a : accesses)
-            writer.write(a);
-    }
-    auto v3 = writeColumnar("pico_v3dispatch.v3trace", accesses);
-
-    std::vector<Access> from_v2, from_v3;
-    replayTraceFile(v2.string(), [&from_v2](const Access &a) {
-        from_v2.push_back(a);
-    });
-    replayTraceFile(v3.string(), [&from_v3](const Access &a) {
-        from_v3.push_back(a);
-    });
-    expectSameAccesses(from_v2, accesses);
-    expectSameAccesses(from_v3, accesses);
-    std::filesystem::remove(v2);
-    std::filesystem::remove(v3);
 }
 
 TEST(ColumnarFile, StrictBitFlipNamesTheBlock)
@@ -407,7 +285,7 @@ TEST(ColumnarFile, SeededBitFlipsNeverCrashAndSalvageWholeBlocks)
             std::filesystem::copy_options::overwrite_existing);
         // Three seeded flips anywhere past the magic: header
         // fields, block headers, payload and index are all fair
-        // game; only the magic stays so the file still sniffs v3.
+        // game; only the magic stays so the file still reads as v3.
         for (uint64_t off : support::corruptionOffsets(
                  copy.string(), seed, 3, traceMagicV3Bytes))
             support::flipBit(copy.string(), off,
@@ -478,6 +356,56 @@ TEST(ColumnarFile, WriterCrashBeforeSealIsDetected)
     std::filesystem::remove(path);
 }
 
+TEST(ColumnarFile, WrappedOffsetsAreCorruptionNotACrash)
+{
+    // 200 records in blocks of 64: four blocks, then the index.
+    auto pristine = writeColumnar("pico_v3wrap.trace",
+                                  syntheticAccesses(200), /*cap=*/64);
+    const uint64_t index = std::filesystem::file_size(pristine) - 4 * 8;
+    const struct
+    {
+        uint64_t at;         ///< byte patched
+        uint64_t offset;     ///< near-2^64 offset written there
+        uint64_t salvaged;   ///< records Lenient still delivers
+        const char *strict;  ///< what Strict's error names
+    } cases[] = {
+        // Header indexOffset: indexOffset + 4 * 8 wraps to 0. Lenient
+        // treats the index as lost and salvages every block by scan.
+        {48, 0 - uint64_t{4 * 8}, 200, "corrupt block index"},
+        // Block 1's index entry: offset + 32 wraps to 16. Lenient
+        // skips that block only.
+        {index + 8, 0 - uint64_t{16}, 200 - 64, "block 1 (byte"},
+    };
+    for (const auto &c : cases) {
+        auto path = tempTrace("pico_v3wrap_case.trace");
+        std::filesystem::copy_file(
+            pristine, path,
+            std::filesystem::copy_options::overwrite_existing);
+        {
+            std::fstream f(path, std::ios::in | std::ios::out |
+                                     std::ios::binary);
+            f.seekp(static_cast<std::streamoff>(c.at));
+            for (int i = 0; i < 8; ++i)
+                f.put(static_cast<char>(c.offset >> (8 * i)));
+        }
+        try {
+            ColumnarTraceReader reader(path.string());
+            reader.replay([](const Access &) {});
+            ADD_FAILURE() << "wrapped offset accepted at " << c.at;
+        } catch (const TraceCorruptionError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.strict),
+                      std::string::npos)
+                << e.what();
+        }
+        ColumnarTraceReader lenient(path.string(),
+                                    TraceReadMode::Lenient);
+        EXPECT_EQ(lenient.replay([](const Access &) {}), c.salvaged);
+        EXPECT_FALSE(lenient.summary().clean());
+        std::filesystem::remove(path);
+    }
+    std::filesystem::remove(pristine);
+}
+
 TEST(ColumnarBuffer, ReplayAndBlockDecodeMatchCapture)
 {
     auto accesses = syntheticAccesses(9000);
@@ -500,6 +428,13 @@ TEST(ColumnarBuffer, ReplayAndBlockDecodeMatchCapture)
             ASSERT_EQ(view.addrs[r], accesses[i].addr);
     }
     EXPECT_EQ(i, accesses.size());
+
+    // The capture's checksum is the hand-stepped record chain.
+    uint64_t chain = traceChecksumSeed;
+    for (const auto &a : accesses)
+        chain = traceChecksumStep(
+            chain, a.isInstr ? 2 : (a.isWrite ? 1 : 0), a.addr);
+    EXPECT_EQ(buffer.checksum(), chain);
 }
 
 } // namespace

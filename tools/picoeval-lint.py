@@ -14,10 +14,10 @@ Checks C++ sources under src/ for constructions the project bans:
                  support::MutexLock wrappers so Clang's
                  -Wthread-safety analysis sees every acquisition.
   raw-stream     std::ifstream / std::fstream outside the checked
-                 readers (TraceFile, EvaluationCache::load,
-                 FaultInjection). Ad-hoc file reads skip the
-                 corruption quarantine the fault-tolerance layer
-                 guarantees.
+                 readers (EvaluationCache::load, FaultInjection).
+                 Ad-hoc file reads skip the corruption quarantine the
+                 fault-tolerance layer guarantees. (Trace files are
+                 mmap-read by ColumnarTraceReader, no stream.)
   raw-output     std::cout / std::cerr / printf family outside
                  support/Logging.cpp. Library code reports through
                  the leveled logging sink, which is filterable and
@@ -54,6 +54,9 @@ Checks C++ sources under src/ for constructions the project bans:
                  flagged.
 
 Rules with `only_dirs` apply only to files under those directories.
+Every `allow_files` entry must name an existing file: a stale entry is
+itself a violation, because an allowance must not outlive its file (a
+new file at that path would inherit it unreviewed).
 
 Comments and string literals are stripped before matching. A finding
 is suppressed when its own line — or the line directly above it —
@@ -96,8 +99,6 @@ RULES = [
         "name": "raw-stream",
         "pattern": re.compile(r"std::ifstream\b|std::fstream\b"),
         "allow_files": [
-            "src/trace/TraceFile.hpp",
-            "src/trace/TraceFile.cpp",
             "src/dse/EvaluationCache.cpp",
             "src/support/FaultInjection.cpp",
         ],
@@ -311,6 +312,15 @@ def strip_comments_and_strings(text):
     return "".join(out)
 
 
+def stale_allowances(repo_root):
+    """`allow_files` entries that name no existing file, as findings
+    (line 0: the finding is about the rule table, not a source line)."""
+    return [(entry, 0, rule["name"],
+             "allow_files entry names a file that does not exist")
+            for rule in RULES for entry in rule["allow_files"]
+            if not (repo_root / entry).is_file()]
+
+
 def lint_file(path, repo_root):
     rel = path.relative_to(repo_root).as_posix()
     raw = path.read_text(encoding="utf-8", errors="replace")
@@ -367,7 +377,7 @@ def main():
                   file=sys.stderr)
             return 2
 
-    findings = []
+    findings = stale_allowances(repo_root)
     # Two passes for nondet-iteration: container members are declared
     # in headers but iterated in .cpps, so the identifier set must be
     # collected across every scanned file first.
