@@ -64,6 +64,8 @@ struct ComponentParams
      * at infeasible line sizes L / d.
      */
     double uLines(double lineWords) const;
+
+    bool operator==(const ComponentParams &) const = default;
 };
 
 /**

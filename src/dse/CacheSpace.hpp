@@ -64,6 +64,14 @@ struct CacheSpace
     static CacheSpace defaultL2Space();
 };
 
+/** The three cache subspaces of a memory-hierarchy exploration. */
+struct MemorySpaces
+{
+    CacheSpace icache = CacheSpace::defaultL1Space();
+    CacheSpace dcache = CacheSpace::defaultL1Space();
+    CacheSpace ucache = CacheSpace::defaultL2Space();
+};
+
 } // namespace pico::dse
 
 #endif // PICO_DSE_CACHE_SPACE_HPP

@@ -1,12 +1,15 @@
 #include "dse/EvaluationCache.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string_view>
 
+#include "support/CancelToken.hpp"
 #include "support/FaultInjection.hpp"
 #include "support/Logging.hpp"
 #include "support/Metrics.hpp"
@@ -25,21 +28,24 @@ namespace
 
 /**
  * Parse the value list of one database line. Returns false (leaving
- * `values` unspecified) on any malformed number, so a corrupt entry
- * quarantines instead of throwing std::invalid_argument through the
- * loader.
+ * `values` unspecified) on an empty list, a trailing comma, or any
+ * malformed or non-finite number, so a corrupt entry quarantines
+ * instead of throwing std::invalid_argument through the loader or
+ * reaching a walk as a short or NaN vector.
  */
 bool
 parseValues(const std::string &text, std::vector<double> &values)
 {
+    if (text.empty() || text.back() == ',')
+        return false;
     std::stringstream ss(text);
     std::string item;
     while (std::getline(ss, item, ',')) {
         try {
             size_t pos = 0;
             double v = std::stod(item, &pos);
-            if (pos != item.size())
-                return false; // trailing junk in the number
+            if (pos != item.size() || !std::isfinite(v))
+                return false; // trailing junk, nan or inf
             values.push_back(v);
         } catch (const std::exception &) {
             return false; // std::invalid_argument / out_of_range
@@ -164,41 +170,62 @@ EvaluationCache::recordMiss(size_t shard_index) const
 std::vector<double>
 EvaluationCache::getOrCompute(
     const std::string &key,
-    const std::function<std::vector<double>()> &compute)
+    const std::function<std::vector<double>()> &compute,
+    const std::function<bool(const std::vector<double> &)> &valid)
 {
     size_t index = shardIndexOf(key);
     auto &shard = shards_[index];
     std::shared_ptr<Inflight> flight;
-    bool leader = false;
-    {
-        support::MutexLock lock(shard.shardMutex);
-        auto it = shard.table.find(key);
-        if (it != shard.table.end()) {
-            recordHit(index, it->second.fromDisk);
-            return it->second.values;
+    for (;;) {
+        std::optional<Entry> hit;
+        bool leader = false;
+        {
+            support::MutexLock lock(shard.shardMutex);
+            auto it = shard.table.find(key);
+            if (it != shard.table.end()) {
+                hit = it->second;
+            } else if (auto fit = shard.inflight.find(key);
+                       fit != shard.inflight.end()) {
+                flight = fit->second;
+            } else {
+                flight = std::make_shared<Inflight>();
+                shard.inflight.emplace(key, flight);
+                leader = true;
+            }
         }
-        auto fit = shard.inflight.find(key);
-        if (fit != shard.inflight.end()) {
-            flight = fit->second;
-        } else {
-            flight = std::make_shared<Inflight>();
-            shard.inflight.emplace(key, flight);
-            leader = true;
+        if (hit) {
+            // Validated outside the lock: the predicate may decode.
+            if (!valid || valid(hit->values)) {
+                recordHit(index, hit->fromDisk);
+                return std::move(hit->values);
+            }
+            quarantine(key, hit->values);
+            continue;
         }
-    }
-    recordMiss(index);
+        recordMiss(index);
+        if (leader)
+            break;
 
-    if (!leader) {
         // Single-flight follower: another thread is computing this
         // key right now (a retried idempotent request). Wait for its
         // result instead of duplicating the work.
         support::perturbPoint("evalcache.follower");
-        support::MutexLock lock(flight->inflightMutex);
-        while (!flight->done)
-            flight->cv.wait(lock.native());
-        if (flight->error)
-            std::rethrow_exception(flight->error);
-        return flight->values;
+        std::exception_ptr error;
+        {
+            support::MutexLock lock(flight->inflightMutex);
+            while (!flight->done)
+                flight->cv.wait(lock.native());
+            if (!flight->error)
+                return flight->values;
+            error = flight->error;
+        }
+        // The leader's deadline is not ours: look again, and compute
+        // under our own token if nobody else does.
+        try {
+            std::rethrow_exception(error);
+        } catch (const CancelledError &) {
+            PICO_METRIC_COUNT("evalcache.follower_retries", 1);
+        }
     }
 
     // Single-flight leader. Compute outside every lock: evaluating a
@@ -232,6 +259,26 @@ EvaluationCache::getOrCompute(
     if (error)
         std::rethrow_exception(error);
     return values;
+}
+
+void
+EvaluationCache::quarantine(const std::string &key,
+                            const std::vector<double> &values)
+{
+    auto &shard = shardFor(key);
+    {
+        support::MutexLock lock(shard.shardMutex);
+        auto it = shard.table.find(key);
+        // Another caller may have quarantined and recomputed it.
+        if (it == shard.table.end() || it->second.values != values)
+            return;
+        shard.table.erase(it);
+    }
+    ++quarantinedEntries_;
+    PICO_METRIC_COUNT("evalcache.quarantined", 1);
+    warn("evaluation cache", path_.empty() ? "" : " '" + path_ + "'",
+         ": entry '", key,
+         "' has the wrong shape; quarantined and recomputed");
 }
 
 bool
@@ -284,7 +331,7 @@ EvaluationCache::stats() const
     s.flushes = flushes_.load();
     s.saves = saves_.load();
     s.loadedEntries = loadedEntries_;
-    s.quarantinedEntries = quarantinedEntries_;
+    s.quarantinedEntries = quarantinedEntries_.load();
     return s;
 }
 
@@ -467,11 +514,12 @@ EvaluationCache::load()
         ++loadedEntries_;
     }
     PICO_METRIC_COUNT("evalcache.loaded", loadedEntries_);
-    PICO_METRIC_COUNT("evalcache.quarantined", quarantinedEntries_);
-    if (quarantinedEntries_ > 0)
+    const uint64_t quarantined = quarantinedEntries_.load();
+    PICO_METRIC_COUNT("evalcache.quarantined", quarantined);
+    if (quarantined > 0)
         warn("evaluation cache '", path_, "': salvaged ",
-             loadedEntries_, " entr(ies), quarantined ",
-             quarantinedEntries_, " corrupt line(s)");
+             loadedEntries_, " entr(ies), quarantined ", quarantined,
+             " corrupt line(s)");
 }
 
 } // namespace pico::dse

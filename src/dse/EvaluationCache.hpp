@@ -19,8 +19,11 @@
  *    files and headerless v1 files still load — only the header
  *    changed, the record format is identical);
  *  - loading validates every entry and salvages the good ones —
- *    corrupt lines are quarantined (counted and warned about), never
- *    thrown through;
+ *    corrupt lines (no key, an empty or non-numeric value list, a
+ *    non-finite value) are quarantined (counted and warned about),
+ *    never thrown through; a parseable entry of the wrong shape for
+ *    its caller is quarantined at lookup (getOrCompute's validity
+ *    predicate) and recomputed;
  *  - the destructor flushes pending entries but never throws during
  *    unwind.
  *
@@ -101,14 +104,22 @@ class EvaluationCache
      * block until its result is stored — a successful key is never
      * computed twice. A compute that throws propagates to every
      * waiter and releases the key, so a later call retries.
+     * A leader's CancelledError is its own deadline, not the
+     * followers': a follower that receives one retries the lookup,
+     * so one of them becomes the new leader under its own token.
      * Followers count as misses in stats() (they did miss the
      * table); computed counts actual callback runs.
      * @param key unique metric identifier (no '|' or newlines)
      * @param compute evaluator invoked on a miss
+     * @param valid when given, a stored entry it rejects (the wrong
+     *        shape for this caller) is quarantined — counted, warned
+     *        about, dropped — and recomputed single-flight
      */
     std::vector<double> getOrCompute(
         const std::string &key,
-        const std::function<std::vector<double>()> &compute);
+        const std::function<std::vector<double>()> &compute,
+        const std::function<bool(const std::vector<double> &)> &valid =
+            nullptr);
 
     /** Lookup without computing. @return true on hit. */
     bool lookup(const std::string &key,
@@ -157,6 +168,7 @@ class EvaluationCache
         /** Completed save protocols (checkpoints + final). */
         uint64_t saves = 0;
         uint64_t loadedEntries = 0;
+        /** Corrupt lines at load plus entries rejected at lookup. */
         uint64_t quarantinedEntries = 0;
     };
 
@@ -186,8 +198,13 @@ class EvaluationCache
 
     /** Entries salvaged from the database file at load time. */
     uint64_t loadedEntries() const { return loadedEntries_; }
-    /** Corrupt database lines skipped at load time. */
-    uint64_t quarantinedEntries() const { return quarantinedEntries_; }
+    /** Corrupt database lines skipped at load time, plus entries
+     *  getOrCompute() rejected as the wrong shape. */
+    uint64_t
+    quarantinedEntries() const
+    {
+        return quarantinedEntries_.load();
+    }
     /** Entries stored since the last successful save. */
     bool dirty() const { return dirty_.load(); }
 
@@ -237,6 +254,11 @@ class EvaluationCache
     void recordHit(size_t shard_index, bool from_disk) const;
     void recordMiss(size_t shard_index) const;
 
+    /** Drop an entry a validity predicate rejected, unless it was
+     *  replaced meanwhile; counted and warned about. */
+    void quarantine(const std::string &key,
+                    const std::vector<double> &values);
+
     void load();
     /** save() body; caller must hold flushMutex_. */
     void saveLocked() const PICO_REQUIRES(flushMutex_);
@@ -260,7 +282,7 @@ class EvaluationCache
     mutable std::atomic<uint64_t> flushes_{0};
     mutable std::atomic<uint64_t> saves_{0};
     uint64_t loadedEntries_ = 0;
-    uint64_t quarantinedEntries_ = 0;
+    std::atomic<uint64_t> quarantinedEntries_{0};
     mutable std::atomic<bool> dirty_{false};
 };
 

@@ -27,65 +27,12 @@ capture(const TraceSource &source, Evaluator &evaluator,
 } // namespace
 
 SimBank::SimBank(const CacheSpace &space, Coverage coverage)
+    : layout_(space, coverage)
 {
-    auto lines = space.distinctLineSizes();
-    fatalIf(lines.empty(), "cache space has no line sizes");
-    const auto configs = space.enumerate();
-    fatalIf(configs.empty(), "empty cache space");
-
-    if (coverage == Coverage::ContractedLines) {
-        uint32_t min_sets = space.minSets();
-        uint32_t max_sets = space.maxSets();
-        uint32_t max_assoc = space.maxAssoc();
-        // Cover every power-of-two line size down to one word so the
-        // dilation model can interpolate at any contracted line size.
-        for (uint32_t line = minCoveredLine; line <= lines.back();
-             line *= 2) {
-            sims_.emplace_back(line, min_sets, max_sets, max_assoc);
-        }
-    } else {
-        // One pass per listed line size, over the band of set counts
-        // and associativities the space enumerates at that line.
-        for (uint32_t line : lines) {
-            uint32_t min_sets = ~0u;
-            uint32_t max_sets = 0;
-            uint32_t max_assoc = 0;
-            for (const auto &cfg : configs) {
-                if (cfg.lineBytes != line)
-                    continue;
-                min_sets = std::min(min_sets, cfg.sets);
-                max_sets = std::max(max_sets, cfg.sets);
-                max_assoc = std::max(max_assoc, cfg.assoc);
-            }
-            if (max_sets != 0)
-                sims_.emplace_back(line, min_sets, max_sets, max_assoc);
-        }
-    }
-
-    // Extended policy axes add one set-resident pass per (enumerated
-    // line size, policy), over exactly the geometries the space
-    // enumerates at that line size. LRU is included when present so
-    // its write-back traffic is modeled; its misses still come from
-    // the Cheetah bank above. Classic spaces build nothing here.
-    if (space.extendedAxes()) {
-        std::vector<cache::ReplacementPolicy> policies;
-        for (auto policy : space.replacements) {
-            if (std::find(policies.begin(), policies.end(),
-                          policy) == policies.end())
-                policies.push_back(policy);
-        }
-        for (auto policy : policies) {
-            for (uint32_t line : lines) {
-                std::vector<cache::SetResidentSim::Geometry> shapes;
-                for (const auto &cfg : configs) {
-                    if (cfg.lineBytes == line)
-                        shapes.push_back({cfg.sets, cfg.assoc});
-                }
-                policySims_.emplace_back(line, std::move(shapes),
-                                         policy);
-            }
-        }
-    }
+    for (const auto &s : layout_.stacks)
+        sims_.emplace_back(s.line, s.minSets, s.maxSets, s.maxAssoc);
+    for (const auto &r : layout_.residents)
+        policySims_.emplace_back(r.line, r.shapes, r.policy);
 }
 
 std::string
@@ -245,21 +192,56 @@ SimBank::writeTraffic(const cache::CacheConfig &config) const
           " not covered by the set-resident bank");
 }
 
-core::MissOracle
-SimBank::oracle() const
+FrozenBank
+SimBank::freeze() const
 {
-    return [this](const cache::CacheConfig &config) {
-        return misses(config);
-    };
+    std::vector<double> miss_table, writeback_table;
+    for (const auto &cfg : layout_.missCells())
+        miss_table.push_back(misses(cfg));
+    // The cells are write-back, so this reads each geometry's
+    // dirty-line writebacks.
+    for (const auto &cfg : layout_.writebackCells())
+        writeback_table.push_back(writeTraffic(cfg));
+    return FrozenBank(layout_, accesses(), extended() ? stores() : 0,
+                      std::move(miss_table), std::move(writeback_table));
 }
 
 // --- SubsystemEvaluator -----------------------------------------------
 
 SubsystemEvaluator::SubsystemEvaluator(CacheSpace space,
-                                       SimBank::Coverage coverage)
+                                       Coverage coverage)
     : space_(std::move(space)),
       bank_(std::make_unique<SimBank>(space_, coverage))
 {}
+
+SubsystemEvaluator::SubsystemEvaluator(CacheSpace space,
+                                       FrozenBank frozen)
+    : space_(std::move(space)), frozen_(std::move(frozen)),
+      evaluated_(true)
+{}
+
+const SimBank &
+SubsystemEvaluator::bank() const
+{
+    fatalIf(!bank_, "evaluator was built from a frozen reference set "
+                    "and has no simulation bank");
+    return *bank_;
+}
+
+const FrozenBank &
+SubsystemEvaluator::frozen() const
+{
+    fatalIf(!evaluated_, "evaluator has not seen a trace yet");
+    return frozen_;
+}
+
+const trace::ColumnarTraceBuffer &
+SubsystemEvaluator::capturedTrace() const
+{
+    fatalIf(!bank_, "evaluator was built from a frozen reference set "
+                    "and captured no trace");
+    return trace_;
+}
 
 void
 SubsystemEvaluator::sweep(
@@ -278,6 +260,7 @@ SubsystemEvaluator::sweep(
         SimBank::simulate(sweeps, pool, cancel);
     }
     for (SubsystemEvaluator *e : evaluators) {
+        e->frozen_ = e->bank_->freeze();
         e->fit();
         e->evaluated_ = true;
     }
@@ -286,8 +269,7 @@ SubsystemEvaluator::sweep(
 double
 SubsystemEvaluator::writeTraffic(const cache::CacheConfig &config) const
 {
-    fatalIf(!evaluated_, "evaluator has not seen a trace yet");
-    return bank_->writeTraffic(config);
+    return frozen().writeTraffic(config);
 }
 
 ParetoSet
@@ -313,9 +295,14 @@ SubsystemEvaluator::paretoOver(
 
 IcacheEvaluator::IcacheEvaluator(CacheSpace space,
                                  uint64_t granule_refs)
-    : SubsystemEvaluator(std::move(space),
-                         SimBank::Coverage::ContractedLines),
+    : SubsystemEvaluator(std::move(space), coverage),
       modeler_(std::in_place, granule_refs)
+{}
+
+IcacheEvaluator::IcacheEvaluator(CacheSpace space, FrozenBank frozen,
+                                 core::ComponentParams params)
+    : SubsystemEvaluator(std::move(space), std::move(frozen)),
+      params_(params)
 {}
 
 void
@@ -346,13 +333,13 @@ double
 IcacheEvaluator::misses(const cache::CacheConfig &config,
                         double dilation) const
 {
-    fatalIf(!evaluated_, "evaluator has not seen a trace yet");
+    const FrozenBank &bank = frozen();
     if (dilation == 1.0)
-        return bank_->misses(config);
+        return bank.misses(config);
     core::DilationModel model(params_, params_, params_);
     if (config.replacement == cache::ReplacementPolicy::LRU)
         return model.estimateIcacheMisses(config, dilation,
-                                          bank_->oracle());
+                                          bank.oracle());
     // The dilation model reasons over LRU stack behavior
     // (contracted line sizes against the Cheetah oracle). For
     // non-stack policies, apply the model's *relative* dilation
@@ -361,11 +348,11 @@ IcacheEvaluator::misses(const cache::CacheConfig &config,
     cache::CacheConfig twin = config;
     twin.replacement = cache::ReplacementPolicy::LRU;
     twin.write = cache::WritePolicy::WriteBack;
-    double twin_sim = bank_->misses(twin);
+    double twin_sim = bank.misses(twin);
     double twin_est = model.estimateIcacheMisses(twin, dilation,
-                                                 bank_->oracle());
+                                                 bank.oracle());
     double scale = twin_sim > 0.0 ? twin_est / twin_sim : 1.0;
-    return bank_->misses(config) * scale;
+    return bank.misses(config) * scale;
 }
 
 ParetoSet
@@ -383,7 +370,11 @@ IcacheEvaluator::pareto(double dilation, double miss_penalty,
 // --- DcacheEvaluator ---------------------------------------------------
 
 DcacheEvaluator::DcacheEvaluator(CacheSpace space)
-    : SubsystemEvaluator(std::move(space))
+    : SubsystemEvaluator(std::move(space), coverage)
+{}
+
+DcacheEvaluator::DcacheEvaluator(CacheSpace space, FrozenBank frozen)
+    : SubsystemEvaluator(std::move(space), std::move(frozen))
 {}
 
 void
@@ -405,8 +396,7 @@ DcacheEvaluator::evaluate(const TraceSource &ref_data_trace,
 double
 DcacheEvaluator::misses(const cache::CacheConfig &config) const
 {
-    fatalIf(!evaluated_, "evaluator has not seen a trace yet");
-    return bank_->misses(config);
+    return frozen().misses(config);
 }
 
 ParetoSet
@@ -424,8 +414,15 @@ DcacheEvaluator::pareto(double miss_penalty, double write_cost) const
 
 UcacheEvaluator::UcacheEvaluator(CacheSpace space,
                                  uint64_t granule_refs)
-    : SubsystemEvaluator(std::move(space)),
+    : SubsystemEvaluator(std::move(space), coverage),
       modeler_(std::in_place, granule_refs)
+{}
+
+UcacheEvaluator::UcacheEvaluator(CacheSpace space, FrozenBank frozen,
+                                 core::ComponentParams instr_params,
+                                 core::ComponentParams data_params)
+    : SubsystemEvaluator(std::move(space), std::move(frozen)),
+      iParams_(instr_params), dParams_(data_params)
 {}
 
 void
@@ -456,11 +453,10 @@ double
 UcacheEvaluator::misses(const cache::CacheConfig &config,
                         double dilation) const
 {
-    fatalIf(!evaluated_, "evaluator has not seen a trace yet");
     // The dilation estimate scales the simulated reference count
     // (equations 4.13–4.15), so routing the reference count by
     // replacement policy is all a non-LRU design needs.
-    double ref_misses = bank_->misses(config);
+    double ref_misses = frozen().misses(config);
     if (dilation == 1.0)
         return ref_misses;
     core::DilationModel model(iParams_, iParams_, dParams_);

@@ -11,7 +11,8 @@
  * central efficiency claim. Only the I-cache model reads contracted
  * line sizes, so only its bank simulates lines the space does not
  * list. A walk sweeps the three banks of a trace-equivalence class in
- * one lane loop (MemoryWalker::evaluate).
+ * one lane loop (MemoryWalker::evaluate), then freezes each bank into
+ * flat tables (FrozenBank) that every query reads.
  */
 
 #ifndef PICO_DSE_EVALUATORS_HPP
@@ -31,6 +32,7 @@
 #include "core/TraceModel.hpp"
 #include "dse/CacheSpace.hpp"
 #include "dse/Pareto.hpp"
+#include "dse/ReferenceSet.hpp"
 #include "support/CancelToken.hpp"
 #include "support/ThreadPool.hpp"
 #include "trace/ColumnarTrace.hpp"
@@ -79,13 +81,7 @@ class SimBank
     static constexpr uint32_t minCoveredLine = 4;
 
     /** Which configurations the Cheetah simulators cover. */
-    enum class Coverage
-    {
-        /** Every line from minCoveredLine, the space's set range. */
-        ContractedLines,
-        /** Only the line sizes and set bands the space enumerates. */
-        Enumerated,
-    };
+    using Coverage = dse::Coverage;
 
     explicit SimBank(const CacheSpace &space,
                      Coverage coverage = Coverage::ContractedLines);
@@ -149,8 +145,12 @@ class SimBank
         return sims_.empty() ? 0 : sims_.front().accesses();
     }
 
-    /** Oracle adapter for the dilation model. */
-    core::MissOracle oracle() const;
+    /**
+     * The swept bank's answers as flat tables: the miss count of
+     * every covered configuration, the write-back count of every
+     * set-resident geometry, and the access and store counts.
+     */
+    FrozenBank freeze() const;
 
   private:
     /** Metric and span name of simulator i (Cheetah sims first). */
@@ -159,6 +159,7 @@ class SimBank
     /** Feed one decoded block to simulator i. */
     void accessBlock(size_t i, const trace::BlockView &view);
 
+    BankLayout layout_;
     std::vector<cache::SinglePassSim> sims_;
     /**
      * Set-resident simulators for the extended policy axes, one per
@@ -171,14 +172,18 @@ class SimBank
 
 /**
  * What the three cache evaluators share: a cache space, its simulator
- * bank and the captured reference trace. Each evaluator is a trace
- * sink: operator() captures one reference (feeding the serial trace
- * modeler, if any). evaluate() captures a whole trace, then sweeps
- * the bank over it once, on a pool if given (results are identical
- * without one); MemoryWalker::evaluate instead captures all three
- * evaluators from one trace and sweeps their banks in one lane loop.
- * A cancel token aborts with CancelledError and leaves the evaluator
- * not evaluated.
+ * bank, the captured reference trace and the bank's frozen answers.
+ * Each evaluator is a trace sink: operator() captures one reference
+ * (feeding the serial trace modeler, if any). evaluate() captures a
+ * whole trace, then sweeps the bank over it once, on a pool if given
+ * (results are identical without one), and freezes the bank;
+ * MemoryWalker::evaluate instead captures all three evaluators from
+ * one trace and sweeps their banks in one lane loop. A cancel token
+ * aborts with CancelledError and leaves the evaluator not evaluated.
+ *
+ * Every query reads the frozen tables. An evaluator built from a
+ * frozen bank (a ReferenceSet found in the evaluation cache) answers
+ * the same queries but has no bank and no capture.
  */
 class SubsystemEvaluator
 {
@@ -187,25 +192,29 @@ class SubsystemEvaluator
     double writeTraffic(const cache::CacheConfig &config) const;
 
     const CacheSpace &space() const { return space_; }
-    const SimBank &bank() const { return *bank_; }
     bool evaluated() const { return evaluated_; }
 
-    /** The captured (columnar-compressed) reference trace. */
-    const trace::ColumnarTraceBuffer &
-    capturedTrace() const
-    {
-        return trace_;
-    }
+    /** The live bank; fatal() when built from a frozen bank. */
+    const SimBank &bank() const;
+
+    /** The frozen answers every query reads (once evaluated). */
+    const FrozenBank &frozen() const;
+
+    /** The captured (columnar-compressed) reference trace; fatal()
+     *  when built from a frozen bank. */
+    const trace::ColumnarTraceBuffer &capturedTrace() const;
 
   protected:
-    explicit SubsystemEvaluator(
-        CacheSpace space,
-        SimBank::Coverage coverage = SimBank::Coverage::Enumerated);
+    SubsystemEvaluator(CacheSpace space, Coverage coverage);
+
+    /** An evaluated evaluator over frozen answers (no bank). */
+    SubsystemEvaluator(CacheSpace space, FrozenBank frozen);
 
     /**
      * Sweep the evaluators' captures through their banks in one
      * SimBank::simulate lane loop, under the span evaluate.sweep, then
-     * fit each one's trace models and mark it evaluated.
+     * freeze each bank, fit each one's trace models and mark it
+     * evaluated.
      */
     static void sweep(std::initializer_list<SubsystemEvaluator *> evaluators,
                       support::ThreadPool *pool,
@@ -225,8 +234,10 @@ class SubsystemEvaluator
         double write_cost) const;
 
     CacheSpace space_;
+    /** Null when built from a frozen bank. */
     std::unique_ptr<SimBank> bank_;
     trace::ColumnarTraceBuffer trace_;
+    FrozenBank frozen_;
     bool evaluated_ = false;
 
     /** Sweeps its three evaluators in one lane loop. */
@@ -237,9 +248,16 @@ class SubsystemEvaluator
 class IcacheEvaluator : public SubsystemEvaluator
 {
   public:
+    /** The dilation model reads contracted line sizes (Lemma 1). */
+    static constexpr Coverage coverage = Coverage::ContractedLines;
+
     explicit IcacheEvaluator(CacheSpace space,
                              uint64_t granule_refs =
                                  core::defaultIGranule);
+
+    /** An evaluated evaluator over a frozen bank and parameters. */
+    IcacheEvaluator(CacheSpace space, FrozenBank frozen,
+                    core::ComponentParams params);
 
     /** Capture one reference of the reference instruction trace. */
     void operator()(const trace::Access &a);
@@ -280,7 +298,12 @@ class IcacheEvaluator : public SubsystemEvaluator
 class DcacheEvaluator : public SubsystemEvaluator
 {
   public:
+    static constexpr Coverage coverage = Coverage::Enumerated;
+
     explicit DcacheEvaluator(CacheSpace space);
+
+    /** An evaluated evaluator over a frozen bank. */
+    DcacheEvaluator(CacheSpace space, FrozenBank frozen);
 
     /** Capture one reference of the reference data trace. */
     void operator()(const trace::Access &a);
@@ -301,9 +324,16 @@ class DcacheEvaluator : public SubsystemEvaluator
 class UcacheEvaluator : public SubsystemEvaluator
 {
   public:
+    static constexpr Coverage coverage = Coverage::Enumerated;
+
     explicit UcacheEvaluator(CacheSpace space,
                              uint64_t granule_refs =
                                  core::defaultUGranule);
+
+    /** An evaluated evaluator over a frozen bank and parameters. */
+    UcacheEvaluator(CacheSpace space, FrozenBank frozen,
+                    core::ComponentParams instr_params,
+                    core::ComponentParams data_params);
 
     /** Capture one reference of the reference unified trace. */
     void operator()(const trace::Access &a);

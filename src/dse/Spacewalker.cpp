@@ -24,6 +24,28 @@ MemoryWalker::MemoryWalker(MemorySpaces spaces, StallModel stalls,
       ucacheEval_(spaces.ucache, u_granule)
 {}
 
+MemoryWalker::MemoryWalker(MemorySpaces spaces, StallModel stalls,
+                           const ReferenceSet &set)
+    : spaces_(spaces), stalls_(stalls),
+      icacheEval_(spaces.icache, set.icache, set.iParams),
+      dcacheEval_(spaces.dcache, set.dcache),
+      ucacheEval_(spaces.ucache, set.ucache, set.uiParams, set.udParams)
+{}
+
+ReferenceSet
+MemoryWalker::freeze(uint64_t reference_text_bytes) const
+{
+    ReferenceSet set;
+    set.textBytes = reference_text_bytes;
+    set.iParams = icacheEval_.params();
+    set.uiParams = ucacheEval_.instrParams();
+    set.udParams = ucacheEval_.dataParams();
+    set.icache = icacheEval_.frozen();
+    set.dcache = dcacheEval_.frozen();
+    set.ucache = ucacheEval_.frozen();
+    return set;
+}
+
 void
 MemoryWalker::evaluate(const TraceSource &unified_trace,
                        const support::CancelToken *cancel)
@@ -249,6 +271,45 @@ procMetricsKey(const std::string &prog_name, uint64_t seed,
     return key;
 }
 
+std::string
+referenceKey(const std::string &prog_name, uint64_t seed,
+             uint64_t trace_blocks, uint64_t i_granule,
+             uint64_t u_granule, const std::string &reference_machine,
+             const MemorySpaces &spaces)
+{
+    std::string key = "ref;" + prog_name + ";s" + std::to_string(seed) +
+                      ";b" + std::to_string(trace_blocks) + ";gi" +
+                      std::to_string(i_granule) + ";gu" +
+                      std::to_string(u_granule) + ";m" +
+                      reference_machine;
+    auto list = [&key](char tag, const auto &values, auto name) {
+        key += ':';
+        key += tag;
+        for (size_t i = 0; i < values.size(); ++i) {
+            if (i != 0)
+                key += '.';
+            key += name(values[i]);
+        }
+    };
+    auto number = [](auto v) { return std::to_string(v); };
+    for (const auto &[tag, space] :
+         {std::pair{'i', &spaces.icache}, std::pair{'d', &spaces.dcache},
+          std::pair{'u', &spaces.ucache}}) {
+        key += ';';
+        key += tag;
+        list('z', space->sizesBytes, number);
+        list('a', space->assocs, number);
+        list('l', space->lineSizes, number);
+        list('r', space->replacements, [](auto p) {
+            return std::string(cache::replacementName(p));
+        });
+        list('w', space->writePolicies, [](auto p) {
+            return std::string(cache::writePolicyName(p));
+        });
+    }
+    return key + ";v" + std::to_string(ReferenceSet::layoutVersion);
+}
+
 Spacewalker::Spacewalker(MemorySpaces spaces,
                          std::vector<std::string> machine_names,
                          Options options)
@@ -274,8 +335,13 @@ namespace
 /** Reference-processor state shared by one trace-equivalence class. */
 struct ClassContext
 {
-    ir::Program prog;
-    workloads::MachineBuild refBuild;
+    /** The class's program: the caller's, or the if-converted one. */
+    const ir::Program *prog = nullptr;
+    std::optional<ir::Program> converted;
+    /** The reference build; only where this walk computed the set. */
+    std::optional<workloads::MachineBuild> refBuild;
+    /** Text size of the reference binary (the dilation divisor). */
+    uint64_t refTextBytes = 0;
     std::unique_ptr<MemoryWalker> memory;
     /** Set when the reference setup of this class failed. */
     std::exception_ptr error;
@@ -319,11 +385,14 @@ verificationEnabled(int option)
 
 /**
  * Verify one trace-equivalence class after its reference setup: the
- * profiled program's CFG and flow counts, the reference binary's text
- * layout, the extracted AHH parameter domains, and — at dilation 1,
- * where the model returns the simulated counts — that no configuration
- * reports more misses than the trace had accesses. Read-only: the
- * class's evaluators and program are never mutated.
+ * profiled program's CFG and flow counts, the AHH parameter domains,
+ * and — at dilation 1, where the model returns the simulated counts —
+ * that no configuration reports more misses than the trace had
+ * accesses, plus the write model. All of these read the frozen set,
+ * so they run on a cache hit too; the reference binary's text layout
+ * and the captured traces exist only where this walk computed the
+ * set, and are checked there. Read-only: the class's evaluators and
+ * program are never mutated.
  */
 void
 verifyClassInvariants(bool predicated, const ClassContext &ctx,
@@ -334,8 +403,9 @@ verifyClassInvariants(bool predicated, const ClassContext &ctx,
     const std::string cls =
         predicated ? "class pred" : "class base";
     const MemoryWalker &mem = *ctx.memory;
-    verify::verifyProgram(ctx.prog, diags);
-    verify::verifyLayout(ctx.prog, ctx.refBuild.bin, diags);
+    verify::verifyProgram(*ctx.prog, diags);
+    if (ctx.refBuild)
+        verify::verifyLayout(*ctx.prog, ctx.refBuild->bin, diags);
     verify::verifyAhhParams(mem.icache().params(), options.iGranule,
                             cls + " instruction trace", diags);
     verify::verifyAhhParams(mem.ucache().instrParams(),
@@ -348,18 +418,20 @@ verifyClassInvariants(bool predicated, const ClassContext &ctx,
     // The captured columnar traces must decode back bit-for-bit:
     // every simulated miss count in this class was derived from
     // replaying these blocks.
-    verify::verifyColumnarTrace(mem.icache().capturedTrace(),
-                                cls + " instruction trace", diags);
-    verify::verifyColumnarTrace(mem.dcache().capturedTrace(),
-                                cls + " data trace", diags);
-    verify::verifyColumnarTrace(mem.ucache().capturedTrace(),
-                                cls + " unified trace", diags);
+    if (ctx.refBuild) {
+        verify::verifyColumnarTrace(mem.icache().capturedTrace(),
+                                    cls + " instruction trace", diags);
+        verify::verifyColumnarTrace(mem.dcache().capturedTrace(),
+                                    cls + " data trace", diags);
+        verify::verifyColumnarTrace(mem.ucache().capturedTrace(),
+                                    cls + " unified trace", diags);
+    }
     const double iAccesses =
-        static_cast<double>(mem.icache().bank().accesses());
+        static_cast<double>(mem.icache().frozen().accesses());
     const double dAccesses =
-        static_cast<double>(mem.dcache().bank().accesses());
+        static_cast<double>(mem.dcache().frozen().accesses());
     const double uAccesses =
-        static_cast<double>(mem.ucache().bank().accesses());
+        static_cast<double>(mem.ucache().frozen().accesses());
     for (const auto &cfg : spaces.icache.enumerate())
         verify::verifyMissCount(mem.icache().misses(cfg, 1.0),
                                 iAccesses,
@@ -377,7 +449,7 @@ verifyClassInvariants(bool predicated, const ClassContext &ctx,
     // no write traffic, so there is nothing to check there.
     if (spaces.dcache.extendedAxes()) {
         auto stores =
-            static_cast<double>(mem.dcache().bank().stores());
+            static_cast<double>(mem.dcache().frozen().stores());
         for (const auto &cfg : spaces.dcache.enumerate())
             verify::verifyWriteModel(mem.dcache().writeTraffic(cfg),
                                      mem.dcache().misses(cfg),
@@ -387,7 +459,7 @@ verifyClassInvariants(bool predicated, const ClassContext &ctx,
     }
     if (spaces.ucache.extendedAxes()) {
         auto stores =
-            static_cast<double>(mem.ucache().bank().stores());
+            static_cast<double>(mem.ucache().frozen().stores());
         for (const auto &cfg : spaces.ucache.enumerate())
             verify::verifyWriteModel(mem.ucache().writeTraffic(cfg),
                                      mem.ucache().misses(cfg, 1.0),
@@ -461,7 +533,10 @@ Spacewalker::explore(const ir::Program &prog)
     // prescribes a separate Pref for each predication/speculation
     // combination. The class's unified reference trace is emulated
     // once and feeds all three subsystems' captures; the simulators
-    // of the three banks then run on the pool as one lane loop.
+    // of the three banks then run on the pool as one lane loop, and
+    // the swept class is frozen into one evaluation-cache entry. A
+    // later walk of the class (another request, a rerun, a restarted
+    // server) finds the entry and skips all of that.
     std::map<bool, std::unique_ptr<ClassContext>> classes;
     std::optional<support::TimedSpan> phase;
     phase.emplace("walk.phase2.reference", "phase");
@@ -479,23 +554,59 @@ Spacewalker::explore(const ir::Program &prog)
             if (plan.predicated && ref_name.back() != 'p')
                 ref_name += 'p';
             auto ref_mdes = MachineDesc::fromName(ref_name);
+            // workloads::programForClass: a predicated class runs the
+            // if-converted program, the base class the caller's.
+            ctx->prog = &prog;
+            if (ref_mdes.predRegs > 0) {
+                ctx->converted = workloads::programForClass(
+                    prog, ref_mdes, options_.traceBlocks);
+                ctx->prog = &*ctx->converted;
+            }
 
-            ctx->prog = workloads::programForClass(
-                prog, ref_mdes, options_.traceBlocks);
-            ctx->refBuild = workloads::buildFor(ctx->prog, ref_mdes);
-            ctx->memory = std::make_unique<MemoryWalker>(
-                spaces_, options_.stalls, options_.iGranule,
-                options_.uGranule);
-            ctx->memory->setThreadPool(&pool);
-            trace::TraceGenerator gen(ctx->prog, ctx->refBuild.sched,
-                                      ctx->refBuild.bin);
-            uint64_t blocks = options_.traceBlocks;
-            ctx->memory->evaluate(
-                [&gen, blocks](const TraceSink &sink) {
-                    gen.generate(trace::TraceKind::Unified, sink,
-                                 blocks);
+            std::optional<ReferenceSet> found;
+            auto values = cacheRef().getOrCompute(
+                referenceKey(prog.name, prog.seed, options_.traceBlocks,
+                             options_.iGranule, options_.uGranule,
+                             ref_name, spaces_),
+                [&]() {
+                    ctx->refBuild = workloads::buildFor(*ctx->prog,
+                                                        ref_mdes);
+                    auto memory = std::make_unique<MemoryWalker>(
+                        spaces_, options_.stalls, options_.iGranule,
+                        options_.uGranule);
+                    memory->setThreadPool(&pool);
+                    trace::TraceGenerator gen(*ctx->prog,
+                                              ctx->refBuild->sched,
+                                              ctx->refBuild->bin);
+                    uint64_t blocks = options_.traceBlocks;
+                    memory->evaluate(
+                        [&gen, blocks](const TraceSink &sink) {
+                            gen.generate(trace::TraceKind::Unified,
+                                         sink, blocks);
+                        },
+                        cancel);
+                    ctx->refTextBytes = ctx->refBuild->bin.textSize();
+                    ctx->memory = std::move(memory);
+                    PICO_METRIC_COUNT("walk.reference.computed", 1);
+                    return ctx->memory->freeze(ctx->refTextBytes)
+                        .encode();
                 },
-                cancel);
+                [&](const std::vector<double> &v) {
+                    found = ReferenceSet::decode(v, spaces_);
+                    return found.has_value();
+                });
+            if (!ctx->memory) {
+                // A hit, or another walk's compute this one waited on.
+                std::string why;
+                if (!found)
+                    found = ReferenceSet::decode(values, spaces_, &why);
+                panicIf(!found, "reference set does not decode: ", why);
+                PICO_METRIC_COUNT("walk.reference.hits", 1);
+                ctx->refTextBytes = found->textBytes;
+                ctx->memory = std::make_unique<MemoryWalker>(
+                    spaces_, options_.stalls, *found);
+                ctx->memory->setThreadPool(&pool);
+            }
         } catch (const PanicError &) {
             throw; // internal bugs always propagate
         } catch (const std::exception &) {
@@ -546,25 +657,33 @@ Spacewalker::explore(const ir::Program &prog)
             // (section 5.1): a hit skips the whole compile/assemble/
             // link of this machine.
             stage = "metrics";
+            // An entry of the wrong shape is quarantined and
+            // recomputed, never read past its end.
+            const size_t width = 2 + spaces_.dcache.portCounts.size();
             std::string key = procMetricsKey(prog.name, prog.seed,
                                              name, spaces_);
-            auto metrics = cacheRef().getOrCompute(key, [&]() {
-                if (cancel != nullptr)
-                    cancel->checkpoint("Spacewalker::metrics");
-                auto build = workloads::buildFor(cls.prog,
-                                                 *plan.mdes);
-                std::vector<double> v;
-                v.push_back(linker::textDilation(build.bin,
-                                                 cls.refBuild.bin));
-                v.push_back(
-                    static_cast<double>(build.processorCycles));
-                for (uint32_t ports : spaces_.dcache.portCounts) {
-                    v.push_back(static_cast<double>(
-                        compiler::Scheduler::processorCycles(
-                            cls.prog, build.sched, ports)));
-                }
-                return v;
-            });
+            auto metrics = cacheRef().getOrCompute(
+                key,
+                [&]() {
+                    if (cancel != nullptr)
+                        cancel->checkpoint("Spacewalker::metrics");
+                    auto build = workloads::buildFor(*cls.prog,
+                                                     *plan.mdes);
+                    std::vector<double> v;
+                    v.push_back(linker::textDilation(build.bin,
+                                                     cls.refTextBytes));
+                    v.push_back(
+                        static_cast<double>(build.processorCycles));
+                    for (uint32_t ports : spaces_.dcache.portCounts) {
+                        v.push_back(static_cast<double>(
+                            compiler::Scheduler::processorCycles(
+                                *cls.prog, build.sched, ports)));
+                    }
+                    return v;
+                },
+                [width](const std::vector<double> &v) {
+                    return v.size() == width;
+                });
 
             out.dilation = metrics[0];
             out.cycles = static_cast<uint64_t>(metrics[1]);

@@ -12,6 +12,9 @@
  * measures each machine's text dilation against the reference
  * processor, simulates the caches *once* on the reference traces,
  * and produces processor, memory and complete-system Pareto sets.
+ * The frozen reference simulations of each trace-equivalence class
+ * (a ReferenceSet) are one evaluation-cache entry, so a later walk of
+ * the class skips the reference build, emulation and sweeps.
  */
 
 #ifndef PICO_DSE_SPACEWALKER_HPP
@@ -32,14 +35,6 @@
 
 namespace pico::dse
 {
-
-/** The three cache subspaces of a memory-hierarchy exploration. */
-struct MemorySpaces
-{
-    CacheSpace icache = CacheSpace::defaultL1Space();
-    CacheSpace dcache = CacheSpace::defaultL1Space();
-    CacheSpace ucache = CacheSpace::defaultL2Space();
-};
 
 /** Latency parameters of the additive stall model. */
 struct StallModel
@@ -70,6 +65,20 @@ std::string procMetricsKey(const std::string &prog_name,
                            const std::string &machine_name,
                            const MemorySpaces &spaces);
 
+/**
+ * EvaluationCache key of one class's ReferenceSet: `ref;` plus the
+ * program identity (name and seed, as procMetricsKey assumes), the
+ * trace budget, both AHH granules, the reference machine (with `p`
+ * for the predicated class), every size/assoc/line/replacement/write
+ * axis of the three spaces and the set's layout version. It names no
+ * stall parameter and no port count: the set depends on neither.
+ */
+std::string referenceKey(const std::string &prog_name, uint64_t seed,
+                         uint64_t trace_blocks, uint64_t i_granule,
+                         uint64_t u_granule,
+                         const std::string &reference_machine,
+                         const MemorySpaces &spaces);
+
 /** Walks the memory design space for one reference trace set. */
 class MemoryWalker
 {
@@ -77,6 +86,13 @@ class MemoryWalker
     MemoryWalker(MemorySpaces spaces, StallModel stalls,
                  uint64_t i_granule = core::defaultIGranule,
                  uint64_t u_granule = core::defaultUGranule);
+
+    /**
+     * A walker answering from a frozen set: evaluated, with no banks
+     * and no captures (see SubsystemEvaluator::bank()).
+     */
+    MemoryWalker(MemorySpaces spaces, StallModel stalls,
+                 const ReferenceSet &set);
 
     /**
      * Evaluate all three subsystems from one reference unified
@@ -88,6 +104,12 @@ class MemoryWalker
      */
     void evaluate(const TraceSource &unified_trace,
                   const support::CancelToken *cancel = nullptr);
+
+    /**
+     * The evaluated walker's frozen answers, with the reference
+     * binary's text size (which the walker does not know).
+     */
+    ReferenceSet freeze(uint64_t reference_text_bytes) const;
 
     /**
      * Attach (or detach, with nullptr) the pool used by evaluate()
@@ -189,10 +211,12 @@ class Spacewalker
         uint64_t uGranule = 100000;
         /**
          * Path of the persistent evaluation-cache database; empty
-         * keeps per-machine metrics (dilation, cycles) in memory
-         * only. With a path, repeated explorations skip the
-         * compile/assemble/link of machines already evaluated — the
-         * paper's EvaluationCache layer (section 5.1).
+         * keeps per-machine metrics (dilation, cycles) and each
+         * class's reference set in memory only. With a path,
+         * repeated explorations skip the compile/assemble/link of
+         * machines already evaluated and the reference simulations
+         * of classes already swept — the paper's EvaluationCache
+         * layer (section 5.1).
          */
         std::string evaluationCachePath;
         /**

@@ -91,6 +91,13 @@ class LinkedBinary
 double textDilation(const LinkedBinary &target,
                     const LinkedBinary &reference);
 
+/**
+ * The same ratio against a reference text size, for callers that keep
+ * only the reference binary's size (a frozen reference set).
+ */
+double textDilation(const LinkedBinary &target,
+                    uint64_t reference_text_bytes);
+
 } // namespace pico::linker
 
 #endif // PICO_LINKER_LINKED_BINARY_HPP

@@ -12,9 +12,15 @@ namespace pico::linker
 double
 textDilation(const LinkedBinary &target, const LinkedBinary &reference)
 {
-    fatalIf(reference.textSize() == 0, "reference binary has no text");
+    return textDilation(target, reference.textSize());
+}
+
+double
+textDilation(const LinkedBinary &target, uint64_t reference_text_bytes)
+{
+    fatalIf(reference_text_bytes == 0, "reference binary has no text");
     return static_cast<double>(target.textSize()) /
-           static_cast<double>(reference.textSize());
+           static_cast<double>(reference_text_bytes);
 }
 
 LinkedBinary

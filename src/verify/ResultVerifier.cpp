@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "verify/DesignVerifier.hpp"
+
 namespace pico::verify
 {
 
@@ -21,7 +23,7 @@ constexpr const char *cacheFileHeaderV2 = "picoeval-evalcache-v2";
 
 /** Parse one comma-separated value list; all values must be finite. */
 bool
-parseValueList(const std::string &text)
+parseValueList(const std::string &text, std::vector<double> &values)
 {
     if (text.empty())
         return false;
@@ -39,11 +41,150 @@ parseValueList(const std::string &text)
         if (end != token.c_str() + token.size() ||
             !std::isfinite(v))
             return false;
+        values.push_back(v);
         if (comma == std::string::npos)
             break;
         pos = comma + 1;
     }
     return true;
+}
+
+/** The `;`-separated segments of a key. */
+std::vector<std::string>
+keySegments(const std::string &key)
+{
+    std::vector<std::string> out;
+    size_t pos = 0;
+    for (;;) {
+        size_t semi = key.find(';', pos);
+        out.push_back(key.substr(pos, semi - pos));
+        if (semi == std::string::npos)
+            return out;
+        pos = semi + 1;
+    }
+}
+
+bool
+isAllDigits(const std::string &text, size_t from)
+{
+    return text.size() > from &&
+           text.find_first_not_of("0123456789", from) ==
+               std::string::npos;
+}
+
+/**
+ * A `proc;<app>;s<seed>;<machine>[;p<ports>...][;r...;w...]` entry:
+ * dilation, cycles, then one cycle count per data-cache port count.
+ */
+void
+checkProcEntry(const std::string &key, const std::vector<double> &values,
+               const std::string &at, Diagnostics &diags)
+{
+    const auto segments = keySegments(key);
+    size_t ports = 0;
+    for (size_t i = 4; i < segments.size(); ++i) {
+        if (isAllDigits(segments[i], 1) && segments[i][0] == 'p')
+            ++ports;
+    }
+    if (values.size() != 2 + ports)
+        diags.error("result.cachefile", at,
+                    "machine entry holds " +
+                        std::to_string(values.size()) +
+                        " value(s), its key names " +
+                        std::to_string(ports) + " port count(s) (" +
+                        std::to_string(2 + ports) + " expected)");
+}
+
+/**
+ * A `ref;` entry, read against the reference-set layout (DESIGN.md
+ * §12.3): version, text size, three AHH parameter triples, then per
+ * bank the access and store counts and two length-prefixed count
+ * tables (misses, write-backs). Every count must be an integer in
+ * [0, accesses]; the parameters must lie in the run model's domain
+ * for the granules the key names (`;gi<N>`, `;gu<N>`).
+ */
+void
+checkReferenceEntry(const std::string &key,
+                    const std::vector<double> &values,
+                    const std::string &at, Diagnostics &diags)
+{
+    constexpr double layoutVersion = 1.0;
+    constexpr double maxExact = 9007199254740992.0; // 2^53
+    uint64_t i_granule = 0, u_granule = 0;
+    const auto segments = keySegments(key);
+    // Past `ref` and the app name, which could look like a granule.
+    for (size_t i = 2; i < segments.size(); ++i) {
+        const std::string &seg = segments[i];
+        if (seg.rfind("gi", 0) == 0 && isAllDigits(seg, 2))
+            i_granule = std::strtoull(seg.c_str() + 2, nullptr, 10);
+        else if (seg.rfind("gu", 0) == 0 && isAllDigits(seg, 2))
+            u_granule = std::strtoull(seg.c_str() + 2, nullptr, 10);
+    }
+    size_t pos = 0;
+    std::string problem;
+    auto fail = [&](const std::string &why) {
+        if (problem.empty())
+            problem = why + " at value " + std::to_string(pos);
+        return false;
+    };
+    auto count = [&](double &out, double limit) {
+        if (pos >= values.size())
+            return fail("entry ends early");
+        double v = values[pos];
+        if (v < 0.0 || v > limit || v != std::floor(v))
+            return fail("count " + std::to_string(v) +
+                        " is not an integer in [0, " +
+                        std::to_string(limit) + "]");
+        out = v;
+        ++pos;
+        return true;
+    };
+    double version = 0.0, text = 0.0;
+    bool ok = count(version, maxExact) &&
+              (version == layoutVersion ||
+               fail("unknown layout version")) &&
+              count(text, maxExact) &&
+              (text > 0.0 || fail("empty reference text"));
+    core::ComponentParams params[3];
+    for (auto &p : params) {
+        if (ok && pos + 3 > values.size())
+            ok = fail("entry ends early");
+        if (ok) {
+            p.u1 = values[pos];
+            p.p1 = values[pos + 1];
+            p.lav = values[pos + 2];
+            pos += 3;
+        }
+    }
+    for (int bank = 0; ok && bank < 3; ++bank) {
+        double accesses = 0.0, stores = 0.0;
+        ok = count(accesses, maxExact) && count(stores, accesses);
+        for (int table = 0; ok && table < 2; ++table) {
+            double n = 0.0, c = 0.0;
+            ok = count(n, maxExact) &&
+                 (pos + n <= values.size() || fail("entry ends early"));
+            for (double k = 0; ok && k < n; ++k)
+                ok = count(c, accesses);
+        }
+    }
+    if (ok && pos != values.size())
+        ok = fail("trailing values");
+    if (!ok) {
+        diags.error("result.cachefile", at,
+                    "reference-set entry does not decode: " + problem);
+        return;
+    }
+    if (i_granule == 0 || u_granule == 0) {
+        diags.error("result.cachefile", at,
+                    "reference-set key names no AHH granules");
+        return;
+    }
+    verifyAhhParams(params[0], i_granule, at + " instruction trace",
+                    diags);
+    verifyAhhParams(params[1], u_granule,
+                    at + " unified instruction trace", diags);
+    verifyAhhParams(params[2], u_granule, at + " unified data trace",
+                    diags);
 }
 
 } // namespace
@@ -189,10 +330,15 @@ verifyCacheFile(const std::string &path, Diagnostics &diags)
             continue;
         }
         std::string key = line.substr(0, bar);
-        if (!parseValueList(line.substr(bar + 1)))
+        std::vector<double> values;
+        if (!parseValueList(line.substr(bar + 1), values))
             diags.error("result.cachefile", at,
                         "values are not a comma-separated list of "
                         "finite numbers");
+        else if (key.rfind("proc;", 0) == 0)
+            checkProcEntry(key, values, at, diags);
+        else if (key.rfind("ref;", 0) == 0)
+            checkReferenceEntry(key, values, at, diags);
         if (!prevKey.empty() && key <= prevKey)
             diags.error("result.cachefile", at,
                         "keys are not strictly ascending ('" + key +

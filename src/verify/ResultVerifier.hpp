@@ -19,9 +19,14 @@
  *  - result.cachefile a persisted evaluation-cache database parses
  *                     back cleanly: versioned header, well-formed
  *                     sorted unique `key|values` records, finite
- *                     values (parsed here independently of
- *                     EvaluationCache so the round-trip is checked
- *                     against the format, not the implementation)
+ *                     values, and both entry shapes — a `proc;`
+ *                     entry holds 2 + (its key's `;p` segments)
+ *                     values, a `ref;` entry decodes with every
+ *                     count an integer in [0, accesses] and its AHH
+ *                     parameters in domain (parsed here independently
+ *                     of EvaluationCache and ReferenceSet so the
+ *                     round-trip is checked against the format, not
+ *                     the implementation)
  *  - result.walk      exploration bookkeeping: evaluated-design count
  *                     bounded by the walk size and consistent with
  *                     the failure log, per-machine dilations/cycles
@@ -82,7 +87,7 @@ bool verifyParetoSet(const dse::ParetoSet &set,
 /**
  * Re-parse a persisted evaluation-cache database and check the
  * format invariants (header, record shape, key ordering, finite
- * values).
+ * values, `proc;` and `ref;` entry shapes).
  * @return true when no error-severity finding was added
  */
 bool verifyCacheFile(const std::string &path, Diagnostics &diags);

@@ -15,6 +15,7 @@
 
 #include "dse/EvaluationCache.hpp"
 #include "dse/Spacewalker.hpp"
+#include "support/CancelToken.hpp"
 #include "support/Logging.hpp"
 
 namespace pico::dse
@@ -342,6 +343,121 @@ TEST(EvaluationCache, RetryStormComputesEachKeyAtMostOnce)
     // Conservation still holds: every call was a hit or a miss.
     EXPECT_EQ(s.hits + s.misses,
               uint64_t(kThreads) * kCallsPerThread);
+}
+
+TEST(EvaluationCache, LoaderQuarantinesEmptyAndNonFiniteValueLists)
+{
+    auto path = std::filesystem::temp_directory_path() /
+                "pico_eval_cache_nonfinite.db";
+    {
+        std::ofstream out(path);
+        out << EvaluationCache::header << "\n"
+            << "empty|\n"
+            << "nan|1,nan\n"
+            << "inf|inf\n"
+            << "comma|1,\n"
+            << "good|2\n";
+    }
+    EvaluationCache cache(path.string());
+    EXPECT_EQ(cache.loadedEntries(), 1u);
+    EXPECT_EQ(cache.quarantinedEntries(), 4u);
+    std::vector<double> v;
+    EXPECT_TRUE(cache.lookup("good", v));
+    EXPECT_FALSE(cache.lookup("empty", v));
+    std::filesystem::remove(path);
+}
+
+TEST(EvaluationCache, InvalidEntryIsQuarantinedAndRecomputed)
+{
+    EvaluationCache cache;
+    auto two_values = [](const std::vector<double> &v) {
+        return v.size() == 2;
+    };
+    int runs = 0;
+    auto compute = [&runs] {
+        ++runs;
+        return std::vector<double>{1.0, 2.0};
+    };
+    cache.store("k", {1.0});
+    EXPECT_EQ(cache.getOrCompute("k", compute, two_values),
+              (std::vector<double>{1.0, 2.0}));
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(cache.stats().quarantinedEntries, 1u);
+    // The recomputed entry overwrote the bad one: now a hit.
+    EXPECT_EQ(cache.getOrCompute("k", compute, two_values),
+              (std::vector<double>{1.0, 2.0}));
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    // A cancelled recompute stores nothing.
+    cache.store("c", {1.0});
+    EXPECT_THROW(cache.getOrCompute(
+                     "c",
+                     []() -> std::vector<double> {
+                         throw CancelledError("deadline");
+                     },
+                     two_values),
+                 CancelledError);
+    std::vector<double> v;
+    EXPECT_FALSE(cache.lookup("c", v));
+    EXPECT_EQ(cache.stats().quarantinedEntries, 2u);
+}
+
+/**
+ * Run a leader whose compute blocks until a follower waits on the
+ * same key (the second miss), then throws `error`; return what the
+ * follower's own getOrCompute returned (its compute yields {7}).
+ */
+template <typename Error>
+std::vector<double>
+followLeaderThatThrows(EvaluationCache &cache, int &follower_runs)
+{
+    std::thread leader([&cache] {
+        EXPECT_THROW(cache.getOrCompute("k",
+                                        [&cache]() -> std::vector<double> {
+                                            while (cache.stats().misses <
+                                                   2)
+                                                std::this_thread::yield();
+                                            throw Error("leader failed");
+                                        }),
+                     Error);
+    });
+    while (cache.stats().misses < 1)
+        std::this_thread::yield();
+    std::vector<double> out;
+    try {
+        out = cache.getOrCompute("k", [&follower_runs] {
+            ++follower_runs;
+            return std::vector<double>{7.0};
+        });
+    } catch (...) {
+        leader.join();
+        throw;
+    }
+    leader.join();
+    return out;
+}
+
+TEST(EvaluationCache, LeaderCancellationIsNotSharedWithFollowers)
+{
+    // The leader's CancelledError is its own deadline: the follower
+    // looks again and computes under its own (here: no) token.
+    EvaluationCache cache;
+    int runs = 0;
+    EXPECT_EQ(followLeaderThatThrows<CancelledError>(cache, runs),
+              std::vector<double>{7.0});
+    EXPECT_EQ(runs, 1);
+    std::vector<double> v;
+    ASSERT_TRUE(cache.lookup("k", v));
+    EXPECT_EQ(v, std::vector<double>{7.0});
+}
+
+TEST(EvaluationCache, LeaderErrorStillFailsFollowers)
+{
+    EvaluationCache cache;
+    int runs = 0;
+    EXPECT_THROW(followLeaderThatThrows<std::runtime_error>(cache, runs),
+                 std::runtime_error);
+    EXPECT_EQ(runs, 0);
 }
 
 } // namespace

@@ -38,6 +38,18 @@ class FaultInjection : public ::testing::Test
         return std::filesystem::temp_directory_path() / name;
     }
 
+    /** Database entries whose key starts with `prefix`. */
+    static size_t
+    countEntries(const std::filesystem::path &p,
+                 const std::string &prefix)
+    {
+        std::ifstream in(p);
+        size_t n = 0;
+        for (std::string line; std::getline(in, line);)
+            n += line.rfind(prefix, 0) == 0;
+        return n;
+    }
+
     static void
     writeFile(const std::filesystem::path &p,
               const std::string &content)
@@ -443,10 +455,13 @@ TEST_F(FaultInjection, CheckpointSurvivesWalkCrash)
         EXPECT_THROW(walker.explore(prog), FaultInjectedError);
 
         // Before the walker (and its destructor-time save) goes
-        // away: the first design's metrics were already
+        // away: the first design's metrics, and the class's
+        // reference set stored before them, were already
         // checkpointed to disk.
+        EXPECT_EQ(countEntries(path, "proc;"), 1u);
+        EXPECT_EQ(countEntries(path, "ref;"), 1u);
         dse::EvaluationCache snapshot(path.string());
-        EXPECT_EQ(snapshot.loadedEntries(), 1u);
+        EXPECT_EQ(snapshot.quarantinedEntries(), 0u);
     }
     // A fresh walker resumes from the checkpoint: the surviving
     // design is served from the cache, only the crashed one is

@@ -181,6 +181,19 @@ TEST_F(ParallelDeterminism, JobsOneTwoEightAreBitIdentical)
               serial.failures.find("0221"));
     EXPECT_EQ(serial.evaluated, 4u);
 
+    // One machine entry per evaluated design, one reference set per
+    // trace-equivalence class (base and 2211p's predicated one).
+    auto count = [&serial](const std::string &prefix) {
+        size_t n = 0;
+        for (size_t at = 0; (at = serial.cacheBytes.find(
+                                 "\n" + prefix, at)) != std::string::npos;
+             ++at)
+            ++n;
+        return n;
+    };
+    EXPECT_EQ(count("proc;"), 4u);
+    EXPECT_EQ(count("ref;"), 2u);
+
     auto two = runWalk(*prog_, 2, "j2");
     auto eight = runWalk(*prog_, 8, "j8");
     expectIdentical(serial, two);

@@ -35,6 +35,7 @@
 #include "support/Backoff.hpp"
 #include "support/FaultInjection.hpp"
 #include "support/FlightRecorder.hpp"
+#include "support/Metrics.hpp"
 #include "support/Random.hpp"
 #include "support/SchedulePerturb.hpp"
 #include "support/TraceEvents.hpp"
@@ -558,6 +559,41 @@ TEST(EvalService, DeadlineWorkIsCachedForTheRetry)
     EXPECT_EQ(full.status, Status::Ok) << full.error;
     EXPECT_GT(service.cache().stats().hits, 0u);
     std::remove(cache_path.c_str());
+}
+
+TEST(EvalService, SecondMachineOfAnAppReusesTheReferenceSet)
+{
+    // A fresh request for another machine of an app the service has
+    // walked: its class's reference set comes from the shared cache,
+    // so the walk builds no reference binary and sweeps nothing.
+    auto counter = [](const char *name) {
+        auto counters = support::metrics().snapshot().counters;
+        auto it = counters.find(name);
+        return it == counters.end() ? uint64_t{0} : it->second;
+    };
+    support::setMetricsEnabled(true);
+    support::metrics().resetValues();
+    EvalService service(fastOptions());
+    ASSERT_EQ(service.call(smallEval("1111")).status, Status::Ok);
+    const uint64_t computed = counter("walk.reference.computed");
+    const uint64_t runs = counter("sweep.runs");
+    EXPECT_EQ(computed, 1u);
+    EXPECT_GT(runs, 0u);
+    Response second = service.call(smallEval("2111"));
+    ASSERT_EQ(second.status, Status::Ok) << second.error;
+    EXPECT_EQ(counter("walk.reference.computed"), computed);
+    EXPECT_EQ(counter("sweep.runs"), runs);
+    EXPECT_EQ(counter("walk.reference.hits"), 1u);
+    support::setMetricsEnabled(false);
+
+    // The answer is the one a cold service gives.
+    EvalService cold(fastOptions());
+    Response expected = cold.call(smallEval("2111"));
+    ASSERT_EQ(expected.status, Status::Ok) << expected.error;
+    for (const char *key :
+         {"designs.evaluated", "pareto.systems", "machine.2111.dilation",
+          "machine.2111.cycles"})
+        EXPECT_EQ(second.values[key], expected.values[key]) << key;
 }
 
 TEST(EvalService, DrainAnswersEveryWaiterAndIsIdempotent)

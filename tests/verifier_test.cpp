@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -604,6 +605,66 @@ class CacheFileVerifierTest : public ::testing::Test
         return path.string();
     }
 
+    /** A database a real walk wrote: machine metrics for two
+     *  machines and one reference set per class (base and pred). */
+    std::string
+    walkedDatabase(const std::string &tag)
+    {
+        auto path = (std::filesystem::temp_directory_path() /
+                     ("pico_verify_walked_" + tag + ".db"))
+                        .string();
+        std::filesystem::remove(path);
+        cleanup_.push_back(path);
+        static const ir::Program prog = workloads::buildAndProfile(
+            workloads::specByName("unepic"), 4000);
+        dse::MemorySpaces spaces;
+        dse::CacheSpace l1;
+        l1.sizesBytes = {4096};
+        l1.assocs = {1};
+        l1.lineSizes = {32};
+        spaces.icache = l1;
+        spaces.dcache = l1;
+        spaces.ucache.sizesBytes = {65536};
+        spaces.ucache.assocs = {4};
+        spaces.ucache.lineSizes = {64};
+        dse::Spacewalker::Options opts;
+        opts.traceBlocks = 4000;
+        opts.uGranule = 20000;
+        opts.evaluationCachePath = path;
+        dse::Spacewalker(spaces, {"1111", "2211p"}, opts).explore(prog);
+        return path;
+    }
+
+    /** Rewrite the values of the first entry whose key has `prefix`. */
+    static void
+    editEntry(const std::string &path, const std::string &prefix,
+              const std::function<void(std::vector<std::string> &)> &edit)
+    {
+        std::vector<std::string> lines;
+        {
+            std::ifstream in(path);
+            for (std::string line; std::getline(in, line);)
+                lines.push_back(line);
+        }
+        for (auto &line : lines) {
+            if (line.rfind(prefix, 0) != 0)
+                continue;
+            auto bar = line.find('|');
+            std::vector<std::string> values;
+            std::stringstream ss(line.substr(bar + 1));
+            for (std::string v; std::getline(ss, v, ',');)
+                values.push_back(v);
+            edit(values);
+            line = line.substr(0, bar + 1);
+            for (size_t i = 0; i < values.size(); ++i)
+                line += (i ? "," : "") + values[i];
+            break;
+        }
+        std::ofstream out(path, std::ios::trunc);
+        for (const auto &line : lines)
+            out << line << "\n";
+    }
+
     void TearDown() override
     {
         for (const auto &p : cleanup_)
@@ -612,6 +673,49 @@ class CacheFileVerifierTest : public ::testing::Test
 
     std::vector<std::string> cleanup_;
 };
+
+TEST_F(CacheFileVerifierTest, WalkedDatabaseWithReferenceEntriesPassesClean)
+{
+    auto path = walkedDatabase("clean");
+    std::ifstream in(path);
+    size_t refs = 0;
+    for (std::string line; std::getline(in, line);)
+        refs += line.rfind("ref;", 0) == 0;
+    EXPECT_EQ(refs, 2u);
+    Diagnostics diags;
+    EXPECT_TRUE(verifyCacheFile(path, diags)) << diags.report();
+    EXPECT_EQ(diags.errorCount(), 0u) << diags.report();
+}
+
+TEST_F(CacheFileVerifierTest, ShortMachineEntryTrips)
+{
+    auto path = walkedDatabase("shortproc");
+    editEntry(path, "proc;", [](auto &v) { v.pop_back(); });
+    Diagnostics diags;
+    EXPECT_FALSE(verifyCacheFile(path, diags));
+    EXPECT_TRUE(diags.has("result.cachefile")) << diags.report();
+}
+
+TEST_F(CacheFileVerifierTest, TruncatedReferenceEntryTrips)
+{
+    auto path = walkedDatabase("shortref");
+    editEntry(path, "ref;", [](auto &v) { v.resize(v.size() / 2); });
+    Diagnostics diags;
+    EXPECT_FALSE(verifyCacheFile(path, diags));
+    EXPECT_TRUE(diags.has("result.cachefile")) << diags.report();
+}
+
+TEST_F(CacheFileVerifierTest, ReferenceCountAboveAccessesTrips)
+{
+    auto path = walkedDatabase("bigcount");
+    // Value 11 is the I$ access count; 14 its first miss count.
+    editEntry(path, "ref;", [](auto &v) {
+        v[14] = std::to_string(std::stoull(v[11]) + 1);
+    });
+    Diagnostics diags;
+    EXPECT_FALSE(verifyCacheFile(path, diags));
+    EXPECT_TRUE(diags.has("result.cachefile")) << diags.report();
+}
 
 TEST_F(CacheFileVerifierTest, FreshDatabasePassesClean)
 {
