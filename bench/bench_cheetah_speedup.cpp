@@ -140,8 +140,7 @@ BM_ParallelLineSweeps(benchmark::State &state)
     for (auto _ : state) {
         dse::SimBank bank(space);
         bank.simulate(buffer, &pool);
-        benchmark::DoNotOptimize(
-            bank.misses(cache::CacheConfig{128, 2, 32}));
+        benchmark::DoNotOptimize(bank.accesses());
     }
     state.SetItemsProcessed(static_cast<int64_t>(
         state.iterations() * buffer.size() *

@@ -205,8 +205,7 @@ BM_ColumnarLineSweeps(benchmark::State &state)
     for (auto _ : state) {
         dse::SimBank bank(space);
         bank.simulate(buffer, jobs > 1 ? &pool : nullptr);
-        benchmark::DoNotOptimize(
-            bank.misses(cache::CacheConfig{128, 2, 32}));
+        benchmark::DoNotOptimize(bank.accesses());
     }
     state.SetItemsProcessed(static_cast<int64_t>(
         state.iterations() * buffer.size() *
@@ -253,6 +252,7 @@ verifyBitIdentical()
     auto space = sweepSpace();
     dse::SimBank bank(space);
     bank.simulate(sharedColumnarTrace(), nullptr);
+    const dse::FrozenBank frozen = bank.freeze();
 
     int mismatches = 0;
     for (uint32_t line : coveredLines(space)) {
@@ -266,7 +266,7 @@ verifyBitIdentical()
                  ++assoc) {
                 cache::CacheConfig cfg{sets, assoc, line};
                 auto expect = legacy.misses(sets, assoc);
-                auto got = static_cast<uint64_t>(bank.misses(cfg));
+                auto got = static_cast<uint64_t>(frozen.misses(cfg));
                 if (expect != got) {
                     std::fprintf(stderr,
                                  "MISMATCH %s: legacy %llu "

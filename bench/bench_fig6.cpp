@@ -17,7 +17,7 @@
 #include "bench/BenchCommon.hpp"
 #include "cache/CacheSim.hpp"
 #include "core/DilationModel.hpp"
-#include "dse/Evaluators.hpp"
+#include "dse/Spacewalker.hpp"
 
 using namespace pico;
 
@@ -37,17 +37,21 @@ void
 icachePanel(const bench::AppContext &app, bench::BenchReport &json)
 {
     // The oracle simulates the reference trace once per line size
-    // via the single-pass bank covering both cache shapes.
+    // via the single-pass bank covering both cache shapes. The walker
+    // routes the unified trace's instruction references to its I$.
     dse::CacheSpace space;
     space.sizesBytes = {1024, 16384};
     space.assocs = {1, 2};
     space.lineSizes = {32};
-    dse::IcacheEvaluator eval(space, bench::iGranule);
-    eval.evaluate([&app](const dse::TraceSink &sink) {
+    dse::MemoryWalker walker(dse::MemorySpaces{space, space, space},
+                             dse::StallModel{}, bench::iGranule,
+                             bench::uGranule);
+    walker.evaluate([&app](const dse::TraceSink &sink) {
         for (const auto &a :
-             app.traceFor("1111", trace::TraceKind::Instruction))
+             app.traceFor("1111", trace::TraceKind::Unified))
             sink(a);
     });
+    const dse::IcacheEvaluator &eval = walker.icache();
 
     TextTable table("Estimated and Dilated Icache Misses - gcc");
     table.setHeader({"dilation", "est 1KB", "dil 1KB", "est 16KB",

@@ -18,7 +18,7 @@
 #include "bench/BenchCommon.hpp"
 #include "cache/CacheSim.hpp"
 #include "dse/CacheSpace.hpp"
-#include "dse/Evaluators.hpp"
+#include "dse/Spacewalker.hpp"
 
 using namespace pico;
 
@@ -70,26 +70,20 @@ main(int argc, char **argv)
                         per_processor;
 
     // Hierarchical cost: one single-pass run per line size per cache
-    // type, on the reference trace only.
+    // type, on the reference trace only. The walker routes the
+    // unified trace to the three captures.
     t0 = std::chrono::steady_clock::now();
-    dse::IcacheEvaluator ieval(l1_space, bench::iGranule);
-    ieval.evaluate([&app](const dse::TraceSink &sink) {
-        for (const auto &a :
-             app.traceFor("1111", trace::TraceKind::Instruction))
-            sink(a);
-    });
-    dse::DcacheEvaluator deval(l1_space);
-    deval.evaluate([&app](const dse::TraceSink &sink) {
-        for (const auto &a :
-             app.traceFor("1111", trace::TraceKind::Data))
-            sink(a);
-    });
-    dse::UcacheEvaluator ueval(l2_space, bench::uGranule);
-    ueval.evaluate([&app](const dse::TraceSink &sink) {
+    dse::MemoryWalker walker(dse::MemorySpaces{l1_space, l1_space, l2_space},
+                             dse::StallModel{}, bench::iGranule,
+                             bench::uGranule);
+    walker.evaluate([&app](const dse::TraceSink &sink) {
         for (const auto &a :
              app.traceFor("1111", trace::TraceKind::Unified))
             sink(a);
     });
+    const dse::IcacheEvaluator &ieval = walker.icache();
+    const dse::DcacheEvaluator &deval = walker.dcache();
+    const dse::UcacheEvaluator &ueval = walker.ucache();
     double hierarchical = seconds(t0);
 
     // Every (processor, cache) point is now a model query.

@@ -1,30 +1,10 @@
 #include "dse/Evaluators.hpp"
 
-#include <algorithm>
-
 #include "support/Logging.hpp"
 #include "support/TraceEvents.hpp"
 
 namespace pico::dse
 {
-
-namespace
-{
-
-/** Stream a whole trace into one evaluator's capture sink. */
-template <typename Evaluator>
-void
-capture(const TraceSource &source, Evaluator &evaluator,
-        const support::CancelToken *cancel)
-{
-    support::CancelCheck check(cancel);
-    source([&](const trace::Access &a) {
-        check.tick("evaluate.capture");
-        evaluator(a);
-    });
-}
-
-} // namespace
 
 SimBank::SimBank(const CacheSpace &space, Coverage coverage)
     : layout_(space, coverage)
@@ -122,47 +102,6 @@ SimBank::simulate(const trace::ColumnarTraceBuffer &buffer,
     simulate(std::span<const Sweep>(&sweep, 1), pool, cancel);
 }
 
-bool
-SimBank::covers(const cache::CacheConfig &config) const
-{
-    if (config.replacement != cache::ReplacementPolicy::LRU) {
-        for (const auto &sim : policySims_) {
-            if (sim.covers(config))
-                return true;
-        }
-        return false;
-    }
-    for (const auto &sim : sims_) {
-        if (sim.covers(config))
-            return true;
-    }
-    return false;
-}
-
-double
-SimBank::misses(const cache::CacheConfig &config) const
-{
-    // LRU reads from the Cheetah single-pass bank (stack algorithm);
-    // FIFO/random read from the set-resident bank. Both write
-    // policies are write-allocate, so misses never depend on
-    // config.write.
-    if (config.replacement != cache::ReplacementPolicy::LRU) {
-        for (const auto &sim : policySims_) {
-            if (sim.covers(config))
-                return static_cast<double>(sim.misses(config));
-        }
-        fatal("configuration ", config.name(),
-              " not covered by the set-resident bank (policy axes "
-              "not enabled in the space?)");
-    }
-    for (const auto &sim : sims_) {
-        if (sim.covers(config))
-            return static_cast<double>(sim.misses(config));
-    }
-    fatal("configuration ", config.name(),
-          " not covered by the simulation bank");
-}
-
 uint64_t
 SimBank::stores() const
 {
@@ -172,36 +111,32 @@ SimBank::stores() const
     return policySims_.front().stores();
 }
 
-double
-SimBank::writeTraffic(const cache::CacheConfig &config) const
-{
-    if (config.write == cache::WritePolicy::WriteThrough) {
-        // Write-allocate write-through: every store goes to memory,
-        // independent of the cache geometry.
-        return static_cast<double>(stores());
-    }
-    // Write-back traffic needs the dirty-bit model. Classic spaces
-    // do not build it — their stall model is read-only, as before.
-    if (policySims_.empty())
-        return 0.0;
-    for (const auto &sim : policySims_) {
-        if (sim.covers(config))
-            return static_cast<double>(sim.writebacks(config));
-    }
-    fatal("configuration ", config.name(),
-          " not covered by the set-resident bank");
-}
-
 FrozenBank
 SimBank::freeze() const
 {
     std::vector<double> miss_table, writeback_table;
-    for (const auto &cfg : layout_.missCells())
-        miss_table.push_back(misses(cfg));
-    // The cells are write-back, so this reads each geometry's
-    // dirty-line writebacks.
-    for (const auto &cfg : layout_.writebackCells())
-        writeback_table.push_back(writeTraffic(cfg));
+    miss_table.reserve(layout_.missCount());
+    writeback_table.reserve(layout_.writebackCount());
+    for (size_t k = 0; k < sims_.size(); ++k) {
+        const auto &s = layout_.stacks[k];
+        for (uint32_t sets = s.minSets; sets <= s.maxSets; sets *= 2) {
+            for (uint32_t assoc = 1; assoc <= s.maxAssoc; ++assoc)
+                miss_table.push_back(
+                    static_cast<double>(sims_[k].misses(sets, assoc)));
+        }
+    }
+    // LRU misses come from the stacks above; every resident's shapes
+    // carry write-back counts.
+    for (size_t k = 0; k < policySims_.size(); ++k) {
+        const auto &r = layout_.residents[k];
+        for (const auto &g : r.shapes) {
+            if (r.policy != cache::ReplacementPolicy::LRU)
+                miss_table.push_back(static_cast<double>(
+                    policySims_[k].misses(g.sets, g.assoc)));
+            writeback_table.push_back(static_cast<double>(
+                policySims_[k].writebacks(g.sets, g.assoc)));
+        }
+    }
     return FrozenBank(layout_, accesses(), extended() ? stores() : 0,
                       std::move(miss_table), std::move(writeback_table));
 }
@@ -272,25 +207,6 @@ SubsystemEvaluator::writeTraffic(const cache::CacheConfig &config) const
     return frozen().writeTraffic(config);
 }
 
-ParetoSet
-SubsystemEvaluator::paretoOver(
-    const char *prefix,
-    const std::function<double(const cache::CacheConfig &)> &miss_time,
-    double write_cost) const
-{
-    ParetoSet set;
-    for (const auto &config : space_.enumerate()) {
-        DesignPoint point;
-        point.id = prefix + config.name();
-        point.cost = config.areaCost();
-        point.time = miss_time(config);
-        if (write_cost != 0.0)
-            point.time += writeTraffic(config) * write_cost;
-        set.insertPoint(point);
-    }
-    return set;
-}
-
 // --- IcacheEvaluator ---------------------------------------------------
 
 IcacheEvaluator::IcacheEvaluator(CacheSpace space,
@@ -308,7 +224,6 @@ IcacheEvaluator::IcacheEvaluator(CacheSpace space, FrozenBank frozen,
 void
 IcacheEvaluator::operator()(const trace::Access &a)
 {
-    fatalIf(!a.isInstr, "data reference in an instruction trace");
     trace_(a);
     modeler_->access(a);
 }
@@ -318,15 +233,6 @@ IcacheEvaluator::fit()
 {
     params_ = modeler_->params();
     modeler_.reset();
-}
-
-void
-IcacheEvaluator::evaluate(const TraceSource &ref_instr_trace,
-                          support::ThreadPool *pool,
-                          const support::CancelToken *cancel)
-{
-    capture(ref_instr_trace, *this, cancel);
-    sweep({this}, pool, cancel);
 }
 
 double
@@ -355,18 +261,6 @@ IcacheEvaluator::misses(const cache::CacheConfig &config,
     return bank.misses(config) * scale;
 }
 
-ParetoSet
-IcacheEvaluator::pareto(double dilation, double miss_penalty,
-                        double write_cost) const
-{
-    return paretoOver(
-        "I$",
-        [&](const cache::CacheConfig &config) {
-            return misses(config, dilation) * miss_penalty;
-        },
-        write_cost);
-}
-
 // --- DcacheEvaluator ---------------------------------------------------
 
 DcacheEvaluator::DcacheEvaluator(CacheSpace space)
@@ -380,34 +274,13 @@ DcacheEvaluator::DcacheEvaluator(CacheSpace space, FrozenBank frozen)
 void
 DcacheEvaluator::operator()(const trace::Access &a)
 {
-    fatalIf(a.isInstr, "instruction reference in a data trace");
     trace_(a);
-}
-
-void
-DcacheEvaluator::evaluate(const TraceSource &ref_data_trace,
-                          support::ThreadPool *pool,
-                          const support::CancelToken *cancel)
-{
-    capture(ref_data_trace, *this, cancel);
-    sweep({this}, pool, cancel);
 }
 
 double
 DcacheEvaluator::misses(const cache::CacheConfig &config) const
 {
     return frozen().misses(config);
-}
-
-ParetoSet
-DcacheEvaluator::pareto(double miss_penalty, double write_cost) const
-{
-    return paretoOver(
-        "D$",
-        [&](const cache::CacheConfig &config) {
-            return misses(config) * miss_penalty;
-        },
-        write_cost);
 }
 
 // --- UcacheEvaluator ---------------------------------------------------
@@ -440,15 +313,6 @@ UcacheEvaluator::fit()
     modeler_.reset();
 }
 
-void
-UcacheEvaluator::evaluate(const TraceSource &ref_unified_trace,
-                          support::ThreadPool *pool,
-                          const support::CancelToken *cancel)
-{
-    capture(ref_unified_trace, *this, cancel);
-    sweep({this}, pool, cancel);
-}
-
 double
 UcacheEvaluator::misses(const cache::CacheConfig &config,
                         double dilation) const
@@ -461,18 +325,6 @@ UcacheEvaluator::misses(const cache::CacheConfig &config,
         return ref_misses;
     core::DilationModel model(iParams_, iParams_, dParams_);
     return model.estimateUcacheMisses(config, dilation, ref_misses);
-}
-
-ParetoSet
-UcacheEvaluator::pareto(double dilation, double miss_penalty,
-                        double write_cost) const
-{
-    return paretoOver(
-        "U$",
-        [&](const cache::CacheConfig &config) {
-            return misses(config, dilation) * miss_penalty;
-        },
-        write_cost);
 }
 
 } // namespace pico::dse

@@ -3,16 +3,16 @@
  * Cache-subsystem evaluators: single-pass simulation banks plus the
  * dilation-model estimators, one evaluator per cache type.
  *
- * Each evaluator captures the *reference processor's* trace once
- * (feeding the trace modeler as it goes) and sweeps it once through
- * its bank (one Cheetah-style pass per line size the answers read),
- * after which the misses of any configuration in the space at any
- * dilation are available without further simulation — the paper's
- * central efficiency claim. Only the I-cache model reads contracted
- * line sizes, so only its bank simulates lines the space does not
- * list. A walk sweeps the three banks of a trace-equivalence class in
- * one lane loop (MemoryWalker::evaluate), then freezes each bank into
- * flat tables (FrozenBank) that every query reads.
+ * MemoryWalker::evaluate is the one way in: it routes the *reference
+ * processor's* unified trace into the three evaluators' captures
+ * (feeding the trace modelers as it goes) and sweeps the three banks
+ * once, in one lane loop (one Cheetah-style pass per line size the
+ * answers read). Each bank is then frozen into flat tables
+ * (FrozenBank), the one way out: the misses of any configuration in
+ * the space at any dilation are read from them without further
+ * simulation — the paper's central efficiency claim. Only the I-cache
+ * model reads contracted line sizes, so only its bank simulates lines
+ * the space does not list.
  */
 
 #ifndef PICO_DSE_EVALUATORS_HPP
@@ -31,7 +31,6 @@
 #include "core/DilationModel.hpp"
 #include "core/TraceModel.hpp"
 #include "dse/CacheSpace.hpp"
-#include "dse/Pareto.hpp"
 #include "dse/ReferenceSet.hpp"
 #include "support/CancelToken.hpp"
 #include "support/ThreadPool.hpp"
@@ -48,7 +47,8 @@ using TraceSink = std::function<void(const trace::Access &)>;
 using TraceSource = std::function<void(const TraceSink &)>;
 
 /**
- * Bank of single-pass simulators over one cache space.
+ * Bank of single-pass simulators over one cache space. The live bank
+ * only sweeps; its answers are read from freeze()'s tables.
  *
  * Its Cheetah simulators cover what the evaluator's model reads. The
  * I-cache dilation model interpolates at contracted line sizes
@@ -102,8 +102,8 @@ class SimBank
      * scratch. Either way each simulator sees the identical address
      * sequence, so miss counts are independent of the schedule. The cancel token is
      * checked once per encoded block; cancellation unwinds with
-     * CancelledError and leaves the banks unusable for misses()
-     * queries (the caller discards them).
+     * CancelledError and leaves the banks half swept (the caller
+     * discards them).
      */
     static void simulate(std::span<const Sweep> sweeps,
                          support::ThreadPool *pool,
@@ -114,23 +114,8 @@ class SimBank
                   support::ThreadPool *pool,
                   const support::CancelToken *cancel = nullptr);
 
-    /** Simulated reference-trace misses of a covered config. */
-    double misses(const cache::CacheConfig &config) const;
-
-    /**
-     * Simulated memory writes of a covered config under its write
-     * policy: dirty-line writebacks for write-back, the trace's
-     * store count for write-through. In a non-extended space (no
-     * set-resident bank) write traffic is not modeled and this
-     * returns 0 — consistent with the classic read-only stall model.
-     */
-    double writeTraffic(const cache::CacheConfig &config) const;
-
     /** Store references in the simulated trace (extended only). */
     uint64_t stores() const;
-
-    /** True when the configuration is covered. */
-    bool covers(const cache::CacheConfig &config) const;
 
     /** True when a set-resident (policy) bank was built. */
     bool extended() const { return !policySims_.empty(); }
@@ -146,8 +131,9 @@ class SimBank
     }
 
     /**
-     * The swept bank's answers as flat tables: the miss count of
-     * every covered configuration, the write-back count of every
+     * The swept bank's answers as flat tables, written straight from
+     * the simulators in BankLayout order: the miss count of every
+     * covered configuration, the write-back count of every
      * set-resident geometry, and the access and store counts.
      */
     FrozenBank freeze() const;
@@ -173,13 +159,10 @@ class SimBank
 /**
  * What the three cache evaluators share: a cache space, its simulator
  * bank, the captured reference trace and the bank's frozen answers.
- * Each evaluator is a trace sink: operator() captures one reference
- * (feeding the serial trace modeler, if any). evaluate() captures a
- * whole trace, then sweeps the bank over it once, on a pool if given
- * (results are identical without one), and freezes the bank;
- * MemoryWalker::evaluate instead captures all three evaluators from
- * one trace and sweeps their banks in one lane loop. A cancel token
- * aborts with CancelledError and leaves the evaluator not evaluated.
+ * A live evaluator exists only inside a MemoryWalker: the walker
+ * builds it, feeds its capture sink (operator(), which also feeds the
+ * serial trace modeler, if any) and sweeps it. A cancel token aborts
+ * with CancelledError and leaves the evaluator not evaluated.
  *
  * Every query reads the frozen tables. An evaluator built from a
  * frozen bank (a ReferenceSet found in the evaluation cache) answers
@@ -188,7 +171,7 @@ class SimBank
 class SubsystemEvaluator
 {
   public:
-    /** Simulated memory writes of a configuration (see SimBank). */
+    /** Simulated memory writes of a configuration (see FrozenBank). */
     double writeTraffic(const cache::CacheConfig &config) const;
 
     const CacheSpace &space() const { return space_; }
@@ -223,16 +206,6 @@ class SubsystemEvaluator
     /** Fit the trace models fed during capture, after the sweep. */
     virtual void fit() {}
 
-    /**
-     * Pareto set over the space, ids prefixed; a point's time is
-     * miss_time(config) plus write traffic weighted by write_cost.
-     */
-    ParetoSet paretoOver(
-        const char *prefix,
-        const std::function<double(const cache::CacheConfig &)>
-            &miss_time,
-        double write_cost) const;
-
     CacheSpace space_;
     /** Null when built from a frozen bank. */
     std::unique_ptr<SimBank> bank_;
@@ -251,23 +224,6 @@ class IcacheEvaluator : public SubsystemEvaluator
     /** The dilation model reads contracted line sizes (Lemma 1). */
     static constexpr Coverage coverage = Coverage::ContractedLines;
 
-    explicit IcacheEvaluator(CacheSpace space,
-                             uint64_t granule_refs =
-                                 core::defaultIGranule);
-
-    /** An evaluated evaluator over a frozen bank and parameters. */
-    IcacheEvaluator(CacheSpace space, FrozenBank frozen,
-                    core::ComponentParams params);
-
-    /** Capture one reference of the reference instruction trace. */
-    void operator()(const trace::Access &a);
-
-    /** Capture the whole reference instruction trace, sweep it and
-     *  fit the instruction trace model. */
-    void evaluate(const TraceSource &ref_instr_trace,
-                  support::ThreadPool *pool = nullptr,
-                  const support::CancelToken *cancel = nullptr);
-
     /**
      * Misses of a configuration at a dilation; dilation 1 returns
      * the simulated count exactly. Non-LRU designs at dilation != 1
@@ -277,21 +233,26 @@ class IcacheEvaluator : public SubsystemEvaluator
     double misses(const cache::CacheConfig &config,
                   double dilation) const;
 
-    /** Pareto set over the space at one dilation; time is misses
-     *  weighted by the L1-miss penalty plus write traffic weighted
-     *  by the (default 0) write cost. */
-    ParetoSet pareto(double dilation, double miss_penalty,
-                     double write_cost = 0.0) const;
-
     const core::ComponentParams &params() const { return params_; }
 
   private:
+    explicit IcacheEvaluator(CacheSpace space, uint64_t granule_refs);
+
+    /** An evaluated evaluator over a frozen bank and parameters. */
+    IcacheEvaluator(CacheSpace space, FrozenBank frozen,
+                    core::ComponentParams params);
+
+    /** Capture one instruction reference. */
+    void operator()(const trace::Access &a);
+
     void fit() override;
 
     /** Fed during capture; dropped once fit() has set params_, so
      *  its granule buffers do not stay resident with the walker. */
     std::optional<core::ItraceModeler> modeler_;
     core::ComponentParams params_;
+
+    friend class MemoryWalker;
 };
 
 /** Data-cache evaluator (simulation only; equation 4.1). */
@@ -300,24 +261,19 @@ class DcacheEvaluator : public SubsystemEvaluator
   public:
     static constexpr Coverage coverage = Coverage::Enumerated;
 
+    /** Misses of a configuration (dilation independent). */
+    double misses(const cache::CacheConfig &config) const;
+
+  private:
     explicit DcacheEvaluator(CacheSpace space);
 
     /** An evaluated evaluator over a frozen bank. */
     DcacheEvaluator(CacheSpace space, FrozenBank frozen);
 
-    /** Capture one reference of the reference data trace. */
+    /** Capture one data reference. */
     void operator()(const trace::Access &a);
 
-    /** Capture the whole reference data trace, then sweep it. */
-    void evaluate(const TraceSource &ref_data_trace,
-                  support::ThreadPool *pool = nullptr,
-                  const support::CancelToken *cancel = nullptr);
-
-    /** Misses of a configuration (dilation independent). */
-    double misses(const cache::CacheConfig &config) const;
-
-    ParetoSet pareto(double miss_penalty,
-                     double write_cost = 0.0) const;
+    friend class MemoryWalker;
 };
 
 /** Unified-cache evaluator (simulation + equations 4.13–4.15). */
@@ -326,34 +282,23 @@ class UcacheEvaluator : public SubsystemEvaluator
   public:
     static constexpr Coverage coverage = Coverage::Enumerated;
 
-    explicit UcacheEvaluator(CacheSpace space,
-                             uint64_t granule_refs =
-                                 core::defaultUGranule);
+    double misses(const cache::CacheConfig &config,
+                  double dilation) const;
+
+    const core::ComponentParams &instrParams() const { return iParams_; }
+    const core::ComponentParams &dataParams() const { return dParams_; }
+
+  private:
+    explicit UcacheEvaluator(CacheSpace space, uint64_t granule_refs);
 
     /** An evaluated evaluator over a frozen bank and parameters. */
     UcacheEvaluator(CacheSpace space, FrozenBank frozen,
                     core::ComponentParams instr_params,
                     core::ComponentParams data_params);
 
-    /** Capture one reference of the reference unified trace. */
+    /** Capture one unified reference. */
     void operator()(const trace::Access &a);
 
-    /** Capture the whole reference unified trace, sweep it and fit
-     *  both components' trace models. */
-    void evaluate(const TraceSource &ref_unified_trace,
-                  support::ThreadPool *pool = nullptr,
-                  const support::CancelToken *cancel = nullptr);
-
-    double misses(const cache::CacheConfig &config,
-                  double dilation) const;
-
-    ParetoSet pareto(double dilation, double miss_penalty,
-                     double write_cost = 0.0) const;
-
-    const core::ComponentParams &instrParams() const { return iParams_; }
-    const core::ComponentParams &dataParams() const { return dParams_; }
-
-  private:
     void fit() override;
 
     /** Fed during capture; dropped once fit() has set both
@@ -361,6 +306,8 @@ class UcacheEvaluator : public SubsystemEvaluator
     std::optional<core::UtraceModeler> modeler_;
     core::ComponentParams iParams_;
     core::ComponentParams dParams_;
+
+    friend class MemoryWalker;
 };
 
 } // namespace pico::dse

@@ -71,128 +71,110 @@ BankLayout::BankLayout(const CacheSpace &space, Coverage coverage)
     }
 }
 
+size_t
+BankLayout::Stack::cells() const
+{
+    return (log2Floor(maxSets) - log2Floor(minSets) + 1) * size_t{maxAssoc};
+}
+
+size_t
+BankLayout::missCount() const
+{
+    size_t n = 0;
+    for (const auto &s : stacks)
+        n += s.cells();
+    for (const auto &r : residents) {
+        if (r.policy != cache::ReplacementPolicy::LRU)
+            n += r.shapes.size();
+    }
+    return n;
+}
+
+size_t
+BankLayout::writebackCount() const
+{
+    size_t n = 0;
+    for (const auto &r : residents)
+        n += r.shapes.size();
+    return n;
+}
+
 namespace
 {
 
-cache::CacheConfig
-cell(uint32_t line, uint32_t sets, uint32_t assoc,
-     cache::ReplacementPolicy policy)
+/**
+ * Slot of a configuration among the residents' shapes, counting from
+ * `offset` and skipping LRU residents unless `with_lru`; -1 when not
+ * covered.
+ */
+int64_t
+residentSlot(const std::vector<BankLayout::Resident> &residents,
+             const cache::CacheConfig &config, size_t offset, bool with_lru)
 {
-    cache::CacheConfig cfg;
-    cfg.sets = sets;
-    cfg.assoc = assoc;
-    cfg.lineBytes = line;
-    cfg.replacement = policy;
-    cfg.write = cache::WritePolicy::WriteBack;
-    return cfg;
+    for (const auto &r : residents) {
+        if (!with_lru && r.policy == cache::ReplacementPolicy::LRU)
+            continue;
+        if (r.policy == config.replacement && r.line == config.lineBytes) {
+            const cache::SetResidentSim::Geometry key{config.sets,
+                                                      config.assoc};
+            auto it = std::lower_bound(r.shapes.begin(), r.shapes.end(), key);
+            if (it == r.shapes.end() || *it != key)
+                return -1;
+            return static_cast<int64_t>(offset) + (it - r.shapes.begin());
+        }
+        offset += r.shapes.size();
+    }
+    return -1;
 }
 
 } // namespace
 
-std::vector<cache::CacheConfig>
-BankLayout::missCells() const
+int64_t
+BankLayout::missSlot(const cache::CacheConfig &config) const
 {
-    std::vector<cache::CacheConfig> out;
+    // Stack cells are dense: level-major, then associativity.
+    size_t offset = 0;
     for (const auto &s : stacks) {
-        for (uint32_t sets = s.minSets; sets <= s.maxSets; sets *= 2) {
-            for (uint32_t assoc = 1; assoc <= s.maxAssoc; ++assoc)
-                out.push_back(cell(s.line, sets, assoc,
-                                   cache::ReplacementPolicy::LRU));
+        if (config.replacement == cache::ReplacementPolicy::LRU &&
+            s.line == config.lineBytes) {
+            if (config.assoc < 1 || config.assoc > s.maxAssoc ||
+                !isPowerOfTwo(config.sets) || config.sets < s.minSets ||
+                config.sets > s.maxSets)
+                return -1;
+            const size_t level =
+                log2Floor(config.sets) - log2Floor(s.minSets);
+            return static_cast<int64_t>(offset + level * s.maxAssoc +
+                                        config.assoc - 1);
         }
+        offset += s.cells();
     }
-    for (const auto &r : residents) {
-        if (r.policy == cache::ReplacementPolicy::LRU)
-            continue;
-        for (const auto &g : r.shapes)
-            out.push_back(cell(r.line, g.sets, g.assoc, r.policy));
-    }
-    return out;
+    return residentSlot(residents, config, offset, /*with_lru=*/false);
 }
 
-std::vector<cache::CacheConfig>
-BankLayout::writebackCells() const
+int64_t
+BankLayout::writebackSlot(const cache::CacheConfig &config) const
 {
-    std::vector<cache::CacheConfig> out;
-    for (const auto &r : residents) {
-        for (const auto &g : r.shapes)
-            out.push_back(cell(r.line, g.sets, g.assoc, r.policy));
-    }
-    return out;
+    return residentSlot(residents, config, 0, /*with_lru=*/true);
 }
 
 // --- FrozenBank --------------------------------------------------------
 
-FrozenBank::FrozenBank(const BankLayout &layout, uint64_t accesses,
+FrozenBank::FrozenBank(BankLayout layout, uint64_t accesses,
                        uint64_t stores, std::vector<double> misses,
                        std::vector<double> writebacks)
-    : misses_(std::move(misses)), writebacks_(std::move(writebacks)),
-      accesses_(accesses), stores_(stores),
-      extended_(!layout.residents.empty())
+    : layout_(std::move(layout)), misses_(std::move(misses)),
+      writebacks_(std::move(writebacks)), accesses_(accesses),
+      stores_(stores)
 {
-    const auto miss_cells = layout.missCells();
-    const auto writeback_cells = layout.writebackCells();
-    panicIf(misses_.size() != miss_cells.size() ||
-                writebacks_.size() != writeback_cells.size(),
+    panicIf(misses_.size() != layout_.missCount() ||
+                writebacks_.size() != layout_.writebackCount(),
             "frozen bank tables do not match the bank layout");
-    missGrids_ = index(miss_cells);
-    writebackGrids_ = index(writeback_cells);
-}
-
-std::vector<FrozenBank::Grid>
-FrozenBank::index(const std::vector<cache::CacheConfig> &cells)
-{
-    std::vector<Grid> grids;
-    auto gridOf = [&grids](const cache::CacheConfig &c) -> Grid & {
-        for (auto &g : grids) {
-            if (g.policy == c.replacement && g.line == c.lineBytes)
-                return g;
-        }
-        grids.push_back({c.replacement, c.lineBytes, c.sets, c.sets,
-                         c.assoc, {}});
-        return grids.back();
-    };
-    for (const auto &c : cells) {
-        Grid &g = gridOf(c);
-        g.minSets = std::min(g.minSets, c.sets);
-        g.maxSets = std::max(g.maxSets, c.sets);
-        g.maxAssoc = std::max(g.maxAssoc, c.assoc);
-    }
-    for (auto &g : grids) {
-        const size_t levels =
-            log2Floor(g.maxSets) - log2Floor(g.minSets) + 1;
-        g.slots.assign(levels * g.maxAssoc, -1);
-    }
-    for (size_t i = 0; i < cells.size(); ++i) {
-        const auto &c = cells[i];
-        Grid &g = gridOf(c);
-        g.slots[(log2Floor(c.sets) - log2Floor(g.minSets)) * g.maxAssoc +
-                c.assoc - 1] = static_cast<int32_t>(i);
-    }
-    return grids;
-}
-
-int32_t
-FrozenBank::find(const std::vector<Grid> &grids,
-                 const cache::CacheConfig &config)
-{
-    for (const auto &g : grids) {
-        if (g.policy != config.replacement || g.line != config.lineBytes)
-            continue;
-        if (config.assoc < 1 || config.assoc > g.maxAssoc ||
-            !isPowerOfTwo(config.sets) || config.sets < g.minSets ||
-            config.sets > g.maxSets)
-            return -1;
-        return g.slots[(log2Floor(config.sets) - log2Floor(g.minSets)) *
-                           g.maxAssoc +
-                       config.assoc - 1];
-    }
-    return -1;
 }
 
 bool
 FrozenBank::covers(const cache::CacheConfig &config) const
 {
-    return find(missGrids_, config) >= 0;
+    return layout_.missSlot(config) >= 0;
 }
 
 double
@@ -201,7 +183,7 @@ FrozenBank::misses(const cache::CacheConfig &config) const
     // LRU reads the Cheetah stacks' cells, FIFO/random the
     // set-resident shapes'. Both write policies are write-allocate,
     // so misses never depend on config.write.
-    int32_t i = find(missGrids_, config);
+    const int64_t i = layout_.missSlot(config);
     if (i >= 0)
         return misses_[static_cast<size_t>(i)];
     if (config.replacement != cache::ReplacementPolicy::LRU)
@@ -215,8 +197,8 @@ FrozenBank::misses(const cache::CacheConfig &config) const
 uint64_t
 FrozenBank::stores() const
 {
-    fatalIf(!extended_, "store counts need the set-resident bank "
-                        "(extended policy axes)");
+    fatalIf(!extended(), "store counts need the set-resident bank "
+                         "(extended policy axes)");
     return stores_;
 }
 
@@ -228,9 +210,9 @@ FrozenBank::writeTraffic(const cache::CacheConfig &config) const
     if (config.write == cache::WritePolicy::WriteThrough)
         return static_cast<double>(stores());
     // Classic spaces model no write traffic (read-only stall model).
-    if (!extended_)
+    if (!extended())
         return 0.0;
-    int32_t i = find(writebackGrids_, config);
+    const int64_t i = layout_.writebackSlot(config);
     if (i >= 0)
         return writebacks_[static_cast<size_t>(i)];
     fatal("configuration ", config.name(),
@@ -330,7 +312,7 @@ struct Reader
     }
 
     bool
-    bank(const BankLayout &layout, FrozenBank &out)
+    bank(BankLayout layout, FrozenBank &out)
     {
         uint64_t accesses = 0, stores = 0;
         if (!count(accesses))
@@ -338,11 +320,11 @@ struct Reader
         const auto limit = static_cast<double>(accesses);
         std::vector<double> misses, writebacks;
         if (!count(stores, limit) ||
-            !table(misses, layout.missCells().size(), limit) ||
-            !table(writebacks, layout.writebackCells().size(), limit))
+            !table(misses, layout.missCount(), limit) ||
+            !table(writebacks, layout.writebackCount(), limit))
             return false;
-        out = FrozenBank(layout, accesses, stores, std::move(misses),
-                         std::move(writebacks));
+        out = FrozenBank(std::move(layout), accesses, stores,
+                         std::move(misses), std::move(writebacks));
         return true;
     }
 };

@@ -17,6 +17,7 @@
 #ifndef PICO_DSE_REFERENCE_SET_HPP
 #define PICO_DSE_REFERENCE_SET_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -41,8 +42,15 @@ enum class Coverage
 
 /**
  * The simulators a SimBank builds for one cache space, without their
- * state. The live bank and its frozen tables share this shape, so a
- * set decoded from the cache lines up with the bank that swept it.
+ * state, and where each configuration's count lives in the bank's
+ * frozen tables. The live bank writes its tables in this order and
+ * the frozen bank reads them through these slots, so a set decoded
+ * from the cache lines up with the bank that swept it.
+ *
+ * The miss table holds every stack cell, stack by stack, with set
+ * counts ascending and then associativities ascending; then the
+ * shapes of each non-LRU resident (LRU misses come from the stacks).
+ * The write-back table holds the shapes of every resident.
  */
 struct BankLayout
 {
@@ -53,6 +61,11 @@ struct BankLayout
         uint32_t minSets = 0;
         uint32_t maxSets = 0;
         uint32_t maxAssoc = 0;
+
+        /** Number of cells: set counts times associativities. */
+        size_t cells() const;
+
+        bool operator==(const Stack &) const = default;
     };
 
     /** One set-resident simulator: its geometries, sorted, unique. */
@@ -61,29 +74,35 @@ struct BankLayout
         uint32_t line = 0;
         cache::ReplacementPolicy policy = cache::ReplacementPolicy::LRU;
         std::vector<cache::SetResidentSim::Geometry> shapes;
+
+        bool operator==(const Resident &) const = default;
     };
 
+    BankLayout() = default;
     BankLayout(const CacheSpace &space, Coverage coverage);
 
-    /**
-     * The configurations of the frozen miss table, in table order:
-     * every stack cell in (sets, assoc) order, then every shape of
-     * each non-LRU resident (LRU misses come from the stacks).
-     */
-    std::vector<cache::CacheConfig> missCells() const;
+    /** Length of the miss table. */
+    size_t missCount() const;
 
-    /** The write-back table's configurations: every resident shape. */
-    std::vector<cache::CacheConfig> writebackCells() const;
+    /** Length of the write-back table. */
+    size_t writebackCount() const;
+
+    /** Miss-table slot of a configuration, or -1 when not covered. */
+    int64_t missSlot(const cache::CacheConfig &config) const;
+
+    /** Write-back-table slot of a geometry, or -1 when not covered. */
+    int64_t writebackSlot(const cache::CacheConfig &config) const;
+
+    bool operator==(const BankLayout &) const = default;
 
     std::vector<Stack> stacks;
     std::vector<Resident> residents;
 };
 
 /**
- * The frozen answers of one swept SimBank. Queries cost one scan over
- * at most a few (policy, line) grids plus one table read, and a
- * configuration outside the bank's coverage fails as the live bank
- * does.
+ * The frozen answers of one swept SimBank. A query is one slot
+ * computation over the bank's layout plus one table read, and a
+ * configuration outside the bank's coverage fails with fatal().
  */
 class FrozenBank
 {
@@ -91,17 +110,23 @@ class FrozenBank
     FrozenBank() = default;
 
     /**
-     * @param misses one count per layout.missCells() entry
-     * @param writebacks one count per layout.writebackCells() entry
+     * @param misses one count per miss-table slot of the layout
+     * @param writebacks one count per write-back-table slot
      */
-    FrozenBank(const BankLayout &layout, uint64_t accesses,
-               uint64_t stores, std::vector<double> misses,
+    FrozenBank(BankLayout layout, uint64_t accesses, uint64_t stores,
+               std::vector<double> misses,
                std::vector<double> writebacks);
 
     /** Simulated misses of a covered configuration. */
     double misses(const cache::CacheConfig &config) const;
 
-    /** Memory writes under the config's write policy (see SimBank). */
+    /**
+     * Simulated memory writes of a covered configuration under its
+     * write policy: dirty-line writebacks for write-back, the trace's
+     * store count for write-through. A classic bank (no set-resident
+     * simulators) models no write traffic: write-back returns 0,
+     * consistent with the read-only stall model.
+     */
     double writeTraffic(const cache::CacheConfig &config) const;
 
     /** Store references (extended banks only). */
@@ -109,7 +134,9 @@ class FrozenBank
 
     uint64_t accesses() const { return accesses_; }
     bool covers(const cache::CacheConfig &config) const;
-    bool extended() const { return extended_; }
+
+    /** True when the bank had set-resident (policy) simulators. */
+    bool extended() const { return !layout_.residents.empty(); }
 
     /** Oracle adapter for the dilation model. */
     core::MissOracle oracle() const;
@@ -123,35 +150,11 @@ class FrozenBank
     bool operator==(const FrozenBank &) const = default;
 
   private:
-    /** The cells of one (policy, line) pair. */
-    struct Grid
-    {
-        cache::ReplacementPolicy policy = cache::ReplacementPolicy::LRU;
-        uint32_t line = 0;
-        uint32_t minSets = 0;
-        uint32_t maxSets = 0;
-        uint32_t maxAssoc = 0;
-        /** [level * maxAssoc + assoc - 1]: table index, -1 = none. */
-        std::vector<int32_t> slots;
-
-        bool operator==(const Grid &) const = default;
-    };
-
-    /** Grids over `cells`, each cell mapped to its table index. */
-    static std::vector<Grid>
-    index(const std::vector<cache::CacheConfig> &cells);
-
-    /** Table index of a configuration, or -1 when not covered. */
-    static int32_t find(const std::vector<Grid> &grids,
-                        const cache::CacheConfig &config);
-
-    std::vector<Grid> missGrids_;
-    std::vector<Grid> writebackGrids_;
+    BankLayout layout_;
     std::vector<double> misses_;
     std::vector<double> writebacks_;
     uint64_t accesses_ = 0;
     uint64_t stores_ = 0;
-    bool extended_ = false;
 };
 
 /**
@@ -163,9 +166,8 @@ class FrozenBank
  *     then per bank (I$, D$, U$): accesses, stores,
  *     nMisses, misses..., nWritebacks, writebacks...
  *
- * Table order is the bank layout's (BankLayout::missCells and
- * writebackCells), derived from the cache spaces, so the entry holds
- * no geometry.
+ * Table order is the bank layout's (see BankLayout), derived from
+ * the cache spaces, so the entry holds no geometry.
  */
 struct ReferenceSet
 {

@@ -99,8 +99,10 @@ class MemoryWalker
      * trace: each reference goes to the I or D capture as its
      * isInstr bit says, and always to the U capture. Then the three
      * banks sweep their captures in one lane loop, on the attached
-     * pool if any. A cancel token aborts with CancelledError; the
-     * walker is then only partially evaluated and must be discarded.
+     * pool if any, and each bank is frozen. This is the only way to
+     * sweep a trace-equivalence class. A cancel token aborts with
+     * CancelledError; the walker is then only partially evaluated and
+     * must be discarded.
      */
     void evaluate(const TraceSource &unified_trace,
                   const support::CancelToken *cancel = nullptr);

@@ -303,20 +303,29 @@ verifyCacheFile(const std::string &path, Diagnostics &diags)
         return false;
     }
     std::string line;
-    if (!std::getline(in, line) ||
-        (line != cacheFileHeader && line != cacheFileHeaderV2)) {
+    if (!std::getline(in, line)) {
         diags.error("result.cachefile", what,
                     "missing or wrong version header (expected '" +
                         std::string(cacheFileHeader) + "')");
         return false;
     }
-    if (line == cacheFileHeaderV2)
+    // A headerless v1 database begins directly with its records, and
+    // the cache still loads it: check its first line as a record.
+    bool pending = false;
+    if (line == cacheFileHeaderV2) {
         diags.warning("result.cachefile", what,
                       "legacy v2 header (pre policy-axis schema); "
                       "rewritten as v3 on the next save");
+    } else if (line != cacheFileHeader) {
+        diags.warning("result.cachefile", what,
+                      "no version header (headerless v1 database); "
+                      "rewritten as v3 on the next save");
+        pending = true;
+    }
     std::string prevKey;
-    uint64_t lineNo = 1;
-    while (std::getline(in, line)) {
+    uint64_t lineNo = pending ? 0 : 1;
+    while (pending || std::getline(in, line)) {
+        pending = false;
         ++lineNo;
         std::string at = what + " line " + std::to_string(lineNo);
         if (line.empty()) {

@@ -87,7 +87,9 @@ bool verifyParetoSet(const dse::ParetoSet &set,
 /**
  * Re-parse a persisted evaluation-cache database and check the
  * format invariants (header, record shape, key ordering, finite
- * values, `proc;` and `ref;` entry shapes).
+ * values, `proc;` and `ref;` entry shapes). A v2 header or a
+ * headerless v1 file, both of which the cache still loads, is one
+ * warning; a v1 file's first line is checked as a record.
  * @return true when no error-severity finding was added
  */
 bool verifyCacheFile(const std::string &path, Diagnostics &diags);

@@ -117,12 +117,13 @@ TEST(Differential, SimBankParallelSweepMatchesDirectSims)
                           dse::SimBank::Coverage::Enumerated}) {
         dse::SimBank bank(space, coverage);
         bank.simulate(cols, &pool);
+        const dse::FrozenBank frozen = bank.freeze();
 
         for (const auto &cfg : space.enumerate()) {
             cache::CacheSim ref(cfg);
             for (auto addr : addrs)
                 ref.access(addr);
-            EXPECT_EQ(bank.misses(cfg),
+            EXPECT_EQ(frozen.misses(cfg),
                       static_cast<double>(ref.misses()))
                 << cfg.name();
         }
@@ -169,8 +170,9 @@ TEST(Differential, ColumnarReplayMatchesRowReplayAcrossCacheSpace)
     for (auto addr : addrs)
         cols(trace::Access{addr, true, false});
 
-    dse::SimBank col_bank(space);
-    col_bank.simulate(cols, nullptr);
+    dse::SimBank bank(space);
+    bank.simulate(cols, nullptr);
+    const dse::FrozenBank col_bank = bank.freeze();
 
     for (const auto &cfg : space.enumerate()) {
         cache::SinglePassSim rows(cfg.lineBytes, space.minSets(),
@@ -203,12 +205,14 @@ TEST(Differential, ColumnarSweepIsJobCountInvariant)
 
     for (auto coverage : {dse::SimBank::Coverage::ContractedLines,
                           dse::SimBank::Coverage::Enumerated}) {
-        dse::SimBank serial(space, coverage);
-        serial.simulate(cols, nullptr);
+        dse::SimBank serial_bank(space, coverage);
+        serial_bank.simulate(cols, nullptr);
+        const dse::FrozenBank serial = serial_bank.freeze();
         for (unsigned jobs : {2u, 8u}) {
             support::ThreadPool pool(jobs);
-            dse::SimBank parallel(space, coverage);
-            parallel.simulate(cols, &pool);
+            dse::SimBank parallel_bank(space, coverage);
+            parallel_bank.simulate(cols, &pool);
+            const dse::FrozenBank parallel = parallel_bank.freeze();
             for (const auto &cfg : space.enumerate())
                 EXPECT_EQ(parallel.misses(cfg), serial.misses(cfg))
                     << cfg.name() << " jobs=" << jobs;

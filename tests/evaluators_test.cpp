@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <string>
 
+#include "cache/CacheSim.hpp"
 #include "dse/Evaluators.hpp"
 #include "dse/Spacewalker.hpp"
 #include "support/Metrics.hpp"
@@ -28,34 +30,6 @@ smallSpace()
     space.assocs = {1, 2};
     space.lineSizes = {16, 32};
     return space;
-}
-
-TraceSource
-syntheticInstrTrace(uint64_t seed, int length)
-{
-    return [seed, length](const TraceSink &sink) {
-        Rng rng(seed);
-        uint64_t pc = 0x01000000;
-        for (int i = 0; i < length; ++i) {
-            if (rng.coin(0.12))
-                pc = 0x01000000 + (rng.below(1 << 15) & ~3ULL);
-            sink({pc, true, false});
-            pc += 4;
-        }
-    };
-}
-
-TraceSource
-syntheticDataTrace(uint64_t seed, int length)
-{
-    return [seed, length](const TraceSink &sink) {
-        Rng rng(seed);
-        for (int i = 0; i < length; ++i) {
-            uint64_t addr =
-                0x40000000 + (rng.below(1 << 16) & ~3ULL);
-            sink({addr, false, rng.coin(0.3)});
-        }
-    };
 }
 
 /** Unified trace; store_frac of the data references are stores. */
@@ -97,25 +71,98 @@ extendedSpaces()
     return spaces;
 }
 
+/** A walker over small spaces, swept over one synthetic trace. */
+std::unique_ptr<MemoryWalker>
+smallWalker(uint64_t seed, int length)
+{
+    auto walker = std::make_unique<MemoryWalker>(
+        MemorySpaces{smallSpace(), smallSpace(), smallSpace()},
+        StallModel{}, 2000, 10000);
+    walker->evaluate(syntheticUnifiedTrace(seed, length));
+    return walker;
+}
+
 TEST(SimBank, CoversDownToOneWordLines)
 {
     SimBank bank(smallSpace());
     // Lines 4, 8, 16, 32 -> four single-pass runs.
     EXPECT_EQ(bank.simRuns(), 4u);
-    EXPECT_TRUE(bank.covers(cache::CacheConfig{64, 1, 4}));
-    EXPECT_TRUE(bank.covers(cache::CacheConfig{64, 2, 32}));
-    EXPECT_FALSE(bank.covers(cache::CacheConfig{64, 1, 64}));
+    const FrozenBank frozen = bank.freeze();
+    EXPECT_TRUE(frozen.covers(cache::CacheConfig{64, 1, 4}));
+    EXPECT_TRUE(frozen.covers(cache::CacheConfig{64, 2, 32}));
+    EXPECT_FALSE(frozen.covers(cache::CacheConfig{64, 1, 64}));
 }
 
 TEST(SimBank, MissesThrowOutsideCoverage)
 {
-    SimBank bank(smallSpace());
-    trace::ColumnarTraceBuffer captured;
-    syntheticInstrTrace(1, 1000)(
-        [&captured](const trace::Access &a) { captured(a); });
-    bank.simulate(captured, nullptr);
-    EXPECT_THROW(bank.misses(cache::CacheConfig{64, 1, 128}),
-                 FatalError);
+    // Every query outside a frozen bank's coverage fails loudly,
+    // naming the configuration (or, for write-through traffic on a
+    // classic bank, saying that stores are not counted).
+    using cache::ReplacementPolicy;
+    using cache::WritePolicy;
+    CacheSpace extended = smallSpace();
+    extended.replacements = {ReplacementPolicy::LRU, ReplacementPolicy::FIFO,
+                             ReplacementPolicy::Random};
+    extended.writePolicies = {WritePolicy::WriteBack,
+                              WritePolicy::WriteThrough};
+    auto expectFatal = [](auto query, const std::string &needle) {
+        try {
+            query();
+            ADD_FAILURE() << "no error for " << needle;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+                << e.what();
+        }
+    };
+    // smallSpace lists 16..1024 sets at 16-byte lines and 16..512 at
+    // 32-byte lines, at most two ways; 32 sets x 2 ways (2 KB) is
+    // inside the 32-byte rectangle but not listed.
+    const std::vector<cache::CacheConfig> lru_outside = {
+        {64, 1, 64},   // a line size the bank does not simulate
+        {4096, 1, 32}, // above the line's set band
+        {8, 1, 32},    // below it
+        {48, 1, 32},   // not a power of two
+        {64, 0, 32},   // no ways
+        {64, 3, 32},   // above the largest associativity
+    };
+    const cache::CacheConfig unlisted{32, 2, 32};
+    for (const CacheSpace &space : {smallSpace(), extended}) {
+        for (auto coverage :
+             {Coverage::ContractedLines, Coverage::Enumerated}) {
+            SCOPED_TRACE(space.extendedAxes() ? "extended" : "classic");
+            SimBank bank(space, coverage);
+            trace::ColumnarTraceBuffer captured;
+            syntheticUnifiedTrace(1, 1000, 0.3)(
+                [&captured](const trace::Access &a) { captured(a); });
+            bank.simulate(captured, nullptr);
+            const FrozenBank frozen = bank.freeze();
+            for (const auto &cfg : lru_outside) {
+                EXPECT_FALSE(frozen.covers(cfg)) << cfg.name();
+                expectFatal([&] { frozen.misses(cfg); }, cfg.name());
+            }
+            for (auto policy :
+                 {ReplacementPolicy::FIFO, ReplacementPolicy::Random}) {
+                cache::CacheConfig cfg = unlisted;
+                cfg.replacement = policy;
+                expectFatal([&] { frozen.misses(cfg); }, cfg.name());
+            }
+            cache::CacheConfig wt{64, 2, 32};
+            wt.write = WritePolicy::WriteThrough;
+            if (!space.extendedAxes()) {
+                expectFatal([&] { frozen.writeTraffic(wt); },
+                            "store counts need the set-resident bank");
+                continue;
+            }
+            EXPECT_EQ(frozen.writeTraffic(wt),
+                      static_cast<double>(frozen.stores()));
+            for (auto policy : {ReplacementPolicy::LRU, ReplacementPolicy::FIFO,
+                                ReplacementPolicy::Random}) {
+                cache::CacheConfig cfg = unlisted;
+                cfg.replacement = policy;
+                expectFatal([&] { frozen.writeTraffic(cfg); }, cfg.name());
+            }
+        }
+    }
 }
 
 TEST(SimBank, EvaluatorBanksCoverWhatTheirModelsRead)
@@ -129,10 +176,11 @@ TEST(SimBank, EvaluatorBanksCoverWhatTheirModelsRead)
     MemoryWalker walker(spaces, StallModel{}, 2000, 10000);
     walker.evaluate(syntheticUnifiedTrace(31, 60000));
 
-    SimBank full_l1(spaces.icache);
-    const SimBank &ibank = walker.icache().bank();
-    EXPECT_EQ(ibank.simRuns(), full_l1.simRuns());
-    EXPECT_EQ(ibank.simRuns(), 5u);
+    SimBank full_l1_bank(spaces.icache);
+    const FrozenBank full_l1 = full_l1_bank.freeze();
+    const FrozenBank &ibank = walker.icache().frozen();
+    EXPECT_EQ(walker.icache().bank().simRuns(), full_l1_bank.simRuns());
+    EXPECT_EQ(walker.icache().bank().simRuns(), 5u);
     for (uint32_t line = SimBank::minCoveredLine; line <= 128; line *= 2)
         for (uint32_t sets = 1; sets <= 8192; sets *= 2)
             for (uint32_t assoc = 1; assoc <= 8; ++assoc) {
@@ -142,10 +190,10 @@ TEST(SimBank, EvaluatorBanksCoverWhatTheirModelsRead)
             }
     EXPECT_TRUE(ibank.covers(cache::CacheConfig{2048, 1, 4}));
 
-    const SimBank &dbank = walker.dcache().bank();
-    const SimBank &ubank = walker.ucache().bank();
-    EXPECT_EQ(dbank.simRuns(), 3u);
-    EXPECT_EQ(ubank.simRuns(), 3u);
+    const FrozenBank &dbank = walker.dcache().frozen();
+    const FrozenBank &ubank = walker.ucache().frozen();
+    EXPECT_EQ(walker.dcache().bank().simRuns(), 3u);
+    EXPECT_EQ(walker.ucache().bank().simRuns(), 3u);
     for (const auto &cfg : spaces.dcache.enumerate())
         EXPECT_TRUE(dbank.covers(cfg)) << cfg.name();
     for (const auto &cfg : spaces.ucache.enumerate())
@@ -154,7 +202,7 @@ TEST(SimBank, EvaluatorBanksCoverWhatTheirModelsRead)
     // A line below the space's smallest, and a set count outside a
     // line's band: the full-coverage bank simulates both, the
     // evaluator's bank neither.
-    SimBank full_l2(spaces.ucache);
+    const FrozenBank full_l2 = SimBank(spaces.ucache).freeze();
     for (cache::CacheConfig cfg : {cache::CacheConfig{128, 1, 8},
                                    cache::CacheConfig{2048, 1, 64}}) {
         EXPECT_TRUE(full_l1.covers(cfg)) << cfg.name();
@@ -173,71 +221,66 @@ TEST(SimBank, EvaluatorBanksCoverWhatTheirModelsRead)
 
 TEST(IcacheEvaluator, UnitDilationEqualsSimulation)
 {
-    IcacheEvaluator eval(smallSpace(), 2000);
-    eval.evaluate(syntheticInstrTrace(3, 60000));
+    // Dilation 1 reads the simulated count itself: a dedicated
+    // CacheSim run over the trace's instruction references.
+    auto walker = smallWalker(3, 60000);
     for (const auto &cfg : smallSpace().enumerate()) {
-        EXPECT_DOUBLE_EQ(eval.misses(cfg, 1.0),
-                         eval.bank().misses(cfg))
+        cache::CacheSim oracle(cfg);
+        syntheticUnifiedTrace(3, 60000)([&oracle](const trace::Access &a) {
+            if (a.isInstr)
+                oracle(a);
+        });
+        EXPECT_DOUBLE_EQ(walker->icache().misses(cfg, 1.0),
+                         static_cast<double>(oracle.misses()))
             << cfg.name();
     }
 }
 
 TEST(IcacheEvaluator, DilationIncreasesMisses)
 {
-    IcacheEvaluator eval(smallSpace(), 2000);
-    eval.evaluate(syntheticInstrTrace(4, 60000));
+    auto walker = smallWalker(4, 60000);
     cache::CacheConfig cfg{64, 1, 32};
-    double base = eval.misses(cfg, 1.0);
-    double dil = eval.misses(cfg, 2.0);
+    double base = walker->icache().misses(cfg, 1.0);
+    double dil = walker->icache().misses(cfg, 2.0);
     EXPECT_GT(dil, base);
 }
 
 TEST(IcacheEvaluator, RejectsQueriesBeforeEvaluate)
 {
-    IcacheEvaluator eval(smallSpace());
-    EXPECT_THROW(eval.misses(cache::CacheConfig{64, 1, 32}, 1.0),
-                 FatalError);
-}
-
-TEST(IcacheEvaluator, RejectsDataReferences)
-{
-    IcacheEvaluator eval(smallSpace(), 1000);
-    EXPECT_THROW(eval.evaluate(syntheticDataTrace(5, 5000)),
+    MemoryWalker walker(MemorySpaces{smallSpace(), smallSpace(), smallSpace()},
+                        StallModel{});
+    EXPECT_THROW(walker.icache().misses(cache::CacheConfig{64, 1, 32}, 1.0),
                  FatalError);
 }
 
 TEST(DcacheEvaluator, SimulatesAndIgnoresDilation)
 {
-    DcacheEvaluator eval(smallSpace());
-    eval.evaluate(syntheticDataTrace(6, 50000));
+    auto walker = smallWalker(6, 50000);
     cache::CacheConfig cfg{128, 2, 32};
-    EXPECT_GT(eval.misses(cfg), 0.0);
+    EXPECT_GT(walker->dcache().misses(cfg), 0.0);
 }
 
 TEST(UcacheEvaluator, DilationScalesUnifiedMisses)
 {
-    UcacheEvaluator eval(smallSpace(), 10000);
-    eval.evaluate(syntheticUnifiedTrace(7, 120000));
+    auto walker = smallWalker(7, 120000);
     cache::CacheConfig cfg{256, 2, 32};
-    double base = eval.misses(cfg, 1.0);
-    double dil = eval.misses(cfg, 2.5);
-    EXPECT_DOUBLE_EQ(base, eval.misses(cfg, 1.0));
+    double base = walker->ucache().misses(cfg, 1.0);
+    double dil = walker->ucache().misses(cfg, 2.5);
+    EXPECT_DOUBLE_EQ(base, walker->ucache().misses(cfg, 1.0));
     EXPECT_GE(dil, base);
 }
 
 TEST(Evaluators, ParetoSetsAreNonEmptyAndConsistent)
 {
-    IcacheEvaluator ieval(smallSpace(), 2000);
-    ieval.evaluate(syntheticInstrTrace(8, 60000));
-    auto front = ieval.pareto(1.5, 10.0);
+    auto walker = smallWalker(8, 60000);
+    auto front = walker->pareto(1.5);
     EXPECT_FALSE(front.empty());
-    // Every front member's misses must be reproducible.
     for (const auto &p : front.points()) {
         EXPECT_GT(p.cost, 0.0);
         EXPECT_GE(p.time, 0.0);
     }
-    // The largest, most associative cache must have the fewest
-    // misses; it can only be excluded by cost.
+    // A costlier member of the front must be faster; otherwise a
+    // cheaper one would dominate it.
     auto sorted = front.sorted();
     for (size_t i = 1; i < sorted.size(); ++i)
         EXPECT_LE(sorted[i].time, sorted[i - 1].time);
@@ -267,34 +310,52 @@ TEST(MemoryWalker, StallCyclesAdditive)
 TEST(MemoryWalker, OneUnifiedSourceMatchesComponentEvaluators)
 {
     // evaluate() splits one unified trace by isInstr; every answer
-    // must equal evaluating each subsystem on its own component.
+    // must equal the one built from each subsystem's own component:
+    // its capture swept by a bank of the evaluator's coverage, frozen,
+    // and read through the trace model the evaluator fits.
     MemorySpaces spaces{smallSpace(), smallSpace(), smallSpace()};
     MemoryWalker walker(spaces, StallModel{}, 2000, 10000);
     TraceSource unified = syntheticUnifiedTrace(15, 120000);
     walker.evaluate(unified);
 
-    auto component = [&unified](bool instr) {
-        return TraceSource([&unified, instr](const TraceSink &sink) {
-            unified([&](const trace::Access &a) {
-                if (a.isInstr == instr)
-                    sink(a);
-            });
-        });
+    trace::ColumnarTraceBuffer instr, data, all;
+    core::ItraceModeler imodeler(2000);
+    core::UtraceModeler umodeler(10000);
+    unified([&](const trace::Access &a) {
+        if (a.isInstr) {
+            instr(a);
+            imodeler.access(a);
+        } else {
+            data(a);
+        }
+        all(a);
+        umodeler.access(a);
+    });
+    auto sweep = [](const CacheSpace &space, Coverage coverage,
+                    const trace::ColumnarTraceBuffer &capture) {
+        SimBank bank(space, coverage);
+        bank.simulate(capture, nullptr);
+        return bank.freeze();
     };
-    IcacheEvaluator ieval(spaces.icache, 2000);
-    ieval.evaluate(component(true));
-    DcacheEvaluator deval(spaces.dcache);
-    deval.evaluate(component(false));
-    UcacheEvaluator ueval(spaces.ucache, 10000);
-    ueval.evaluate(unified);
+    const FrozenBank ibank =
+        sweep(spaces.icache, IcacheEvaluator::coverage, instr);
+    const FrozenBank dbank =
+        sweep(spaces.dcache, DcacheEvaluator::coverage, data);
+    const FrozenBank ubank =
+        sweep(spaces.ucache, UcacheEvaluator::coverage, all);
+    const core::ComponentParams ip = imodeler.params();
+    const core::DilationModel imodel(ip, ip, ip);
+    const core::DilationModel umodel(umodeler.instrParams(),
+                                     umodeler.instrParams(),
+                                     umodeler.dataParams());
     for (const auto &cfg : smallSpace().enumerate()) {
         EXPECT_EQ(walker.icache().misses(cfg, 1.5),
-                  ieval.misses(cfg, 1.5))
+                  imodel.estimateIcacheMisses(cfg, 1.5, ibank.oracle()))
             << cfg.name();
-        EXPECT_EQ(walker.dcache().misses(cfg), deval.misses(cfg))
+        EXPECT_EQ(walker.dcache().misses(cfg), dbank.misses(cfg))
             << cfg.name();
         EXPECT_EQ(walker.ucache().misses(cfg, 1.5),
-                  ueval.misses(cfg, 1.5))
+                  umodel.estimateUcacheMisses(cfg, 1.5, ubank.misses(cfg)))
             << cfg.name();
     }
 }

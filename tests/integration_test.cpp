@@ -105,11 +105,14 @@ TEST(Integration, EstimatedTracksDilatedIcacheMisses)
     space.sizesBytes = {1024};
     space.assocs = {1};
     space.lineSizes = {32};
-    dse::IcacheEvaluator eval(space);
+    dse::MemoryWalker walker(dse::MemorySpaces{space, space, space},
+                             dse::StallModel{}, core::defaultIGranule,
+                             /*u_granule=*/10000);
     trace::TraceGenerator gen(app.prog, app.ref.sched, app.ref.bin);
-    eval.evaluate([&gen](const dse::TraceSink &sink) {
-        gen.generate(trace::TraceKind::Instruction, sink, kBlocks);
+    walker.evaluate([&gen](const dse::TraceSink &sink) {
+        gen.generate(trace::TraceKind::Unified, sink, kBlocks);
     });
+    const dse::IcacheEvaluator &eval = walker.icache();
 
     for (double d : {1.4, 2.0, 3.0}) {
         auto dilated = static_cast<double>(app.simulate(

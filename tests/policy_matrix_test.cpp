@@ -376,14 +376,15 @@ TEST(PolicyMatrix, SimBankRoutesEveryCellToTheOracle)
         dse::SimBank bank(space, coverage);
         EXPECT_TRUE(bank.extended());
         bank.simulate(cols, nullptr);
+        const dse::FrozenBank frozen = bank.freeze();
 
         for (const auto &cfg : space.enumerate()) {
-            ASSERT_TRUE(bank.covers(cfg)) << cfg.name();
+            ASSERT_TRUE(frozen.covers(cfg)) << cfg.name();
             cache::CacheSim ref = oracleRun(cfg, refs);
-            EXPECT_EQ(bank.misses(cfg),
+            EXPECT_EQ(frozen.misses(cfg),
                       static_cast<double>(ref.misses()))
                 << cfg.name();
-            EXPECT_EQ(bank.writeTraffic(cfg),
+            EXPECT_EQ(frozen.writeTraffic(cfg),
                       static_cast<double>(ref.writeTraffic()))
                 << cfg.name();
         }
@@ -406,17 +407,18 @@ TEST(PolicyMatrix, SimBankSimulatesOnlyListedGeometries)
         cols(a);
     dse::SimBank bank(space);
     bank.simulate(cols, nullptr);
+    const dse::FrozenBank frozen = bank.freeze();
 
     size_t checked = 0;
     for (const auto &cfg : space.enumerate()) {
         if (cfg.replacement == ReplacementPolicy::LRU)
             continue;
-        ASSERT_TRUE(bank.covers(cfg)) << cfg.name();
+        ASSERT_TRUE(frozen.covers(cfg)) << cfg.name();
         cache::CacheSim ref = oracleRun(cfg, refs);
-        EXPECT_EQ(bank.misses(cfg),
+        EXPECT_EQ(frozen.misses(cfg),
                   static_cast<double>(ref.misses()))
             << cfg.name();
-        EXPECT_EQ(bank.writeTraffic(cfg),
+        EXPECT_EQ(frozen.writeTraffic(cfg),
                   static_cast<double>(ref.writeTraffic()))
             << cfg.name();
         ++checked;
@@ -432,13 +434,13 @@ TEST(PolicyMatrix, SimBankSimulatesOnlyListedGeometries)
                                  WritePolicy::WriteBack},
               cache::CacheConfig{512, 1, 32, 1, policy,
                                  WritePolicy::WriteBack}}) {
-            EXPECT_FALSE(bank.covers(cfg)) << cfg.name();
-            EXPECT_THROW(bank.misses(cfg), FatalError) << cfg.name();
-            EXPECT_THROW(bank.writeTraffic(cfg), FatalError)
+            EXPECT_FALSE(frozen.covers(cfg)) << cfg.name();
+            EXPECT_THROW(frozen.misses(cfg), FatalError) << cfg.name();
+            EXPECT_THROW(frozen.writeTraffic(cfg), FatalError)
                 << cfg.name();
         }
     }
-    EXPECT_TRUE(bank.covers(cache::CacheConfig{
+    EXPECT_TRUE(frozen.covers(cache::CacheConfig{
         512, 1, 16, 1, ReplacementPolicy::FIFO,
         WritePolicy::WriteBack}));
 }
@@ -454,8 +456,9 @@ TEST(PolicyMatrix, ExtendedColumnarSweepIsJobCountInvariant)
     for (const auto &a : refs)
         cols(a);
 
-    dse::SimBank serial(space);
-    serial.simulate(cols, nullptr);
+    dse::SimBank serial_bank(space);
+    serial_bank.simulate(cols, nullptr);
+    const dse::FrozenBank serial = serial_bank.freeze();
     for (const auto &cfg : space.enumerate()) {
         cache::CacheSim ref = oracleRun(cfg, refs);
         EXPECT_EQ(serial.misses(cfg),
@@ -469,8 +472,9 @@ TEST(PolicyMatrix, ExtendedColumnarSweepIsJobCountInvariant)
         support::ThreadPool pool(jobs);
         for (auto coverage : {dse::SimBank::Coverage::ContractedLines,
                               dse::SimBank::Coverage::Enumerated}) {
-            dse::SimBank parallel(space, coverage);
-            parallel.simulate(cols, &pool);
+            dse::SimBank parallel_bank(space, coverage);
+            parallel_bank.simulate(cols, &pool);
+            const dse::FrozenBank parallel = parallel_bank.freeze();
             for (const auto &cfg : space.enumerate()) {
                 EXPECT_EQ(parallel.misses(cfg), serial.misses(cfg))
                     << cfg.name() << " jobs=" << jobs;
@@ -498,7 +502,7 @@ TEST(PolicyMatrix, ExtendedColumnarSweepIsJobCountInvariant)
     }
     support::setMetricsEnabled(false);
     EXPECT_EQ(counters[0], counters[1]);
-    EXPECT_EQ(counters[0]["sweep.runs"], serial.simRuns());
+    EXPECT_EQ(counters[0]["sweep.runs"], serial_bank.simRuns());
     EXPECT_EQ(counters[0]["sweep.fifo.line32.accesses"], cols.size());
     EXPECT_EQ(counters[0]["sweep.line4.accesses"], cols.size());
 }
@@ -587,18 +591,30 @@ TEST(PolicyMatrix, IcacheDilationScalingStaysSaneForNonLru)
     space.replacements = {ReplacementPolicy::LRU,
                           ReplacementPolicy::FIFO};
 
+    // Each reference is fetched as an instruction, then read or
+    // written as data: the I$ sees the 1000 fetches. The traces are
+    // short, so shrink the model granules so the AHH fits still see
+    // several granules.
     auto refs = randomWriteTrace(77, 4);
-    // The synthetic trace is 1000 refs; shrink the model granule so
-    // the AHH fit still sees several granules.
-    dse::IcacheEvaluator eval(space, /*granule_refs=*/250);
-    eval.evaluate([&](const dse::TraceSink &sink) {
-        for (const auto &a : refs)
-            sink(trace::Access{a.addr, true, false});
+    std::vector<trace::Access> fetches;
+    for (const auto &a : refs)
+        fetches.push_back({a.addr, true, false});
+    dse::MemoryWalker walker(dse::MemorySpaces{space, space, space},
+                             dse::StallModel{}, /*i_granule=*/250,
+                             /*u_granule=*/500);
+    walker.evaluate([&](const dse::TraceSink &sink) {
+        for (size_t i = 0; i < refs.size(); ++i) {
+            sink(fetches[i]);
+            sink(refs[i]);
+        }
     });
+    const dse::IcacheEvaluator &eval = walker.icache();
 
     for (const auto &cfg : space.enumerate()) {
         double at_one = eval.misses(cfg, 1.0);
-        EXPECT_EQ(at_one, eval.bank().misses(cfg)) << cfg.name();
+        EXPECT_EQ(at_one,
+                  static_cast<double>(oracleRun(cfg, fetches).misses()))
+            << cfg.name();
         for (double dilation : {1.3, 2.0}) {
             double scaled = eval.misses(cfg, dilation);
             EXPECT_TRUE(std::isfinite(scaled)) << cfg.name();
@@ -621,7 +637,8 @@ TEST(PolicyMatrix, AcceleratorWorkloadsDifferentiatePolicies)
             prog, MachineDesc::fromName("1111"));
         trace::TraceGenerator gen(prog, ref.sched, ref.bin);
 
-        dse::CacheSpace space;
+        dse::MemorySpaces spaces;
+        dse::CacheSpace &space = spaces.dcache;
         space.sizesBytes = {1024, 2048, 4096, 8192};
         space.assocs = {1, 2, 4};
         space.lineSizes = {16, 32};
@@ -631,13 +648,20 @@ TEST(PolicyMatrix, AcceleratorWorkloadsDifferentiatePolicies)
         space.writePolicies = {WritePolicy::WriteBack,
                                WritePolicy::WriteThrough};
 
-        dse::DcacheEvaluator eval(space);
-        eval.evaluate([&](const dse::TraceSink &sink) {
-            gen.generate(trace::TraceKind::Data, sink, 6000);
+        dse::MemoryWalker walker(spaces, dse::StallModel{},
+                                 /*i_granule=*/2000, /*u_granule=*/5000);
+        walker.evaluate([&](const dse::TraceSink &sink) {
+            gen.generate(trace::TraceKind::Unified, sink, 6000);
         });
 
-        auto front = eval.pareto(/*miss_penalty=*/80.0,
-                                 /*write_cost=*/6.0);
+        // The D$ front alone: misses at an 80-cycle penalty plus
+        // write traffic at 6 cycles per write.
+        dse::ParetoSet front;
+        for (const auto &cfg : space.enumerate())
+            front.insertPoint(dse::DesignPoint{
+                "D$" + cfg.name(), cfg.areaCost(),
+                walker.dcache().misses(cfg) * 80.0 +
+                    walker.dcache().writeTraffic(cfg) * 6.0});
         bool has_non_default = false;
         for (const auto &point : front.points()) {
             if (point.id.find("/fifo") != std::string::npos ||

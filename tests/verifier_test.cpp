@@ -746,6 +746,26 @@ TEST_F(CacheFileVerifierTest, LegacyV2HeaderWarnsButPasses)
     EXPECT_EQ(diags.warningCount(), 1u) << diags.report();
 }
 
+TEST_F(CacheFileVerifierTest, HeaderlessV1DatabaseWarnsButPasses)
+{
+    // A v1 database has no header line, and the cache still loads
+    // it, so the verifier checks its first line as a record and says
+    // once that the header is missing.
+    auto path = (std::filesystem::temp_directory_path() /
+                 "pico_verify_cachefile_v1.db")
+                    .string();
+    cleanup_.push_back(path);
+    std::ofstream out(path, std::ios::trunc);
+    out << "proc;app;s1;1111|1.02,901000\n"
+        << "proc;app;s1;2211|1.08,842000\n";
+    out.close();
+    Diagnostics diags;
+    EXPECT_TRUE(verifyCacheFile(path, diags)) << diags.report();
+    EXPECT_TRUE(diags.has("result.cachefile")) << diags.report();
+    EXPECT_EQ(diags.errorCount(), 0u) << diags.report();
+    EXPECT_EQ(diags.warningCount(), 1u) << diags.report();
+}
+
 TEST_F(CacheFileVerifierTest, MissingFileTrips)
 {
     Diagnostics diags;
