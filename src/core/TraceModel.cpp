@@ -1,6 +1,7 @@
 #include "core/TraceModel.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace pico::core
 {
@@ -19,6 +20,35 @@ ComponentParams::uLines(double lineWords) const
     fatalIf(lineWords <= 0.0, "line size must be positive");
     // Closed form of equation 4.5 under equation 4.4; see header.
     return u1 * (lineWords + lav - 1.0) / (lineWords * lav);
+}
+
+std::vector<std::string>
+ComponentParams::domainErrors(uint64_t granuleRefs) const
+{
+    constexpr double eps = 1e-9;
+    if (!std::isfinite(u1) || !std::isfinite(p1) || !std::isfinite(lav))
+        return {"non-finite trace parameter"};
+    std::vector<std::string> errors;
+    if (u1 <= 0.0 || u1 > static_cast<double>(granuleRefs))
+        errors.push_back("u(1) = " + std::to_string(u1) +
+                         " is outside (0, granule] for granule " +
+                         std::to_string(granuleRefs));
+    if (p1 < 0.0 || p1 > 1.0 + eps)
+        errors.push_back("p1 = " + std::to_string(p1) +
+                         " is outside [0, 1]");
+    if (lav < 1.0 - eps)
+        errors.push_back("lav = " + std::to_string(lav) + " is below 1");
+    if (lav > u1 + eps)
+        errors.push_back("lav = " + std::to_string(lav) +
+                         " exceeds u(1) = " + std::to_string(u1));
+    if (errors.empty()) {
+        // p2 (eq. 4.4) <= 1 follows from p1 >= 0.
+        double p = p2();
+        if (!std::isfinite(p) || p > 1.0 + eps)
+            errors.push_back("p2 = " + std::to_string(p) +
+                             " is outside the run-model domain");
+    }
+    return errors;
 }
 
 void

@@ -22,6 +22,7 @@
 #define PICO_CORE_TRACE_MODEL_HPP
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "support/Logging.hpp"
@@ -64,6 +65,17 @@ struct ComponentParams
      * at infeasible line sizes L / d.
      */
     double uLines(double lineWords) const;
+
+    /**
+     * Why these parameters lie outside the AHH model's domain for
+     * granules of granuleRefs references: a non-finite value, u(1)
+     * outside (0, granule], p1 outside [0, 1], lav below 1 or above
+     * u(1), or p2 above 1 (tolerance 1e-9). Parameters measured from
+     * any trace meet every bound. p2 < 0 is no error: a real trace
+     * may violate the run model's assumption lav >= 1 + p1.
+     * @return one message per violated bound; empty inside the domain
+     */
+    std::vector<std::string> domainErrors(uint64_t granuleRefs) const;
 
     bool operator==(const ComponentParams &) const = default;
 };

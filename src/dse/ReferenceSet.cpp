@@ -278,16 +278,15 @@ struct Reader
         return true;
     }
 
+    /** An AHH triple inside the model's domain for the granule. */
     bool
-    params(core::ComponentParams &p)
+    params(core::ComponentParams &p, uint64_t granule_refs)
     {
-        for (double *v : {&p.u1, &p.p1, &p.lav}) {
+        for (double *v : {&p.u1, &p.p1, &p.lav})
             if (!next(*v))
                 return false;
-            if (!std::isfinite(*v))
-                return fail("non-finite trace parameter");
-        }
-        return true;
+        const auto errors = p.domainErrors(granule_refs);
+        return errors.empty() || fail(errors.front());
     }
 
     /** One length-prefixed table of counts, each <= limit. */
@@ -361,7 +360,8 @@ ReferenceSet::encode() const
 
 std::optional<ReferenceSet>
 ReferenceSet::decode(const std::vector<double> &values,
-                     const MemorySpaces &spaces, std::string *reason)
+                     const MemorySpaces &spaces, uint64_t i_granule,
+                     uint64_t u_granule, std::string *reason)
 {
     Reader r{values, 0, reason};
     ReferenceSet set;
@@ -378,8 +378,9 @@ ReferenceSet::decode(const std::vector<double> &values,
         r.fail("empty reference text");
         return std::nullopt;
     }
-    if (!r.params(set.iParams) || !r.params(set.uiParams) ||
-        !r.params(set.udParams) ||
+    if (!r.params(set.iParams, i_granule) ||
+        !r.params(set.uiParams, u_granule) ||
+        !r.params(set.udParams, u_granule) ||
         !r.bank(BankLayout(spaces.icache, IcacheEvaluator::coverage),
                 set.icache) ||
         !r.bank(BankLayout(spaces.dcache, DcacheEvaluator::coverage),

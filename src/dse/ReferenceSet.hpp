@@ -188,13 +188,18 @@ struct ReferenceSet
     std::vector<double> encode() const;
 
     /**
-     * Decode an entry for these spaces. Checks the version, every
-     * table length against the spaces' bank layouts, and every count
-     * (a non-negative integer no larger than its access count).
+     * Decode an entry for these spaces and the AHH granules its key
+     * names (i_granule for the instruction trace, u_granule for the
+     * unified trace). Checks the version, every AHH parameter triple
+     * against the model's domain for its granule
+     * (ComponentParams::domainErrors), every table length against the
+     * spaces' bank layouts, and every count (a non-negative integer
+     * no larger than its access count).
      * @return nullopt with `reason` filled when malformed
      */
     static std::optional<ReferenceSet>
     decode(const std::vector<double> &values, const MemorySpaces &spaces,
+           uint64_t i_granule, uint64_t u_granule,
            std::string *reason = nullptr);
 
     bool operator==(const ReferenceSet &) const = default;

@@ -592,14 +592,18 @@ Spacewalker::explore(const ir::Program &prog)
                         .encode();
                 },
                 [&](const std::vector<double> &v) {
-                    found = ReferenceSet::decode(v, spaces_);
+                    found = ReferenceSet::decode(v, spaces_,
+                                                 options_.iGranule,
+                                                 options_.uGranule);
                     return found.has_value();
                 });
             if (!ctx->memory) {
                 // A hit, or another walk's compute this one waited on.
                 std::string why;
                 if (!found)
-                    found = ReferenceSet::decode(values, spaces_, &why);
+                    found = ReferenceSet::decode(
+                        values, spaces_, options_.iGranule,
+                        options_.uGranule, &why);
                 panicIf(!found, "reference set does not decode: ", why);
                 PICO_METRIC_COUNT("walk.reference.hits", 1);
                 ctx->refTextBytes = found->textBytes;

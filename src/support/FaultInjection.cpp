@@ -88,17 +88,6 @@ truncateFile(const std::string &path, uint64_t keepBytes)
 }
 
 void
-truncateFileTail(const std::string &path, uint64_t dropBytes)
-{
-    std::error_code ec;
-    auto size = std::filesystem::file_size(path, ec);
-    fatalIf(static_cast<bool>(ec), "cannot stat '", path, "' for truncation");
-    fatalIf(size < dropBytes, "'", path, "' is only ", size,
-            " bytes; cannot drop ", dropBytes);
-    truncateFile(path, size - dropBytes);
-}
-
-void
 flipBit(const std::string &path, uint64_t byteOffset,
         unsigned bitIndex)
 {

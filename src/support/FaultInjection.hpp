@@ -2,8 +2,8 @@
  * @file
  * Deterministic fault-injection harness.
  *
- * Long exploration runs must survive corrupt trace files, half-written
- * cache databases and infeasible designs, and every recovery path
+ * Long exploration runs must survive corrupt or half-written cache
+ * databases and infeasible designs, and every recovery path
  * needs a test that actually exercises it. This header provides the
  * two halves of that story:
  *
@@ -151,9 +151,6 @@ class ScopedFault
  * already shorter.
  */
 void truncateFile(const std::string &path, uint64_t keepBytes);
-
-/** Drop the last dropBytes of a file. */
-void truncateFileTail(const std::string &path, uint64_t dropBytes);
 
 /** Flip one bit: byte byteOffset, bit bitIndex (0-7). */
 void flipBit(const std::string &path, uint64_t byteOffset,

@@ -10,7 +10,7 @@
  * Every line carries a monotonic timestamp (seconds since the first
  * log/metric event of the process) and a severity tag:
  *
- *     [   12.345] warn: trace file truncated
+ *     [   12.345] warn: cannot write evaluation cache 'walk.db.tmp'
  *
  * A minimum severity filters output — parallel walks can run quiet.
  * It defaults to Info, is read once from PICOEVAL_LOG_LEVEL

@@ -1,7 +1,5 @@
 #include "verify/DesignVerifier.hpp"
 
-#include <cmath>
-
 namespace pico::verify
 {
 
@@ -201,52 +199,20 @@ verifyAhhParams(const core::ComponentParams &params,
                 uint64_t granule_refs, const std::string &what,
                 Diagnostics &diags)
 {
-    size_t before = diags.errorCount();
-    constexpr double eps = 1e-9;
-    if (!std::isfinite(params.u1) || !std::isfinite(params.p1) ||
-        !std::isfinite(params.lav)) {
-        diags.error("ahh.domain", what,
-                    "non-finite trace parameter");
-        return false;
-    }
-    if (params.u1 <= 0.0 ||
-        params.u1 > static_cast<double>(granule_refs))
-        diags.error("ahh.domain", what,
-                    "u(1) = " + std::to_string(params.u1) +
-                        " is outside (0, granule] for granule " +
-                        std::to_string(granule_refs));
-    if (params.p1 < 0.0 || params.p1 > 1.0 + eps)
-        diags.error("ahh.domain", what,
-                    "p1 = " + std::to_string(params.p1) +
-                        " is outside [0, 1]");
-    if (params.lav < 1.0 - eps)
-        diags.error("ahh.domain", what,
-                    "lav = " + std::to_string(params.lav) +
-                        " is below 1");
-    if (params.lav > params.u1 + eps)
-        diags.error("ahh.domain", what,
-                    "lav = " + std::to_string(params.lav) +
-                        " exceeds u(1) = " +
-                        std::to_string(params.u1));
-    if (diags.errorCount() == before) {
-        // p2 (eq. 4.4) <= 1 follows from p1 >= 0; p2 < 0 means the
-        // measured trace violates the run model's assumption
-        // lav >= 1 + p1 — well-defined data, inaccurate model.
-        double p2 = params.p2();
-        if (!std::isfinite(p2) || p2 > 1.0 + eps)
-            diags.error("ahh.domain", what,
-                        "p2 = " + std::to_string(p2) +
-                            " is outside the run-model domain");
-        else if (p2 < 0.0)
-            diags.warning(
-                "ahh.domain", what,
-                "p2 = " + std::to_string(p2) +
-                    " is negative: the measured trace violates "
-                    "the run-model assumption lav >= 1 + p1 "
-                    "(eq. 4.4); extrapolated miss rates may be "
-                    "inaccurate");
-    }
-    return diags.errorCount() == before;
+    const auto errors = params.domainErrors(granule_refs);
+    for (const auto &error : errors)
+        diags.error("ahh.domain", what, error);
+    // p2 < 0 means the measured trace violates the run model's
+    // assumption lav >= 1 + p1 — well-defined data, inaccurate model.
+    double p2 = params.p2();
+    if (errors.empty() && p2 < 0.0)
+        diags.warning("ahh.domain", what,
+                      "p2 = " + std::to_string(p2) +
+                          " is negative: the measured trace violates "
+                          "the run-model assumption lav >= 1 + p1 "
+                          "(eq. 4.4); extrapolated miss rates may be "
+                          "inaccurate");
+    return errors.empty();
 }
 
 } // namespace pico::verify

@@ -60,7 +60,9 @@ bool verifyHierarchy(const cache::HierarchyConfig &config,
                      Diagnostics &diags);
 
 /**
- * Check extracted AHH parameters against the run model's domain.
+ * Check extracted AHH parameters against the run model's domain
+ * (core::ComponentParams::domainErrors, one error each); warn when
+ * p2 < 0.
  * @param granule_refs references per granule the parameters were
  *        extracted with (u1 cannot exceed it)
  * @return true when no error-severity finding was added

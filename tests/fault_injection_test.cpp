@@ -1,9 +1,8 @@
 /**
  * @file
  * Fault-injection tests: the harness itself, plus every recovery
- * path it exists to exercise — trace corruption detection (strict
- * and lenient), crash-safe evaluation-cache persistence, and
- * per-design failure isolation in the spacewalker.
+ * path it exists to exercise — crash-safe evaluation-cache
+ * persistence and per-design failure isolation in the spacewalker.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +13,6 @@
 #include "dse/EvaluationCache.hpp"
 #include "dse/Spacewalker.hpp"
 #include "support/FaultInjection.hpp"
-#include "trace/ColumnarTrace.hpp"
-#include "trace/TraceErrors.hpp"
 #include "workloads/AppSpec.hpp"
 #include "workloads/Toolchain.hpp"
 
@@ -57,40 +54,6 @@ class FaultInjection : public ::testing::Test
         std::ofstream out(p,
                           std::ios::trunc | std::ios::binary);
         out << content;
-    }
-
-    /** Append n records mixing all three kinds. */
-    static void
-    fill(trace::ColumnarTraceWriter &writer, size_t n)
-    {
-        for (size_t i = 0; i < n; ++i) {
-            trace::Access a;
-            a.addr = 0x1000 + 4 * i;
-            a.isInstr = i % 3 == 0;
-            a.isWrite = !a.isInstr && i % 3 == 1;
-            writer.write(a);
-        }
-    }
-
-    /** Write a sealed v3 trace: 1024 records in 4 blocks of 256. */
-    static void
-    writeTrace(const std::filesystem::path &p)
-    {
-        trace::ColumnarTraceWriter writer(p.string(), /*cap=*/256);
-        fill(writer, 1024);
-        writer.close();
-    }
-
-    /** Replay `p` leniently; returns the records delivered. */
-    static uint64_t
-    replayLenient(const std::filesystem::path &p,
-                  trace::ColumnarCorruptionSummary &summary)
-    {
-        trace::ColumnarTraceReader reader(p.string(),
-                                          trace::TraceReadMode::Lenient);
-        uint64_t n = reader.replay([](const trace::Access &) {});
-        summary = reader.summary();
-        return n;
     }
 };
 
@@ -149,150 +112,6 @@ TEST_F(FaultInjection, CorruptionOffsetsAreDeterministic)
     }
     auto c = support::corruptionOffsets(path.string(), 43, 8, 16);
     EXPECT_NE(a, c);
-    std::filesystem::remove(path);
-}
-
-// --- trace corruption --------------------------------------------------
-
-TEST_F(FaultInjection, TruncatedTraceRejectedStrict)
-{
-    // Every cut past the magic (header, block, index) is rejected
-    // naming a position; none reads as a clean end of trace.
-    auto pristine = tmpFile("pico_fi_trunc.trace");
-    auto path = tmpFile("pico_fi_trunc_cut.trace");
-    writeTrace(pristine);
-    const LogLevel level = logLevel();
-    setLogLevel(LogLevel::Silent); // one rejection per cut
-    const auto size = std::filesystem::file_size(pristine);
-    for (uint64_t cut = trace::traceMagicV3Bytes; cut < size; ++cut) {
-        std::filesystem::copy_file(
-            pristine, path,
-            std::filesystem::copy_options::overwrite_existing);
-        support::truncateFile(path.string(), cut);
-        try {
-            trace::ColumnarTraceReader reader(path.string());
-            reader.replay([](const trace::Access &) {});
-            ADD_FAILURE() << "cut at byte " << cut << " read clean";
-        } catch (const trace::TraceCorruptionError &e) {
-            EXPECT_NE(std::string(e.what()).find("byte"),
-                      std::string::npos)
-                << "error must name the position: " << e.what();
-        }
-    }
-    setLogLevel(level);
-    std::filesystem::remove(pristine);
-    std::filesystem::remove(path);
-}
-
-TEST_F(FaultInjection, TruncatedTraceAccountedLenient)
-{
-    // Every cut past the magic salvages only whole blocks and is
-    // accounted as a truncated header, never as a clean trace.
-    auto pristine = tmpFile("pico_fi_trunc_lenient.trace");
-    auto path = tmpFile("pico_fi_trunc_lenient_cut.trace");
-    writeTrace(pristine);
-    const LogLevel level = logLevel();
-    setLogLevel(LogLevel::Silent); // one salvage warning per cut
-    const auto size = std::filesystem::file_size(pristine);
-    for (uint64_t cut = trace::traceMagicV3Bytes; cut < size; ++cut) {
-        std::filesystem::copy_file(
-            pristine, path,
-            std::filesystem::copy_options::overwrite_existing);
-        support::truncateFile(path.string(), cut);
-        trace::ColumnarCorruptionSummary s;
-        uint64_t n = replayLenient(path, s);
-        EXPECT_EQ(n % 256, 0u) << "cut at byte " << cut;
-        EXPECT_EQ(s.recordsRead, n) << "cut at byte " << cut;
-        EXPECT_TRUE(s.headerTruncated) << "cut at byte " << cut;
-        EXPECT_FALSE(s.clean()) << "cut at byte " << cut;
-    }
-    setLogLevel(level);
-    std::filesystem::remove(pristine);
-    std::filesystem::remove(path);
-}
-
-TEST_F(FaultInjection, CorruptRecordDroppedCountIsExact)
-{
-    // Corrupt a record in blocks 1 and 3 but leave the header intact:
-    // its record count makes the dropped-record accounting exact.
-    auto path = tmpFile("pico_fi_badblocks.trace");
-    writeTrace(path);
-    // The index (the last 4 x 8 bytes) holds each block's offset;
-    // the block's delta bytes follow its 32-byte header.
-    std::ifstream in(path, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    const size_t index_at = bytes.size() - 4 * 8;
-    for (size_t b : {1, 3}) {
-        uint64_t off = 0;
-        for (size_t i = 8; i-- > 0;)
-            off = off << 8 |
-                  static_cast<uint8_t>(bytes[index_at + b * 8 + i]);
-        support::flipBit(path.string(), off + 32 + 5, 2);
-    }
-
-    trace::ColumnarCorruptionSummary s;
-    EXPECT_EQ(replayLenient(path, s), 1024u - 2 * 256);
-    EXPECT_EQ(s.corruptBlocks, 2u);
-    EXPECT_EQ(s.salvagedBlocks, 2u);
-    EXPECT_EQ(s.expectedRecords, 1024u);
-    EXPECT_EQ(s.droppedRecords(), 2u * 256);
-    EXPECT_TRUE(s.checksumMismatch);
-    EXPECT_FALSE(s.clean());
-
-    // The same file in strict mode is rejected outright.
-    trace::ColumnarTraceReader strict(path.string());
-    EXPECT_THROW(strict.replay([](const trace::Access &) {}),
-                 trace::TraceCorruptionError);
-    std::filesystem::remove(path);
-}
-
-TEST_F(FaultInjection, BitFlipNeverReadsClean)
-{
-    // Seeded flips anywhere past the 88-byte file header (block
-    // headers, payload, index): whatever they hit, the per-block
-    // checksums and the file chain notice. Every block is full, so
-    // no kind byte carries unread padding bits.
-    auto pristine = tmpFile("pico_fi_bitflip.trace");
-    auto path = tmpFile("pico_fi_bitflip_case.trace");
-    writeTrace(pristine);
-    for (uint64_t seed = 1; seed <= 16; ++seed) {
-        std::filesystem::copy_file(
-            pristine, path,
-            std::filesystem::copy_options::overwrite_existing);
-        for (auto off : support::corruptionOffsets(path.string(), seed,
-                                                   3, /*lo=*/88))
-            support::flipBit(path.string(), off,
-                             static_cast<unsigned>(seed % 8));
-        trace::ColumnarCorruptionSummary s;
-        replayLenient(path, s);
-        EXPECT_FALSE(s.clean()) << "seed " << seed;
-    }
-    std::filesystem::remove(pristine);
-    std::filesystem::remove(path);
-}
-
-TEST_F(FaultInjection, WriterCrashLeavesDetectableFile)
-{
-    auto path = tmpFile("pico_fi_writer_crash.trace");
-    {
-        // Injected failure before the index is written (armed
-        // permanently so the destructor's retry fails too): the tail
-        // block, the index and the seal are never written, as if the
-        // process died. The destructor must swallow the error (never
-        // throw during unwind).
-        ScopedFault f("ColumnarTraceWriter::close:before-index",
-                      /*skip=*/0, /*fires=*/0);
-        trace::ColumnarTraceWriter writer(path.string(), /*cap=*/256);
-        fill(writer, 600);
-        EXPECT_THROW(writer.close(), FaultInjectedError);
-    }
-    EXPECT_THROW(trace::ColumnarTraceReader(path.string()),
-                 trace::TraceCorruptionError);
-    // Lenient salvages the two blocks flushed before the crash.
-    trace::ColumnarCorruptionSummary s;
-    EXPECT_EQ(replayLenient(path, s), 512u);
-    EXPECT_TRUE(s.headerTruncated);
     std::filesystem::remove(path);
 }
 

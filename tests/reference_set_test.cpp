@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -244,7 +245,8 @@ TEST(ReferenceSet, EncodeDecodeRoundTripsInMemoryAndThroughAFile)
         auto swept = sweepClass("1111", spaces);
         const auto set = swept.walker->freeze(swept.textBytes);
         const auto encoded = set.encode();
-        auto decoded = ReferenceSet::decode(encoded, spaces);
+        auto decoded =
+            ReferenceSet::decode(encoded, spaces, iGranule, uGranule);
         ASSERT_TRUE(decoded.has_value());
         EXPECT_EQ(*decoded, set);
 
@@ -260,7 +262,8 @@ TEST(ReferenceSet, EncodeDecodeRoundTripsInMemoryAndThroughAFile)
         std::vector<double> values;
         ASSERT_TRUE(reloaded.lookup("ref;roundtrip", values));
         EXPECT_EQ(values, encoded);
-        auto from_file = ReferenceSet::decode(values, spaces);
+        auto from_file =
+            ReferenceSet::decode(values, spaces, iGranule, uGranule);
         ASSERT_TRUE(from_file.has_value());
         EXPECT_EQ(*from_file, set);
         std::filesystem::remove(path);
@@ -272,13 +275,17 @@ TEST(ReferenceSet, MalformedEntriesDoNotDecode)
     MemorySpaces spaces;
     auto swept = sweepClass("1111", spaces);
     const auto good = swept.walker->freeze(swept.textBytes).encode();
-    // The I$ bank starts after version, text size and nine params.
+    // The I$ parameters u(1), p1, lav follow version and text size;
+    // the I$ bank starts after the nine parameters.
+    const size_t i_u1 = 2, i_p1 = 3, i_lav = 4;
     const size_t i_accesses = 11;
     const size_t i_first_miss = i_accesses + 3;
     auto rejects = [&spaces](const std::vector<double> &v,
                              const char *why) {
         std::string reason;
-        EXPECT_FALSE(ReferenceSet::decode(v, spaces, &reason)) << why;
+        EXPECT_FALSE(ReferenceSet::decode(v, spaces, iGranule, uGranule,
+                                          &reason))
+            << why;
         EXPECT_FALSE(reason.empty()) << why;
     };
     auto edit = [&good](size_t at, double value) {
@@ -290,6 +297,11 @@ TEST(ReferenceSet, MalformedEntriesDoNotDecode)
     rejects(edit(0, 2), "unknown version");
     rejects(edit(1, 0), "no text");
     rejects(edit(1, 1.5), "fractional text size");
+    // Parameters outside the AHH domain that the verifier reports.
+    rejects(edit(i_lav, 0.14102511522632), "I$ lav below 1");
+    rejects(edit(i_p1, 8), "I$ p1 above 1");
+    rejects(edit(i_u1, iGranule + 1.0), "I$ u(1) above its granule");
+    rejects(edit(i_u1, std::nan("")), "non-finite I$ u(1)");
     rejects(edit(i_first_miss, good[i_accesses] + 1),
             "count above accesses");
     rejects(edit(i_first_miss, -1), "negative count");
@@ -301,8 +313,9 @@ TEST(ReferenceSet, MalformedEntriesDoNotDecode)
     longer.push_back(0);
     rejects(longer, "trailing value");
     // The same entry read for other spaces has the wrong lengths.
-    EXPECT_FALSE(ReferenceSet::decode(good, extendedSpaces()));
-    EXPECT_TRUE(ReferenceSet::decode(good, spaces));
+    EXPECT_FALSE(ReferenceSet::decode(good, extendedSpaces(), iGranule,
+                                      uGranule));
+    EXPECT_TRUE(ReferenceSet::decode(good, spaces, iGranule, uGranule));
 }
 
 TEST(ReferenceSet, FrozenWalkerAnswersAsTheSweptOne)
@@ -312,7 +325,8 @@ TEST(ReferenceSet, FrozenWalkerAnswersAsTheSweptOne)
         stalls.writeCost = spaces.dcache.extendedAxes() ? 6.0 : 0.0;
         auto swept = sweepClass("1111", spaces, stalls);
         auto set = ReferenceSet::decode(
-            swept.walker->freeze(swept.textBytes).encode(), spaces);
+            swept.walker->freeze(swept.textBytes).encode(), spaces,
+            iGranule, uGranule);
         ASSERT_TRUE(set.has_value());
         MemoryWalker from_set(spaces, stalls, *set);
         for (double d : {1.0, 1.3, 2.1}) {

@@ -302,6 +302,15 @@ TEST(SpacewalkerCache, MalformedEntriesAreRecomputed)
     auto truncated = [](const std::string &v) {
         return v.substr(0, v.rfind(','));
     };
+    // Value 4 of a ref; entry is the I$ lav; 0.14 lies outside the
+    // AHH domain (lav >= 1) that --verify-cache checks.
+    auto lav_below_one = [](const std::string &v) {
+        size_t at = 0;
+        for (int i = 0; i < 4; ++i)
+            at = v.find(',', at) + 1;
+        return v.substr(0, at) + "0.14102511522632" +
+               v.substr(v.find(',', at));
+    };
     struct Case
     {
         const char *what;
@@ -312,6 +321,8 @@ TEST(SpacewalkerCache, MalformedEntriesAreRecomputed)
          [&] { crafted("proc;", first_value); }},
         {"proc; entry with no values", [&] { crafted("proc;", empty); }},
         {"ref; entry cut short", [&] { crafted("ref;", truncated); }},
+        {"ref; entry with lav below 1",
+         [&] { crafted("ref;", lav_below_one); }},
     };
     for (const auto &c : cases) {
         SCOPED_TRACE(c.what);

@@ -16,8 +16,7 @@ Checks C++ sources under src/ for constructions the project bans:
   raw-stream     std::ifstream / std::fstream outside the checked
                  readers (EvaluationCache::load, FaultInjection).
                  Ad-hoc file reads skip the corruption quarantine the
-                 fault-tolerance layer guarantees. (Trace files are
-                 mmap-read by ColumnarTraceReader, no stream.)
+                 fault-tolerance layer guarantees.
   raw-output     std::cout / std::cerr / printf family outside
                  support/Logging.cpp. Library code reports through
                  the leveled logging sink, which is filterable and
