@@ -70,8 +70,8 @@ main(int argc, char **argv)
                         per_processor;
 
     // Hierarchical cost: one single-pass run per line size per cache
-    // type, on the reference trace only. The walker routes the
-    // unified trace to the three captures.
+    // type, on the reference trace only. The walker captures the
+    // unified trace once, and each bank reads its own records of it.
     t0 = std::chrono::steady_clock::now();
     dse::MemoryWalker walker(dse::MemorySpaces{l1_space, l1_space, l2_space},
                              dse::StallModel{}, bench::iGranule,

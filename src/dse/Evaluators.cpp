@@ -35,61 +35,97 @@ SimBank::accessBlock(size_t i, const trace::BlockView &view)
                                                   view.count);
 }
 
+namespace
+{
+
+/** The records of a decoded block a bank reads, in capture order. */
+trace::BlockView
+selectRecords(const trace::BlockView &view, SimBank::Records records,
+              trace::BlockScratch &out)
+{
+    if (records == SimBank::Records::All)
+        return view;
+    const bool instructions = records == SimBank::Records::Instructions;
+    out.addrs.resize(view.count);
+    out.kinds.resize(view.count);
+    uint32_t kept = 0;
+    for (uint32_t i = 0; i < view.count; ++i) {
+        out.addrs[kept] = view.addrs[i];
+        out.kinds[kept] = view.kinds[i];
+        kept += (view.kinds[i] == 2) == instructions;
+    }
+    return {out.addrs.data(), out.kinds.data(), kept};
+}
+
+} // namespace
+
 void
-SimBank::simulate(std::span<const Sweep> sweeps,
+SimBank::simulate(const trace::ColumnarTraceBuffer &capture,
+                  std::span<const Sweep> sweeps,
                   support::ThreadPool *pool,
                   const support::CancelToken *cancel)
 {
-    // A lane owns a range of one bank's simulators (set-resident ones
-    // after the Cheetah ones) plus a private decode scratch, so lanes
-    // share only the immutable encoded blocks and need no merge step.
-    // The single fused lane per bank is the paper's single pass taken
-    // one level further: one decode per block for the whole bank.
-    // With workers, every simulator of every bank is a lane of the
-    // same loop, so the banks share one barrier.
-    struct Lane
+    // A lane feeds a range of one or more banks' simulators (a bank's
+    // set-resident ones after its Cheetah ones) and owns its decode
+    // and selection scratch, so lanes share only the immutable encoded
+    // blocks and need no merge step. The single fused lane is the
+    // paper's single pass taken one level further: one decode per
+    // block for every simulator of the class. With workers, every
+    // simulator of every bank is a lane of the same loop, so the banks
+    // share one barrier.
+    struct Feed
     {
         const Sweep *sweep;
         size_t first;
         size_t last;
+        trace::BlockScratch picked = {};
+        /** Records fed to each simulator in [first, last). */
+        uint64_t read = 0;
     };
     const bool fused = pool == nullptr || pool->workers() == 0;
-    std::vector<Lane> lanes;
+    std::vector<Feed> feeds;
     for (const Sweep &s : sweeps) {
         const size_t count = s.bank->simRuns();
         if (fused)
-            lanes.push_back({&s, 0, count});
+            feeds.push_back({&s, 0, count});
         else
             for (size_t i = 0; i < count; ++i)
-                lanes.push_back({&s, i, i + 1});
+                feeds.push_back({&s, i, i + 1});
     }
-    support::parallelFor(lanes.size(), pool, [&](size_t l) {
-        const Lane &lane = lanes[l];
-        SimBank &bank = *lane.sweep->bank;
-        const trace::ColumnarTraceBuffer &buffer = *lane.sweep->trace;
+    support::parallelFor(fused ? 1 : feeds.size(), pool, [&](size_t l) {
+        const std::span<Feed> lane =
+            fused ? std::span<Feed>(feeds)
+                  : std::span<Feed>(feeds).subspan(l, 1);
         support::TimedSpan span(
-            fused ? "sweep.fused" : "sweep." + bank.simTag(lane.first),
+            fused ? "sweep.fused"
+                  : "sweep." + lane[0].sweep->bank->simTag(lane[0].first),
             "sweep");
         trace::BlockScratch scratch;
-        for (size_t b = 0; b < buffer.blockCount(); ++b) {
+        for (size_t b = 0; b < capture.blockCount(); ++b) {
             if (cancel != nullptr)
                 cancel->checkpoint("SimBank::simulate");
-            trace::BlockView view = buffer.decodeBlock(b, scratch);
-            for (size_t i = lane.first; i < lane.last; ++i)
-                bank.accessBlock(i, view);
+            const trace::BlockView block = capture.decodeBlock(b, scratch);
+            for (Feed &f : lane) {
+                const trace::BlockView view =
+                    selectRecords(block, f.sweep->records, f.picked);
+                for (size_t i = f.first; i < f.last; ++i)
+                    f.sweep->bank->accessBlock(i, view);
+                f.read += view.count;
+            }
         }
     });
     // Counted per simulator, keyed by line size (and policy) — the
     // unit the paper's efficiency claim is stated in — and the same
     // at every job count.
-    for (const Sweep &s : sweeps) {
+    for (const Sweep &s : sweeps)
         PICO_METRIC_COUNT("sweep.runs", s.bank->simRuns());
-        if (support::metricsEnabled()) {
-            for (size_t i = 0; i < s.bank->simRuns(); ++i)
+    if (support::metricsEnabled()) {
+        for (const Feed &f : feeds)
+            for (size_t i = f.first; i < f.last; ++i)
                 support::metrics()
-                    .counter("sweep." + s.bank->simTag(i) + ".accesses")
-                    .add(s.trace->size());
-        }
+                    .counter("sweep." + f.sweep->bank->simTag(i) +
+                             ".accesses")
+                    .add(f.read);
     }
 }
 
@@ -98,8 +134,8 @@ SimBank::simulate(const trace::ColumnarTraceBuffer &buffer,
                   support::ThreadPool *pool,
                   const support::CancelToken *cancel)
 {
-    const Sweep sweep{this, &buffer};
-    simulate(std::span<const Sweep>(&sweep, 1), pool, cancel);
+    const Sweep sweep{this, Records::All};
+    simulate(buffer, std::span<const Sweep>(&sweep, 1), pool, cancel);
 }
 
 uint64_t
@@ -175,30 +211,8 @@ SubsystemEvaluator::capturedTrace() const
 {
     fatalIf(!bank_, "evaluator was built from a frozen reference set "
                     "and captured no trace");
-    return trace_;
-}
-
-void
-SubsystemEvaluator::sweep(
-    std::initializer_list<SubsystemEvaluator *> evaluators,
-    support::ThreadPool *pool, const support::CancelToken *cancel)
-{
-    std::vector<SimBank::Sweep> sweeps;
-    for (SubsystemEvaluator *e : evaluators) {
-        PICO_METRIC_COUNT("evaluate.captured.accesses", e->trace_.size());
-        PICO_METRIC_COUNT("evaluate.captured.bytes",
-                          e->trace_.encodedBytes());
-        sweeps.push_back({e->bank_.get(), &e->trace_});
-    }
-    {
-        support::TimedSpan span("evaluate.sweep", "evaluate");
-        SimBank::simulate(sweeps, pool, cancel);
-    }
-    for (SubsystemEvaluator *e : evaluators) {
-        e->frozen_ = e->bank_->freeze();
-        e->fit();
-        e->evaluated_ = true;
-    }
+    fatalIf(!trace_, "evaluator has not captured a trace yet");
+    return *trace_;
 }
 
 double
@@ -209,10 +223,8 @@ SubsystemEvaluator::writeTraffic(const cache::CacheConfig &config) const
 
 // --- IcacheEvaluator ---------------------------------------------------
 
-IcacheEvaluator::IcacheEvaluator(CacheSpace space,
-                                 uint64_t granule_refs)
-    : SubsystemEvaluator(std::move(space), coverage),
-      modeler_(std::in_place, granule_refs)
+IcacheEvaluator::IcacheEvaluator(CacheSpace space)
+    : SubsystemEvaluator(std::move(space), coverage)
 {}
 
 IcacheEvaluator::IcacheEvaluator(CacheSpace space, FrozenBank frozen,
@@ -220,20 +232,6 @@ IcacheEvaluator::IcacheEvaluator(CacheSpace space, FrozenBank frozen,
     : SubsystemEvaluator(std::move(space), std::move(frozen)),
       params_(params)
 {}
-
-void
-IcacheEvaluator::operator()(const trace::Access &a)
-{
-    trace_(a);
-    modeler_->access(a);
-}
-
-void
-IcacheEvaluator::fit()
-{
-    params_ = modeler_->params();
-    modeler_.reset();
-}
 
 double
 IcacheEvaluator::misses(const cache::CacheConfig &config,
@@ -271,12 +269,6 @@ DcacheEvaluator::DcacheEvaluator(CacheSpace space, FrozenBank frozen)
     : SubsystemEvaluator(std::move(space), std::move(frozen))
 {}
 
-void
-DcacheEvaluator::operator()(const trace::Access &a)
-{
-    trace_(a);
-}
-
 double
 DcacheEvaluator::misses(const cache::CacheConfig &config) const
 {
@@ -285,10 +277,8 @@ DcacheEvaluator::misses(const cache::CacheConfig &config) const
 
 // --- UcacheEvaluator ---------------------------------------------------
 
-UcacheEvaluator::UcacheEvaluator(CacheSpace space,
-                                 uint64_t granule_refs)
-    : SubsystemEvaluator(std::move(space), coverage),
-      modeler_(std::in_place, granule_refs)
+UcacheEvaluator::UcacheEvaluator(CacheSpace space)
+    : SubsystemEvaluator(std::move(space), coverage)
 {}
 
 UcacheEvaluator::UcacheEvaluator(CacheSpace space, FrozenBank frozen,
@@ -297,21 +287,6 @@ UcacheEvaluator::UcacheEvaluator(CacheSpace space, FrozenBank frozen,
     : SubsystemEvaluator(std::move(space), std::move(frozen)),
       iParams_(instr_params), dParams_(data_params)
 {}
-
-void
-UcacheEvaluator::operator()(const trace::Access &a)
-{
-    trace_(a);
-    modeler_->access(a);
-}
-
-void
-UcacheEvaluator::fit()
-{
-    iParams_ = modeler_->instrParams();
-    dParams_ = modeler_->dataParams();
-    modeler_.reset();
-}
 
 double
 UcacheEvaluator::misses(const cache::CacheConfig &config,

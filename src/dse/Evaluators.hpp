@@ -3,25 +3,24 @@
  * Cache-subsystem evaluators: single-pass simulation banks plus the
  * dilation-model estimators, one evaluator per cache type.
  *
- * MemoryWalker::evaluate is the one way in: it routes the *reference
- * processor's* unified trace into the three evaluators' captures
- * (feeding the trace modelers as it goes) and sweeps the three banks
- * once, in one lane loop (one Cheetah-style pass per line size the
- * answers read). Each bank is then frozen into flat tables
- * (FrozenBank), the one way out: the misses of any configuration in
- * the space at any dilation are read from them without further
- * simulation — the paper's central efficiency claim. Only the I-cache
- * model reads contracted line sizes, so only its bank simulates lines
- * the space does not list.
+ * MemoryWalker::evaluate is the one way in: it captures the *reference
+ * processor's* unified trace once (feeding the trace modelers as it
+ * goes) and sweeps the three banks once, in one lane loop (one
+ * Cheetah-style pass per line size the answers read), each bank over
+ * the records it reads: instruction fetches for the I-cache, data
+ * references for the D-cache, every record for the unified cache.
+ * Each bank is then frozen into flat tables (FrozenBank), the one way
+ * out: the misses of any configuration in the space at any dilation
+ * are read from them without further simulation — the paper's central
+ * efficiency claim. Only the I-cache model reads contracted line
+ * sizes, so only its bank simulates lines the space does not list.
  */
 
 #ifndef PICO_DSE_EVALUATORS_HPP
 #define PICO_DSE_EVALUATORS_HPP
 
 #include <functional>
-#include <initializer_list>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -86,30 +85,40 @@ class SimBank
     explicit SimBank(const CacheSpace &space,
                      Coverage coverage = Coverage::ContractedLines);
 
-    /** One bank and the capture it sweeps. */
+    /** The records of a unified capture a bank reads. */
+    enum class Records : uint8_t
+    {
+        All,
+        Instructions,
+        Data,
+    };
+
+    /** One bank and the records it reads. */
     struct Sweep
     {
         SimBank *bank;
-        const trace::ColumnarTraceBuffer *trace;
+        Records records;
     };
 
     /**
-     * Run every simulator of every bank over its capture, in one loop
-     * over lanes. A lane decodes every block of its capture once, in
-     * capture order, and feeds the decoded span to its simulators.
-     * With no pool workers (null/zero-worker pool) each bank is one
-     * lane; with workers each simulator gets its own lane and decode
-     * scratch. Either way each simulator sees the identical address
-     * sequence, so miss counts are independent of the schedule. The cancel token is
-     * checked once per encoded block; cancellation unwinds with
-     * CancelledError and leaves the banks half swept (the caller
-     * discards them).
+     * Run every simulator of every bank over the records it reads of
+     * one capture, in one loop over lanes. A lane decodes every block
+     * of the capture once, in capture order, selects each bank's
+     * records from it and feeds them to the bank's simulators. With
+     * no pool workers (null/zero-worker pool) one lane feeds every
+     * bank; with workers each simulator gets its own lane and decode
+     * scratch. Either way each simulator sees its records in capture
+     * order, so miss counts are independent of the schedule. The
+     * cancel token is checked once per encoded block; cancellation
+     * unwinds with CancelledError and leaves the banks half swept
+     * (the caller discards them).
      */
-    static void simulate(std::span<const Sweep> sweeps,
+    static void simulate(const trace::ColumnarTraceBuffer &capture,
+                         std::span<const Sweep> sweeps,
                          support::ThreadPool *pool,
                          const support::CancelToken *cancel = nullptr);
 
-    /** simulate() of this bank alone. */
+    /** simulate() of this bank alone, over every record. */
     void simulate(const trace::ColumnarTraceBuffer &buffer,
                   support::ThreadPool *pool,
                   const support::CancelToken *cancel = nullptr);
@@ -158,11 +167,12 @@ class SimBank
 
 /**
  * What the three cache evaluators share: a cache space, its simulator
- * bank, the captured reference trace and the bank's frozen answers.
- * A live evaluator exists only inside a MemoryWalker: the walker
- * builds it, feeds its capture sink (operator(), which also feeds the
- * serial trace modeler, if any) and sweeps it. A cancel token aborts
- * with CancelledError and leaves the evaluator not evaluated.
+ * bank, the class's captured reference trace and the bank's frozen
+ * answers. A live evaluator exists only inside a MemoryWalker: the
+ * walker builds it, sweeps its bank over the records it reads of the
+ * one capture, freezes the bank and sets the fitted trace models. A
+ * cancel token aborts with CancelledError and leaves the evaluator not
+ * evaluated.
  *
  * Every query reads the frozen tables. An evaluator built from a
  * frozen bank (a ReferenceSet found in the evaluation cache) answers
@@ -183,7 +193,8 @@ class SubsystemEvaluator
     /** The frozen answers every query reads (once evaluated). */
     const FrozenBank &frozen() const;
 
-    /** The captured (columnar-compressed) reference trace; fatal()
+    /** The class's one captured (columnar-compressed) unified trace,
+     *  shared by its three evaluators; fatal() before the sweep or
      *  when built from a frozen bank. */
     const trace::ColumnarTraceBuffer &capturedTrace() const;
 
@@ -193,27 +204,15 @@ class SubsystemEvaluator
     /** An evaluated evaluator over frozen answers (no bank). */
     SubsystemEvaluator(CacheSpace space, FrozenBank frozen);
 
-    /**
-     * Sweep the evaluators' captures through their banks in one
-     * SimBank::simulate lane loop, under the span evaluate.sweep, then
-     * freeze each bank, fit each one's trace models and mark it
-     * evaluated.
-     */
-    static void sweep(std::initializer_list<SubsystemEvaluator *> evaluators,
-                      support::ThreadPool *pool,
-                      const support::CancelToken *cancel);
-
-    /** Fit the trace models fed during capture, after the sweep. */
-    virtual void fit() {}
-
     CacheSpace space_;
     /** Null when built from a frozen bank. */
     std::unique_ptr<SimBank> bank_;
-    trace::ColumnarTraceBuffer trace_;
+    /** Shared with the class's other evaluators; null until swept. */
+    std::shared_ptr<const trace::ColumnarTraceBuffer> trace_;
     FrozenBank frozen_;
     bool evaluated_ = false;
 
-    /** Sweeps its three evaluators in one lane loop. */
+    /** Sweeps and freezes the three evaluators of a class. */
     friend class MemoryWalker;
 };
 
@@ -236,20 +235,12 @@ class IcacheEvaluator : public SubsystemEvaluator
     const core::ComponentParams &params() const { return params_; }
 
   private:
-    explicit IcacheEvaluator(CacheSpace space, uint64_t granule_refs);
+    explicit IcacheEvaluator(CacheSpace space);
 
     /** An evaluated evaluator over a frozen bank and parameters. */
     IcacheEvaluator(CacheSpace space, FrozenBank frozen,
                     core::ComponentParams params);
 
-    /** Capture one instruction reference. */
-    void operator()(const trace::Access &a);
-
-    void fit() override;
-
-    /** Fed during capture; dropped once fit() has set params_, so
-     *  its granule buffers do not stay resident with the walker. */
-    std::optional<core::ItraceModeler> modeler_;
     core::ComponentParams params_;
 
     friend class MemoryWalker;
@@ -270,9 +261,6 @@ class DcacheEvaluator : public SubsystemEvaluator
     /** An evaluated evaluator over a frozen bank. */
     DcacheEvaluator(CacheSpace space, FrozenBank frozen);
 
-    /** Capture one data reference. */
-    void operator()(const trace::Access &a);
-
     friend class MemoryWalker;
 };
 
@@ -289,21 +277,13 @@ class UcacheEvaluator : public SubsystemEvaluator
     const core::ComponentParams &dataParams() const { return dParams_; }
 
   private:
-    explicit UcacheEvaluator(CacheSpace space, uint64_t granule_refs);
+    explicit UcacheEvaluator(CacheSpace space);
 
     /** An evaluated evaluator over a frozen bank and parameters. */
     UcacheEvaluator(CacheSpace space, FrozenBank frozen,
                     core::ComponentParams instr_params,
                     core::ComponentParams data_params);
 
-    /** Capture one unified reference. */
-    void operator()(const trace::Access &a);
-
-    void fit() override;
-
-    /** Fed during capture; dropped once fit() has set both
-     *  (see IcacheEvaluator::modeler_). */
-    std::optional<core::UtraceModeler> modeler_;
     core::ComponentParams iParams_;
     core::ComponentParams dParams_;
 

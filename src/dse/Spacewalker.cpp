@@ -18,10 +18,9 @@ namespace pico::dse
 
 MemoryWalker::MemoryWalker(MemorySpaces spaces, StallModel stalls,
                            uint64_t i_granule, uint64_t u_granule)
-    : spaces_(spaces), stalls_(stalls),
-      icacheEval_(spaces.icache, i_granule),
-      dcacheEval_(spaces.dcache),
-      ucacheEval_(spaces.ucache, u_granule)
+    : spaces_(spaces), stalls_(stalls), iGranule_(i_granule),
+      uGranule_(u_granule), icacheEval_(spaces.icache),
+      dcacheEval_(spaces.dcache), ucacheEval_(spaces.ucache)
 {}
 
 MemoryWalker::MemoryWalker(MemorySpaces spaces, StallModel stalls,
@@ -53,23 +52,44 @@ MemoryWalker::evaluate(const TraceSource &unified_trace,
     // The instruction and data traces are exactly the isInstr and
     // !isInstr subsequences of the unified one (pinned by
     // TraceGenerator.UnifiedIsSupersetCountOfComponents), so one
-    // emulation feeds all three captures.
+    // emulation and one capture feed all three banks, and the I-trace
+    // modeler skips the data references itself.
+    auto capture = std::make_shared<trace::ColumnarTraceBuffer>();
+    core::ItraceModeler imodeler(iGranule_);
+    core::UtraceModeler umodeler(uGranule_);
     {
         support::TimedSpan span("evaluate.capture", "evaluate");
         support::CancelCheck check(cancel);
         unified_trace([&](const trace::Access &a) {
             check.tick("MemoryWalker::evaluate");
-            if (a.isInstr)
-                icacheEval_(a);
-            else
-                dcacheEval_(a);
-            ucacheEval_(a);
+            capture->append(a);
+            imodeler.access(a);
+            umodeler.access(a);
         });
     }
+    PICO_METRIC_COUNT("evaluate.captured.accesses", capture->size());
+    PICO_METRIC_COUNT("evaluate.captured.bytes", capture->encodedBytes());
     // One lane loop over the three banks: on a pool, no bank waits
     // for its own slowest lane while the others' lanes could run.
-    SubsystemEvaluator::sweep({&icacheEval_, &dcacheEval_, &ucacheEval_},
-                              pool_, cancel);
+    const SimBank::Sweep sweeps[] = {
+        {icacheEval_.bank_.get(), SimBank::Records::Instructions},
+        {dcacheEval_.bank_.get(), SimBank::Records::Data},
+        {ucacheEval_.bank_.get(), SimBank::Records::All},
+    };
+    {
+        support::TimedSpan span("evaluate.sweep", "evaluate");
+        SimBank::simulate(*capture, sweeps, pool_, cancel);
+    }
+    icacheEval_.params_ = imodeler.params();
+    ucacheEval_.iParams_ = umodeler.instrParams();
+    ucacheEval_.dParams_ = umodeler.dataParams();
+    SubsystemEvaluator *const evaluators[] = {&icacheEval_, &dcacheEval_,
+                                              &ucacheEval_};
+    for (SubsystemEvaluator *e : evaluators) {
+        e->trace_ = capture;
+        e->frozen_ = e->bank_->freeze();
+        e->evaluated_ = true;
+    }
 }
 
 double
@@ -386,17 +406,16 @@ verificationEnabled(int option)
 /**
  * Verify one trace-equivalence class after its reference setup: the
  * profiled program's CFG and flow counts, the AHH parameter domains,
- * and — at dilation 1, where the model returns the simulated counts —
- * that no configuration reports more misses than the trace had
- * accesses, plus the write model. All of these read the frozen set,
- * so they run on a cache hit too; the reference binary's text layout
- * and the captured traces exist only where this walk computed the
- * set, and are checked there. Read-only: the class's evaluators and
- * program are never mutated.
+ * that the I$ and D$ access counts sum to the U$ count, that no
+ * configuration reports more misses than its bank had accesses, and
+ * the write model. All of these read the frozen set, so they run on a
+ * cache hit too; the reference binary's text layout and the captured
+ * trace exist only where this walk computed the set, and are checked
+ * there. Read-only: the class's evaluators and program are never
+ * mutated.
  */
 void
 verifyClassInvariants(bool predicated, const ClassContext &ctx,
-                      const MemorySpaces &spaces,
                       const Spacewalker::Options &options,
                       verify::Diagnostics &diags)
 {
@@ -415,57 +434,42 @@ verifyClassInvariants(bool predicated, const ClassContext &ctx,
     verify::verifyAhhParams(mem.ucache().dataParams(),
                             options.uGranule,
                             cls + " unified data trace", diags);
-    // The captured columnar traces must decode back bit-for-bit:
+    // The captured columnar trace must decode back bit-for-bit:
     // every simulated miss count in this class was derived from
-    // replaying these blocks.
-    if (ctx.refBuild) {
-        verify::verifyColumnarTrace(mem.icache().capturedTrace(),
-                                    cls + " instruction trace", diags);
-        verify::verifyColumnarTrace(mem.dcache().capturedTrace(),
-                                    cls + " data trace", diags);
-        verify::verifyColumnarTrace(mem.ucache().capturedTrace(),
-                                    cls + " unified trace", diags);
-    }
-    const double iAccesses =
-        static_cast<double>(mem.icache().frozen().accesses());
-    const double dAccesses =
-        static_cast<double>(mem.dcache().frozen().accesses());
-    const double uAccesses =
-        static_cast<double>(mem.ucache().frozen().accesses());
-    for (const auto &cfg : spaces.icache.enumerate())
-        verify::verifyMissCount(mem.icache().misses(cfg, 1.0),
-                                iAccesses,
-                                cls + " I$" + cfg.name(), diags);
-    for (const auto &cfg : spaces.dcache.enumerate())
-        verify::verifyMissCount(mem.dcache().misses(cfg), dAccesses,
-                                cls + " D$" + cfg.name(), diags);
-    for (const auto &cfg : spaces.ucache.enumerate())
-        verify::verifyMissCount(mem.ucache().misses(cfg, 1.0),
-                                uAccesses,
-                                cls + " U$" + cfg.name(), diags);
-    // Extended policy axes add the write model: check every
-    // enumerated cell's traffic (policy-tagged via cfg.name()). The
-    // data-side banks carry the store counts; classic spaces model
-    // no write traffic, so there is nothing to check there.
-    if (spaces.dcache.extendedAxes()) {
-        auto stores =
-            static_cast<double>(mem.dcache().frozen().stores());
-        for (const auto &cfg : spaces.dcache.enumerate())
-            verify::verifyWriteModel(mem.dcache().writeTraffic(cfg),
-                                     mem.dcache().misses(cfg),
-                                     stores, cfg.write,
-                                     cls + " D$" + cfg.name(),
-                                     diags);
-    }
-    if (spaces.ucache.extendedAxes()) {
-        auto stores =
-            static_cast<double>(mem.ucache().frozen().stores());
-        for (const auto &cfg : spaces.ucache.enumerate())
-            verify::verifyWriteModel(mem.ucache().writeTraffic(cfg),
-                                     mem.ucache().misses(cfg, 1.0),
-                                     stores, cfg.write,
-                                     cls + " U$" + cfg.name(),
-                                     diags);
+    // replaying its blocks, the I$ and D$ banks reading disjoint
+    // parts of what the U$ bank read.
+    const trace::ColumnarTraceBuffer *capture =
+        ctx.refBuild ? &mem.ucache().capturedTrace() : nullptr;
+    if (capture != nullptr)
+        verify::verifyColumnarTrace(*capture, cls + " unified trace",
+                                    diags);
+    verify::verifyAccessSplit(mem.icache().frozen().accesses(),
+                              mem.dcache().frozen().accesses(),
+                              mem.ucache().frozen().accesses(), capture,
+                              cls + " unified trace", diags);
+    // At dilation 1 every evaluator answers with its bank's simulated
+    // counts. Extended policy axes add the write model: check every
+    // enumerated cell's traffic (policy-tagged via cfg.name()) against
+    // the bank's store count; classic spaces model no write traffic,
+    // so there is nothing to check there.
+    const std::pair<const char *, const SubsystemEvaluator *> banks[] = {
+        {" I$", &mem.icache()},
+        {" D$", &mem.dcache()},
+        {" U$", &mem.ucache()},
+    };
+    for (const auto &[tag, eval] : banks) {
+        const FrozenBank &bank = eval->frozen();
+        for (const auto &cfg : eval->space().enumerate()) {
+            const std::string what = cls + tag + cfg.name();
+            verify::verifyMissCount(bank.misses(cfg),
+                                    static_cast<double>(bank.accesses()),
+                                    what, diags);
+            if (eval->space().extendedAxes())
+                verify::verifyWriteModel(
+                    bank.writeTraffic(cfg), bank.misses(cfg),
+                    static_cast<double>(bank.stores()), cfg.write, what,
+                    diags);
+        }
     }
 }
 
@@ -532,11 +536,11 @@ Spacewalker::explore(const ir::Program &prog)
     // simulations) per trace-equivalence class — the paper
     // prescribes a separate Pref for each predication/speculation
     // combination. The class's unified reference trace is emulated
-    // once and feeds all three subsystems' captures; the simulators
-    // of the three banks then run on the pool as one lane loop, and
-    // the swept class is frozen into one evaluation-cache entry. A
-    // later walk of the class (another request, a rerun, a restarted
-    // server) finds the entry and skips all of that.
+    // and captured once; the simulators of the three banks then read
+    // their records of it on the pool as one lane loop, and the swept
+    // class is frozen into one evaluation-cache entry. A later walk of
+    // the class (another request, a rerun, a restarted server) finds
+    // the entry and skips all of that.
     std::map<bool, std::unique_ptr<ClassContext>> classes;
     std::optional<support::TimedSpan> phase;
     phase.emplace("walk.phase2.reference", "phase");
@@ -619,8 +623,8 @@ Spacewalker::explore(const ir::Program &prog)
         }
         if (verifying && ctx->memory) {
             support::TimedSpan span("walk.verify.class", "verify");
-            verifyClassInvariants(plan.predicated, *ctx, spaces_,
-                                  options_, diags);
+            verifyClassInvariants(plan.predicated, *ctx, options_,
+                                  diags);
         }
         classes.emplace(plan.predicated, std::move(ctx));
     }

@@ -96,11 +96,12 @@ class MemoryWalker
 
     /**
      * Evaluate all three subsystems from one reference unified
-     * trace: each reference goes to the I or D capture as its
-     * isInstr bit says, and always to the U capture. Then the three
-     * banks sweep their captures in one lane loop, on the attached
-     * pool if any, and each bank is frozen. This is the only way to
-     * sweep a trace-equivalence class. A cancel token aborts with
+     * trace: each reference is captured once and fed to the I- and
+     * U-trace modelers. Then the three banks sweep the capture in one
+     * lane loop, on the attached pool if any — the I bank reads the
+     * records whose isInstr bit is set, the D bank the others, the U
+     * bank all of them — and each bank is frozen. This is the only way
+     * to sweep a trace-equivalence class. A cancel token aborts with
      * CancelledError; the walker is then only partially evaluated and
      * must be discarded.
      */
@@ -157,6 +158,9 @@ class MemoryWalker
   private:
     MemorySpaces spaces_;
     StallModel stalls_;
+    /** AHH granules of evaluate()'s trace modelers. */
+    uint64_t iGranule_ = core::defaultIGranule;
+    uint64_t uGranule_ = core::defaultUGranule;
     IcacheEvaluator icacheEval_;
     DcacheEvaluator dcacheEval_;
     UcacheEvaluator ucacheEval_;

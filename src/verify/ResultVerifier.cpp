@@ -456,4 +456,25 @@ verifyColumnarTrace(const trace::ColumnarTraceBuffer &buffer,
     return diags.errorCount() == before;
 }
 
+bool
+verifyAccessSplit(uint64_t i_accesses, uint64_t d_accesses,
+                  uint64_t u_accesses,
+                  const trace::ColumnarTraceBuffer *capture,
+                  const std::string &what, Diagnostics &diags)
+{
+    size_t before = diags.errorCount();
+    const uint64_t split = i_accesses + d_accesses;
+    auto expect = [&](uint64_t whole, const char *of) {
+        if (split != whole)
+            diags.error("result.trace", what,
+                        "I$ + D$ read " + std::to_string(split) +
+                            " record(s) of " + of + "'s " +
+                            std::to_string(whole));
+    };
+    expect(u_accesses, "the U$ bank");
+    if (capture != nullptr)
+        expect(capture->size(), "the capture");
+    return diags.errorCount() == before;
+}
+
 } // namespace pico::verify

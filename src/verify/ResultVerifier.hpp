@@ -35,7 +35,10 @@
  *                     block: per-block checksums hold, block record
  *                     counts are full except the tail, the chained
  *                     whole-trace checksum matches, and the decoded
- *                     record count equals the captured size
+ *                     record count equals the captured size; a
+ *                     class's I$ and D$ banks read disjoint parts of
+ *                     its one capture, so their access counts sum to
+ *                     the U$ bank's and to the capture's record count
  */
 
 #ifndef PICO_VERIFY_RESULT_VERIFIER_HPP
@@ -111,6 +114,17 @@ bool verifyWalkResult(const dse::ExplorationResult &result,
 bool verifyColumnarTrace(const trace::ColumnarTraceBuffer &buffer,
                          const std::string &what,
                          Diagnostics &diags);
+
+/**
+ * Check that a class's I$ and D$ bank access counts sum to its U$
+ * bank's and, when the class's capture is at hand (null on a
+ * reference-set hit), to the capture's record count.
+ * @return true when no error-severity finding was added
+ */
+bool verifyAccessSplit(uint64_t i_accesses, uint64_t d_accesses,
+                       uint64_t u_accesses,
+                       const trace::ColumnarTraceBuffer *capture,
+                       const std::string &what, Diagnostics &diags);
 
 } // namespace pico::verify
 

@@ -309,15 +309,23 @@ TEST(MemoryWalker, StallCyclesAdditive)
 
 TEST(MemoryWalker, OneUnifiedSourceMatchesComponentEvaluators)
 {
-    // evaluate() splits one unified trace by isInstr; every answer
-    // must equal the one built from each subsystem's own component:
-    // its capture swept by a bank of the evaluator's coverage, frozen,
-    // and read through the trace model the evaluator fits.
-    MemorySpaces spaces{smallSpace(), smallSpace(), smallSpace()};
-    MemoryWalker walker(spaces, StallModel{}, 2000, 10000);
-    TraceSource unified = syntheticUnifiedTrace(15, 120000);
-    walker.evaluate(unified);
-
+    // evaluate() captures one unified trace, and each bank reads its
+    // own records of it; every answer, write traffic included, must
+    // equal the one built from each subsystem's own component: its
+    // capture swept by a bank of the evaluator's coverage, frozen, and
+    // read through the trace model the evaluator fits. The trace opens
+    // with a block of instruction fetches only and a block of data
+    // references only, so the D$ and then the I$ selection of a block
+    // is empty, with and without pool workers.
+    const uint32_t block = trace::ColumnarTraceBuffer::defaultBlockCapacity;
+    const TraceSource mixed = syntheticUnifiedTrace(15, 120000, 0.3);
+    const TraceSource unified = [&](const TraceSink &sink) {
+        for (uint32_t i = 0; i < block; ++i)
+            sink({0x01000000 + 4ULL * (i % 1536), true, false});
+        for (uint32_t i = 0; i < block; ++i)
+            sink({0x40000000 + 4ULL * (i * 7 % 6144), false, i % 3 == 0});
+        mixed(sink);
+    };
     trace::ColumnarTraceBuffer instr, data, all;
     core::ItraceModeler imodeler(2000);
     core::UtraceModeler umodeler(10000);
@@ -331,41 +339,81 @@ TEST(MemoryWalker, OneUnifiedSourceMatchesComponentEvaluators)
         all(a);
         umodeler.access(a);
     });
+    const core::ComponentParams ip = imodeler.params();
+    const core::DilationModel imodel(ip, ip, ip);
+    const core::DilationModel umodel(umodeler.instrParams(),
+                                     umodeler.instrParams(),
+                                     umodeler.dataParams());
     auto sweep = [](const CacheSpace &space, Coverage coverage,
                     const trace::ColumnarTraceBuffer &capture) {
         SimBank bank(space, coverage);
         bank.simulate(capture, nullptr);
         return bank.freeze();
     };
-    const FrozenBank ibank =
-        sweep(spaces.icache, IcacheEvaluator::coverage, instr);
-    const FrozenBank dbank =
-        sweep(spaces.dcache, DcacheEvaluator::coverage, data);
-    const FrozenBank ubank =
-        sweep(spaces.ucache, UcacheEvaluator::coverage, all);
-    const core::ComponentParams ip = imodeler.params();
-    const core::DilationModel imodel(ip, ip, ip);
-    const core::DilationModel umodel(umodeler.instrParams(),
-                                     umodeler.instrParams(),
-                                     umodeler.dataParams());
-    for (const auto &cfg : smallSpace().enumerate()) {
-        EXPECT_EQ(walker.icache().misses(cfg, 1.5),
-                  imodel.estimateIcacheMisses(cfg, 1.5, ibank.oracle()))
-            << cfg.name();
-        EXPECT_EQ(walker.dcache().misses(cfg), dbank.misses(cfg))
-            << cfg.name();
-        EXPECT_EQ(walker.ucache().misses(cfg, 1.5),
-                  umodel.estimateUcacheMisses(cfg, 1.5, ubank.misses(cfg)))
-            << cfg.name();
+    support::ThreadPool workers(4);
+    for (const MemorySpaces &spaces :
+         {MemorySpaces{smallSpace(), smallSpace(), smallSpace()},
+          extendedSpaces()}) {
+        const FrozenBank ibank =
+            sweep(spaces.icache, IcacheEvaluator::coverage, instr);
+        const FrozenBank dbank =
+            sweep(spaces.dcache, DcacheEvaluator::coverage, data);
+        const FrozenBank ubank =
+            sweep(spaces.ucache, UcacheEvaluator::coverage, all);
+        for (support::ThreadPool *pool :
+             {static_cast<support::ThreadPool *>(nullptr), &workers}) {
+            SCOPED_TRACE(std::string(spaces.ucache.extendedAxes()
+                                         ? "extended"
+                                         : "classic") +
+                         (pool ? ", 4 workers" : ", no pool"));
+            MemoryWalker walker(spaces, StallModel{}, 2000, 10000);
+            walker.setThreadPool(pool);
+            walker.evaluate(unified);
+            EXPECT_EQ(walker.icache().frozen(), ibank);
+            EXPECT_EQ(walker.dcache().frozen(), dbank);
+            EXPECT_EQ(walker.ucache().frozen(), ubank);
+            EXPECT_EQ(walker.ucache().capturedTrace().checksum(),
+                      all.checksum());
+            for (const auto &cfg : spaces.icache.enumerate()) {
+                EXPECT_EQ(walker.icache().misses(cfg, 1.0), ibank.misses(cfg))
+                    << cfg.name();
+                EXPECT_EQ(walker.icache().misses(cfg, 1.5),
+                          imodel.estimateIcacheMisses(cfg, 1.5,
+                                                      ibank.oracle()))
+                    << cfg.name();
+                EXPECT_EQ(walker.icache().writeTraffic(cfg),
+                          ibank.writeTraffic(cfg))
+                    << cfg.name();
+            }
+            for (const auto &cfg : spaces.dcache.enumerate()) {
+                EXPECT_EQ(walker.dcache().misses(cfg), dbank.misses(cfg))
+                    << cfg.name();
+                EXPECT_EQ(walker.dcache().writeTraffic(cfg),
+                          dbank.writeTraffic(cfg))
+                    << cfg.name();
+            }
+            for (const auto &cfg : spaces.ucache.enumerate()) {
+                EXPECT_EQ(walker.ucache().misses(cfg, 1.5),
+                          umodel.estimateUcacheMisses(cfg, 1.5,
+                                                      ubank.misses(cfg)))
+                    << cfg.name();
+                EXPECT_EQ(walker.ucache().writeTraffic(cfg),
+                          ubank.writeTraffic(cfg))
+                    << cfg.name();
+            }
+        }
     }
 }
 
 TEST(MemoryWalker, LaneLoopIsJobCountInvariant)
 {
     // evaluate() sweeps the three banks in one lane loop: one fused
-    // lane per bank without pool workers, one lane per simulator with
-    // them. Every enumerated cell's misses and write traffic, and
-    // every sweep.* counter, must not depend on which ran.
+    // lane for every bank without pool workers, one lane per simulator
+    // with them. Every enumerated cell's misses and write traffic, and
+    // every sweep.* counter, must not depend on which ran. A counter
+    // counts the records its simulator read: on the default spaces
+    // only the I$ bank simulates 4-byte lines, the I$ and D$ banks
+    // 16-byte lines and only the U$ bank 128-byte lines.
     for (const MemorySpaces &spaces : {MemorySpaces{}, extendedSpaces()}) {
         auto run = [&spaces](unsigned jobs) {
             support::ThreadPool pool(jobs - 1);
@@ -398,6 +446,9 @@ TEST(MemoryWalker, LaneLoopIsJobCountInvariant)
                 walker.icache().bank().simRuns() +
                 walker.dcache().bank().simRuns() +
                 walker.ucache().bank().simRuns());
+            out["I$accesses"] = walker.icache().frozen().accesses();
+            out["D$accesses"] = walker.dcache().frozen().accesses();
+            out["U$accesses"] = walker.ucache().frozen().accesses();
             return out;
         };
         support::setMetricsEnabled(true);
@@ -406,6 +457,11 @@ TEST(MemoryWalker, LaneLoopIsJobCountInvariant)
         auto eight = run(8);
         support::setMetricsEnabled(false);
         EXPECT_EQ(serial["sweep.runs"], serial["runs"]);
+        EXPECT_EQ(serial["sweep.line4.accesses"], serial["I$accesses"]);
+        EXPECT_EQ(serial["sweep.line16.accesses"],
+                  serial["I$accesses"] + serial["D$accesses"]);
+        EXPECT_EQ(serial["sweep.line128.accesses"], serial["U$accesses"]);
+        EXPECT_EQ(serial["U$accesses"], 120000);
         EXPECT_EQ(serial, two);
         EXPECT_EQ(serial, eight);
     }

@@ -76,26 +76,46 @@ sweepClass(const std::string &reference, const MemorySpaces &spaces,
     return out;
 }
 
-/** Feed every block of a capture to one simulator. */
+/** The records a bank reads of a class's capture, in capture order. */
+struct BankRecords
+{
+    std::vector<uint64_t> addrs;
+    std::vector<uint8_t> kinds;
+};
+
+BankRecords
+recordsOf(const trace::ColumnarTraceBuffer &capture,
+          SimBank::Records records)
+{
+    BankRecords out;
+    capture.replay([&](const trace::Access &a) {
+        if (records == SimBank::Records::All ||
+            a.isInstr == (records == SimBank::Records::Instructions)) {
+            out.addrs.push_back(a.addr);
+            out.kinds.push_back(a.isInstr ? 2 : a.isWrite ? 1 : 0);
+        }
+    });
+    return out;
+}
+
+/** Feed a bank's records to one simulator. */
 template <typename Sim>
 void
-replay(const trace::ColumnarTraceBuffer &capture, Sim &sim)
+replay(const BankRecords &records, Sim &sim)
 {
-    trace::BlockScratch scratch;
-    for (size_t b = 0; b < capture.blockCount(); ++b) {
-        const trace::BlockView view = capture.decodeBlock(b, scratch);
-        if constexpr (std::is_same_v<Sim, cache::SinglePassSim>)
-            sim.accessBlock(view.addrs, view.count);
-        else
-            sim.accessBlock(view.addrs, view.kinds, view.count);
-    }
+    if constexpr (std::is_same_v<Sim, cache::SinglePassSim>)
+        sim.accessBlock(records.addrs.data(), records.addrs.size());
+    else
+        sim.accessBlock(records.addrs.data(), records.kinds.data(),
+                        records.addrs.size());
 }
 
 /**
  * Every table cell of one frozen bank, in the documented order,
- * against the bank's simulators re-run over its capture. A `ref;`
- * entry stores its tables without geometry, so this order is part
- * of the entry format: the miss table holds the stacks by line size,
+ * against the bank's simulators re-run over the records it reads of
+ * the class's capture. A `ref;` entry stores its tables without
+ * geometry, so this order is part of the entry format: the miss
+ * table holds the stacks by line size,
  * set counts ascending and then associativity ascending, then each
  * non-LRU resident's shapes; the write-back table holds every
  * resident's shapes. Each cell's configuration must read its own
@@ -104,13 +124,14 @@ replay(const trace::ColumnarTraceBuffer &capture, Sim &sim)
  */
 void
 expectFrozenMatchesLive(const SubsystemEvaluator &eval,
-                        SimBank::Coverage coverage, const char *what)
+                        SimBank::Coverage coverage,
+                        SimBank::Records records, const char *what)
 {
     SCOPED_TRACE(what);
     const FrozenBank &frozen = eval.frozen();
     const BankLayout layout(eval.space(), coverage);
-    const trace::ColumnarTraceBuffer &capture = eval.capturedTrace();
-    EXPECT_EQ(frozen.accesses(), capture.size());
+    const BankRecords capture = recordsOf(eval.capturedTrace(), records);
+    EXPECT_EQ(frozen.accesses(), capture.addrs.size());
     EXPECT_EQ(frozen.extended(), !layout.residents.empty());
     const auto &misses = frozen.missTable();
     const auto &writebacks = frozen.writebackTable();
@@ -186,22 +207,24 @@ TEST(ReferenceSet, FrozenBanksMatchLiveBanks)
         auto swept = sweepClass(c.reference, c.spaces);
         const MemoryWalker &w = *swept.walker;
         expectFrozenMatchesLive(w.icache(), IcacheEvaluator::coverage,
-                                "I$");
+                                SimBank::Records::Instructions, "I$");
         expectFrozenMatchesLive(w.dcache(), DcacheEvaluator::coverage,
-                                "D$");
+                                SimBank::Records::Data, "D$");
         expectFrozenMatchesLive(w.ucache(), UcacheEvaluator::coverage,
-                                "U$");
+                                SimBank::Records::All, "U$");
         // The dilation model reads the frozen oracle at contracted
         // line sizes too, exactly as it reads a direct simulation.
         const auto &ip = w.icache().params();
         core::DilationModel model(ip, ip, ip);
+        const BankRecords fetches = recordsOf(
+            w.icache().capturedTrace(), SimBank::Records::Instructions);
         std::map<uint32_t, cache::SinglePassSim> sims;
         for (const auto &s :
              BankLayout(c.spaces.icache, IcacheEvaluator::coverage).stacks) {
             auto it = sims.try_emplace(s.line, s.line, s.minSets, s.maxSets,
                                        s.maxAssoc)
                           .first;
-            replay(w.icache().capturedTrace(), it->second);
+            replay(fetches, it->second);
         }
         core::MissOracle direct = [&sims](const cache::CacheConfig &cfg) {
             return static_cast<double>(sims.at(cfg.lineBytes).misses(cfg));

@@ -526,6 +526,29 @@ TEST(ResultVerifier, MissCounts)
     EXPECT_EQ(bad.count("result.misses"), 3u);
 }
 
+TEST(ResultVerifier, AccessSplit)
+{
+    // A class's I$ and D$ banks read disjoint parts of its one
+    // capture: three fetches and two data references.
+    trace::ColumnarTraceBuffer capture;
+    for (uint64_t addr : {0x100, 0x104, 0x108})
+        capture({addr, true, false});
+    capture({0x4000, false, false});
+    capture({0x4004, false, true});
+    Diagnostics diags;
+    EXPECT_TRUE(verifyAccessSplit(3, 2, 5, &capture, "class", diags));
+    // On a reference-set hit there is no capture to count.
+    EXPECT_TRUE(verifyAccessSplit(3, 2, 5, nullptr, "class", diags));
+    EXPECT_TRUE(diags.clean()) << diags.report();
+
+    // A D$ bank that lost a record breaks both sums; a capture that
+    // holds a record no bank read breaks the second.
+    Diagnostics bad;
+    EXPECT_FALSE(verifyAccessSplit(3, 1, 5, &capture, "class", bad));
+    EXPECT_FALSE(verifyAccessSplit(3, 1, 4, &capture, "class", bad));
+    EXPECT_EQ(bad.count("result.trace"), 3u);
+}
+
 TEST(ResultVerifier, ParetoSets)
 {
     std::vector<dse::DesignPoint> good = {
