@@ -6,7 +6,7 @@
  * across every request.
  *
  * Usage: picoeval_server --socket PATH [--workers N] [--cache FILE]
- *            [--queue-capacity N] [--watermark N]
+ *            [--watermark N]
  *            [--default-deadline-ms N] [--drain-ms N] [--chaos]
  *            [--metrics-out FILE] [--trace-out FILE]
  *            [--flight-out FILE]
@@ -15,8 +15,8 @@
  *   --socket PATH      Unix socket to listen on (required to serve)
  *   --workers N        evaluation worker threads (default 2)
  *   --cache FILE       persistent evaluation-cache database
- *   --queue-capacity N admission queue hard bound (default 64)
- *   --watermark N      load-shedding threshold (default 48)
+ *   --watermark N      admission queue bound: requests that find
+ *                      the queue this deep are shed (default 48)
  *   --default-deadline-ms N  deadline applied to requests that
  *                      carry none (default 0 = none)
  *   --drain-ms N       graceful-drain deadline on SIGTERM/SIGINT
@@ -148,9 +148,6 @@ main(int argc, char **argv)
             // value captured by flagValue
         } else if (flagValue(argc, argv, i, "--workers", value)) {
             opts.workers = static_cast<unsigned>(toU64(value));
-        } else if (flagValue(argc, argv, i, "--queue-capacity",
-                             value)) {
-            opts.queueCapacity = toU64(value);
         } else if (flagValue(argc, argv, i, "--watermark", value)) {
             opts.queueWatermark = toU64(value);
         } else if (flagValue(argc, argv, i, "--default-deadline-ms",

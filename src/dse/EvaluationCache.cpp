@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
-#include <string_view>
 
 #include "support/CancelToken.hpp"
 #include "support/FaultInjection.hpp"
@@ -97,74 +95,44 @@ namespace
 {
 
 /**
- * Per-shard registry counters, resolved once per process. The names
- * are global (not per cache instance): the process-level question is
- * "how did the striped table behave", aggregated over every cache.
+ * The registry's aggregate counters over every cache in the process,
+ * registered together on first use, so a run report lists all three
+ * even when one stays zero.
  */
-support::Counter &
-shardMetricCounter(const char *what, size_t index)
+struct CacheCounters
 {
-    using CounterArray =
-        std::array<support::Counter *, EvaluationCache::shardCount>;
-    auto build = [](const char *suffix) {
-        CounterArray a{};
-        for (size_t k = 0; k < EvaluationCache::shardCount; ++k) {
-            char name[64];
-            std::snprintf(name, sizeof(name),
-                          "evalcache.shard%02zu.%s", k, suffix);
-            a[k] = &support::metrics().counter(name);
-        }
-        return a;
-    };
-    static CounterArray hits = build("hits");
-    static CounterArray misses = build("misses");
-    static CounterArray stores = build("stores");
-    if (std::string_view(what) == "hits")
-        return *hits[index];
-    if (std::string_view(what) == "misses")
-        return *misses[index];
-    return *stores[index];
+    support::Counter &hits = support::metrics().counter("evalcache.hits");
+    support::Counter &misses =
+        support::metrics().counter("evalcache.misses");
+    support::Counter &stores =
+        support::metrics().counter("evalcache.stores");
+};
+
+const CacheCounters &
+cacheCounters()
+{
+    static const CacheCounters counters;
+    return counters;
 }
 
 } // namespace
 
-size_t
-EvaluationCache::shardIndexOf(const std::string &key) const
-{
-    return std::hash<std::string>{}(key) % shardCount;
-}
-
-EvaluationCache::Shard &
-EvaluationCache::shardFor(const std::string &key)
-{
-    return shards_[shardIndexOf(key)];
-}
-
-const EvaluationCache::Shard &
-EvaluationCache::shardFor(const std::string &key) const
-{
-    return shards_[shardIndexOf(key)];
-}
-
 void
-EvaluationCache::recordHit(size_t shard_index, bool from_disk) const
+EvaluationCache::recordHit(bool from_disk) const
 {
     ++hits_;
     if (from_disk)
         ++diskHits_;
-    shardHits_[shard_index].fetch_add(1, std::memory_order_relaxed);
     if (support::metricsEnabled())
-        shardMetricCounter("hits", shard_index).add(1);
+        cacheCounters().hits.add(1);
 }
 
 void
-EvaluationCache::recordMiss(size_t shard_index) const
+EvaluationCache::recordMiss() const
 {
     ++misses_;
-    shardMisses_[shard_index].fetch_add(1,
-                                        std::memory_order_relaxed);
     if (support::metricsEnabled())
-        shardMetricCounter("misses", shard_index).add(1);
+        cacheCounters().misses.add(1);
 }
 
 std::vector<double>
@@ -173,36 +141,34 @@ EvaluationCache::getOrCompute(
     const std::function<std::vector<double>()> &compute,
     const std::function<bool(const std::vector<double> &)> &valid)
 {
-    size_t index = shardIndexOf(key);
-    auto &shard = shards_[index];
     std::shared_ptr<Inflight> flight;
     for (;;) {
         std::optional<Entry> hit;
         bool leader = false;
         {
-            support::MutexLock lock(shard.shardMutex);
-            auto it = shard.table.find(key);
-            if (it != shard.table.end()) {
+            support::MutexLock lock(tableMutex_);
+            auto it = table_.find(key);
+            if (it != table_.end()) {
                 hit = it->second;
-            } else if (auto fit = shard.inflight.find(key);
-                       fit != shard.inflight.end()) {
+            } else if (auto fit = inflight_.find(key);
+                       fit != inflight_.end()) {
                 flight = fit->second;
             } else {
                 flight = std::make_shared<Inflight>();
-                shard.inflight.emplace(key, flight);
+                inflight_.emplace(key, flight);
                 leader = true;
             }
         }
         if (hit) {
             // Validated outside the lock: the predicate may decode.
             if (!valid || valid(hit->values)) {
-                recordHit(index, hit->fromDisk);
+                recordHit(hit->fromDisk);
                 return std::move(hit->values);
             }
             quarantine(key, hit->values);
             continue;
         }
-        recordMiss(index);
+        recordMiss();
         if (leader)
             break;
 
@@ -229,8 +195,8 @@ EvaluationCache::getOrCompute(
     }
 
     // Single-flight leader. Compute outside every lock: evaluating a
-    // machine takes seconds, and holding a shard mutex through it
-    // would serialize every other key that hashes to the same shard.
+    // machine takes seconds, and holding the table mutex through it
+    // would serialize every other key.
     std::vector<double> values;
     std::exception_ptr error;
     support::perturbPoint("evalcache.leader");
@@ -245,8 +211,8 @@ EvaluationCache::getOrCompute(
         error = std::current_exception();
     }
     {
-        support::MutexLock lock(shard.shardMutex);
-        shard.inflight.erase(key);
+        support::MutexLock lock(tableMutex_);
+        inflight_.erase(key);
     }
     support::perturbPoint("evalcache.publish");
     {
@@ -265,14 +231,13 @@ void
 EvaluationCache::quarantine(const std::string &key,
                             const std::vector<double> &values)
 {
-    auto &shard = shardFor(key);
     {
-        support::MutexLock lock(shard.shardMutex);
-        auto it = shard.table.find(key);
+        support::MutexLock lock(tableMutex_);
+        auto it = table_.find(key);
         // Another caller may have quarantined and recomputed it.
-        if (it == shard.table.end() || it->second.values != values)
+        if (it == table_.end() || it->second.values != values)
             return;
-        shard.table.erase(it);
+        table_.erase(it);
     }
     ++quarantinedEntries_;
     PICO_METRIC_COUNT("evalcache.quarantined", 1);
@@ -285,15 +250,13 @@ bool
 EvaluationCache::lookup(const std::string &key,
                         std::vector<double> &values) const
 {
-    size_t index = shardIndexOf(key);
-    const auto &shard = shards_[index];
-    support::MutexLock lock(shard.shardMutex);
-    auto it = shard.table.find(key);
-    if (it == shard.table.end()) {
-        recordMiss(index);
+    support::MutexLock lock(tableMutex_);
+    auto it = table_.find(key);
+    if (it == table_.end()) {
+        recordMiss();
         return false;
     }
-    recordHit(index, it->second.fromDisk);
+    recordHit(it->second.fromDisk);
     values = it->second.values;
     return true;
 }
@@ -305,16 +268,14 @@ EvaluationCache::store(const std::string &key,
     fatalIf(key.find('|') != std::string::npos ||
                 key.find('\n') != std::string::npos,
             "evaluation-cache key contains reserved characters");
-    size_t index = shardIndexOf(key);
-    auto &shard = shards_[index];
     {
-        support::MutexLock lock(shard.shardMutex);
+        support::MutexLock lock(tableMutex_);
         // An overwrite counts as this run's work from here on.
-        shard.table[key] = Entry{std::move(values), false};
+        table_[key] = Entry{std::move(values), false};
     }
     ++stores_;
     if (support::metricsEnabled())
-        shardMetricCounter("stores", index).add(1);
+        cacheCounters().stores.add(1);
     dirty_.store(true, std::memory_order_release);
 }
 
@@ -335,28 +296,11 @@ EvaluationCache::stats() const
     return s;
 }
 
-std::array<EvaluationCache::ShardStats, EvaluationCache::shardCount>
-EvaluationCache::shardStats() const
-{
-    std::array<ShardStats, shardCount> out{};
-    for (size_t k = 0; k < shardCount; ++k) {
-        out[k].hits =
-            shardHits_[k].load(std::memory_order_relaxed);
-        out[k].misses =
-            shardMisses_[k].load(std::memory_order_relaxed);
-    }
-    return out;
-}
-
 size_t
 EvaluationCache::size() const
 {
-    size_t total = 0;
-    for (const auto &shard : shards_) {
-        support::MutexLock lock(shard.shardMutex);
-        total += shard.table.size();
-    }
-    return total;
+    support::MutexLock lock(tableMutex_);
+    return table_.size();
 }
 
 void
@@ -382,18 +326,19 @@ EvaluationCache::saveLocked() const
     // written, and no later flush would see anything to do).
     dirty_.store(false, std::memory_order_release);
     try {
-        // Snapshot every shard, then write in sorted key order: the
+        // Snapshot the table, then write in sorted key order: the
         // database bytes are a pure function of the cache
         // *contents*, independent of thread count, schedule, or
         // insertion order.
         std::vector<std::pair<std::string, std::vector<double>>>
             entries;
-        for (const auto &shard : shards_) {
-            support::MutexLock shardLock(shard.shardMutex);
+        {
+            support::MutexLock tableLock(tableMutex_);
+            entries.reserve(table_.size());
             // Hash-order visit is safe here: entries are sorted
             // below before a single byte is written.
             // picoeval-lint: allow(nondet-iteration)
-            for (const auto &[key, entry] : shard.table)
+            for (const auto &[key, entry] : table_)
                 entries.emplace_back(key, entry.values);
         }
         std::sort(entries.begin(), entries.end(),
@@ -504,12 +449,11 @@ EvaluationCache::load()
         }
         auto key = line.substr(0, bar);
         // load() runs from the constructor, before the cache is
-        // shared — but taking the shard lock keeps the analysis
+        // shared — but taking the table lock keeps the analysis
         // sound and costs one uncontended acquisition per entry.
-        auto &shard = shardFor(key);
         {
-            support::MutexLock lock(shard.shardMutex);
-            shard.table[key] = Entry{std::move(values), true};
+            support::MutexLock lock(tableMutex_);
+            table_[key] = Entry{std::move(values), true};
         }
         ++loadedEntries_;
     }

@@ -30,14 +30,15 @@
  * The cache is also *thread-safe*, because the parallel spacewalker
  * hits it from every machine-evaluation task:
  *
- *  - the table is split into shardCount shards, each guarded by its
- *    own mutex, so concurrent lookups/stores of different keys
- *    rarely contend; getOrCompute never holds a lock during the
- *    compute callback;
+ *  - one mutex guards the table and the in-flight map; getOrCompute
+ *    never holds it during the compute callback, so a lookup waits
+ *    at most for another lookup or store, never for an evaluation.
+ *    A cold walk makes a handful of lookups and a served request
+ *    two, so the one lock does not contend;
  *  - stores are batched in memory and committed by flush(): one
  *    writer at a time (a dedicated flush mutex — concurrent flushes
  *    from checkpointing and the destructor used to race on the tmp
- *    file), snapshotting every shard and writing entries in sorted
+ *    file), snapshotting the table and writing entries in sorted
  *    key order, so the database bytes are identical no matter how
  *    many threads filled the cache or in what order;
  *  - the atomic tmp+fsync+rename protocol is unchanged, preserving
@@ -46,15 +47,14 @@
  * The cache is *observable*: stats() snapshots every counter,
  * distinguishing hits on entries loaded from disk (work a previous
  * run paid for — what a resume actually saved) from hits on entries
- * computed this run, and when the metrics registry is enabled each
- * shard reports its own hit/miss/store counts
- * (evalcache.shardNN.*).
+ * computed this run, and when the metrics registry is enabled every
+ * cache in the process adds to the evalcache.hits/misses/stores
+ * counters.
  */
 
 #ifndef PICO_DSE_EVALUATION_CACHE_HPP
 #define PICO_DSE_EVALUATION_CACHE_HPP
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -81,9 +81,6 @@ class EvaluationCache
     static constexpr const char *header = "picoeval-evalcache-v3";
     /** The previous header, still accepted by load(). */
     static constexpr const char *headerV2 = "picoeval-evalcache-v2";
-
-    /** Lock-striping width of the in-memory table. */
-    static constexpr size_t shardCount = 16;
 
     /**
      * @param path database file; empty keeps the cache in memory
@@ -119,21 +116,22 @@ class EvaluationCache
         const std::string &key,
         const std::function<std::vector<double>()> &compute,
         const std::function<bool(const std::vector<double> &)> &valid =
-            nullptr);
+            nullptr) PICO_REQUIRES(!tableMutex_);
 
     /** Lookup without computing. @return true on hit. */
-    bool lookup(const std::string &key,
-                std::vector<double> &values) const;
+    bool lookup(const std::string &key, std::vector<double> &values)
+        const PICO_REQUIRES(!tableMutex_);
 
     /** Insert or overwrite an entry. */
-    void store(const std::string &key, std::vector<double> values);
+    void store(const std::string &key, std::vector<double> values)
+        PICO_REQUIRES(!tableMutex_);
 
     /**
      * Write the database atomically now (no-op when memory-only).
      * I/O errors are warned about and leave the previous generation
      * intact. Serialized: concurrent savers queue up.
      */
-    void save() const PICO_REQUIRES(!flushMutex_);
+    void save() const PICO_REQUIRES(!flushMutex_, !tableMutex_);
 
     /**
      * Persist unsaved entries (checkpoint). Cheap when nothing
@@ -142,7 +140,7 @@ class EvaluationCache
      * checkpoint rather than losing everything. Safe to call from
      * any thread.
      */
-    void flush() PICO_REQUIRES(!flushMutex_);
+    void flush() PICO_REQUIRES(!flushMutex_, !tableMutex_);
 
     /**
      * One coherent view of every cache counter. The disk/memory hit
@@ -175,26 +173,9 @@ class EvaluationCache
     /** Snapshot every counter at once. */
     Stats stats() const;
 
-    /**
-     * Per-shard hit/miss split for *this* cache instance — always
-     * counted (two relaxed adds per lookup), unlike the registry's
-     * evalcache.shardNN.* counters which aggregate every cache in
-     * the process and only tick when metrics are enabled. The
-     * server's stats verb reports these, so a skewed stripe is
-     * visible per service.
-     */
-    struct ShardStats
-    {
-        uint64_t hits = 0;
-        uint64_t misses = 0;
-    };
-
-    /** Snapshot each shard's hit/miss counters. */
-    std::array<ShardStats, shardCount> shardStats() const;
-
     uint64_t hits() const { return hits_.load(); }
     uint64_t misses() const { return misses_.load(); }
-    size_t size() const;
+    size_t size() const PICO_REQUIRES(!tableMutex_);
 
     /** Entries salvaged from the database file at load time. */
     uint64_t loadedEntries() const { return loadedEntries_; }
@@ -222,7 +203,7 @@ class EvaluationCache
      * One in-flight computation (single-flight getOrCompute). The
      * leader fills values/error and flips done; followers wait on
      * the condition variable. Heap-allocated and shared so a
-     * follower can outlive the shard map entry.
+     * follower can outlive the in-flight map entry.
      */
     struct Inflight
     {
@@ -234,48 +215,35 @@ class EvaluationCache
         std::exception_ptr error PICO_GUARDED_BY(inflightMutex);
     };
 
-    /** One lock-striped slice of the table. */
-    struct Shard
-    {
-        mutable support::Mutex shardMutex{
-            "evalcache.shard", support::rank::kCacheShard};
-        std::unordered_map<std::string, Entry> table
-            PICO_GUARDED_BY(shardMutex);
-        /** Keys currently being computed by getOrCompute(). */
-        std::unordered_map<std::string, std::shared_ptr<Inflight>>
-            inflight PICO_GUARDED_BY(shardMutex);
-    };
-
-    size_t shardIndexOf(const std::string &key) const;
-    Shard &shardFor(const std::string &key);
-    const Shard &shardFor(const std::string &key) const;
-
-    /** Count one hit (per-shard metrics + disk/memory split). */
-    void recordHit(size_t shard_index, bool from_disk) const;
-    void recordMiss(size_t shard_index) const;
+    /** Count one hit (disk/memory split + registry counter). */
+    void recordHit(bool from_disk) const;
+    void recordMiss() const;
 
     /** Drop an entry a validity predicate rejected, unless it was
      *  replaced meanwhile; counted and warned about. */
     void quarantine(const std::string &key,
-                    const std::vector<double> &values);
+                    const std::vector<double> &values)
+        PICO_REQUIRES(!tableMutex_);
 
-    void load();
+    void load() PICO_REQUIRES(!tableMutex_);
     /** save() body; caller must hold flushMutex_. */
-    void saveLocked() const PICO_REQUIRES(flushMutex_);
+    void saveLocked() const PICO_REQUIRES(flushMutex_, !tableMutex_);
 
     std::string path_;
-    mutable std::array<Shard, shardCount> shards_;
+    mutable support::Mutex tableMutex_{"evalcache.table",
+                                       support::rank::kCacheTable};
+    std::unordered_map<std::string, Entry> table_
+        PICO_GUARDED_BY(tableMutex_);
+    /** Keys currently being computed by getOrCompute(). */
+    std::unordered_map<std::string, std::shared_ptr<Inflight>>
+        inflight_ PICO_GUARDED_BY(tableMutex_);
     /** Serializes the write-out protocol (tmp file + rename).
-     *  Outranks the shard mutexes: saveLocked() visits every shard
+     *  Outranks the table mutex: saveLocked() snapshots the table
      *  while holding it. */
     mutable support::Mutex flushMutex_{"evalcache.flush",
                                        support::rank::kCacheFlush};
     mutable std::atomic<uint64_t> hits_{0};
     mutable std::atomic<uint64_t> misses_{0};
-    mutable std::array<std::atomic<uint64_t>, shardCount>
-        shardHits_{};
-    mutable std::array<std::atomic<uint64_t>, shardCount>
-        shardMisses_{};
     mutable std::atomic<uint64_t> diskHits_{0};
     mutable std::atomic<uint64_t> computed_{0};
     mutable std::atomic<uint64_t> stores_{0};

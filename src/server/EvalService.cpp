@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include <cstdio>
-
 #include "core/TraceModel.hpp"
 #include "dse/Spacewalker.hpp"
 #include "support/Backoff.hpp"
@@ -53,7 +51,7 @@ splitMachines(const std::string &list)
 
 EvalService::EvalService(ServiceOptions options)
     : options_(options), cache_(options.cachePath),
-      queue_(options.queueCapacity, options.queueWatermark)
+      queue_(options.queueWatermark)
 {
     fatalIf(options_.workers == 0, "eval service needs >= 1 worker");
     workers_.reserve(options_.workers);
@@ -65,7 +63,7 @@ EvalService::EvalService(ServiceOptions options)
         });
     }
     inform("eval service: ", options_.workers, " worker(s), queue ",
-           queue_.watermark(), "/", queue_.capacity(),
+           queue_.watermark(),
            options_.cachePath.empty()
                ? std::string(", memory-only cache")
                : ", cache " + options_.cachePath);
@@ -167,7 +165,7 @@ EvalService::evalCall(const Request &req)
     // lazy purge collects.
     {
         support::MutexLock lock(liveMutex_);
-        if (live_.size() > 2 * (queue_.capacity() + options_.workers)) {
+        if (live_.size() > 2 * (queue_.watermark() + options_.workers)) {
             live_.erase(std::remove_if(live_.begin(), live_.end(),
                                        [](const std::weak_ptr<Task> &w) {
                                            return w.expired();
@@ -182,8 +180,7 @@ EvalService::evalCall(const Request &req)
         FlightRecorder::instance().record(
             FlightRecorder::EventKind::Admit, rid);
         break;
-    case support::QueuePush::AtWatermark:
-    case support::QueuePush::Full: {
+    case support::QueuePush::AtWatermark: {
         shed_.fetch_add(1, std::memory_order_relaxed);
         PICO_METRIC_COUNT("server.shed", 1);
         FlightRecorder::instance().record(
@@ -480,7 +477,6 @@ EvalService::statsValues() const
     v["queue.depth"] = static_cast<double>(queue_.size());
     v["queue.peak"] = static_cast<double>(queue_.peakDepth());
     v["queue.watermark"] = static_cast<double>(queue_.watermark());
-    v["queue.capacity"] = static_cast<double>(queue_.capacity());
     auto cs = cache_.stats();
     v["cache.hits"] = static_cast<double>(cs.hits);
     v["cache.misses"] = static_cast<double>(cs.misses);
@@ -489,16 +485,6 @@ EvalService::statsValues() const
     v["cache.stores"] = static_cast<double>(cs.stores);
     v["cache.saves"] = static_cast<double>(cs.saves);
     v["cache.size"] = static_cast<double>(cache_.size());
-    auto shards = cache_.shardStats();
-    for (size_t k = 0; k < shards.size(); ++k) {
-        char name[48];
-        std::snprintf(name, sizeof(name), "cache.shard%02zu.hits",
-                      k);
-        v[name] = static_cast<double>(shards[k].hits);
-        std::snprintf(name, sizeof(name), "cache.shard%02zu.misses",
-                      k);
-        v[name] = static_cast<double>(shards[k].misses);
-    }
     for (size_t verb = 0; verb < VerbCount; ++verb) {
         const VerbLatency &vl = verbLatency_[verb];
         std::string prefix =

@@ -49,10 +49,10 @@
  *
  *  - introspection verbs bypass admission (an overloaded server must
  *    stay observable): "stats" reports every counter plus rolling
- *    per-verb latency quantiles and the per-shard cache hit split,
- *    "health" reports drain state, watermark occupancy and the last
- *    recorded fault, "dump-trace" drains one request's span tree as
- *    JSON (Request::requestId names it);
+ *    per-verb latency quantiles, "health" reports drain state,
+ *    watermark occupancy and the last recorded fault, "dump-trace"
+ *    drains one request's span tree as JSON (Request::requestId
+ *    names it);
  *
  *  - every lifecycle transition (admit/shed/start/deadline/fault/
  *    finish/drain) is also recorded in the always-on FlightRecorder,
@@ -91,9 +91,8 @@ struct ServiceOptions
     std::string cachePath;
     /** Worker threads executing admitted requests. */
     unsigned workers = 2;
-    /** Hard bound on queued (admitted, not yet running) requests. */
-    size_t queueCapacity = 64;
-    /** Shed threshold (0 = capacity). */
+    /** Bound on queued (admitted, not yet running) requests; a
+     *  request that finds the queue this deep is shed. */
     size_t queueWatermark = 48;
     /** Deadline applied when a request carries none (0 = none). */
     uint64_t defaultDeadlineMs = 0;

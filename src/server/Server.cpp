@@ -1,6 +1,5 @@
 #include "server/Server.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -60,6 +59,7 @@ void
 Server::run()
 {
     while (!stopping_.load(std::memory_order_acquire)) {
+        reapFinished();
         pollfd pfd{};
         pfd.fd = listenFd_;
         pfd.events = POLLIN;
@@ -95,15 +95,16 @@ Server::run()
             break;
         }
         connections_.fetch_add(1, std::memory_order_relaxed);
-        connFds_.push_back(fd);
-        connThreads_.emplace_back(
-            [this, fd] { handleConnection(fd); });
+        Connection &conn = conns_.emplace_back();
+        conn.fd = fd;
+        conn.handler = std::thread([this, &conn] { handleConnection(conn); });
     }
 }
 
 void
-Server::handleConnection(int fd)
+Server::handleConnection(Connection &conn)
 {
+    const int fd = conn.fd;
     // Admit-side spans (server.request) land on this track.
     support::TraceRecorder::instance().nameThisThread(
         "server-conn-" + std::to_string(fd));
@@ -123,20 +124,30 @@ Server::handleConnection(int fd)
         if (!writeFrame(fd, encodeResponse(resp)))
             break;
     }
-    ::close(fd);
+    // Close under the lock that stop() shuts connections down under,
+    // so stop() never shuts down a descriptor already closed and
+    // perhaps reused by a newer connection.
     support::MutexLock lock(connMutex_);
-    connFds_.erase(std::remove(connFds_.begin(), connFds_.end(), fd),
-                   connFds_.end());
+    ::close(fd);
+    conn.finished = true;
 }
 
 void
-Server::closeAllConnections()
+Server::reapFinished()
 {
-    support::MutexLock lock(connMutex_);
-    // shutdown() unblocks reads without racing the handler's own
-    // close(): the fd stays valid until its thread closes it.
-    for (int fd : connFds_)
-        ::shutdown(fd, SHUT_RDWR);
+    std::list<Connection> finished;
+    {
+        support::MutexLock lock(connMutex_);
+        for (auto it = conns_.begin(); it != conns_.end();) {
+            auto next = std::next(it);
+            if (it->finished)
+                finished.splice(finished.end(), conns_, it);
+            it = next;
+        }
+    }
+    // A finished handler has only its return left to run.
+    for (auto &conn : finished)
+        conn.handler.join();
 }
 
 void
@@ -148,14 +159,21 @@ Server::stop()
     // Wakes run()'s poll(); run() drops whatever it accepts from now
     // on. The fd stays open until the destructor (see listenFd_).
     ::shutdown(listenFd_, SHUT_RDWR);
-    closeAllConnections();
-    std::vector<std::thread> threads;
+    std::list<Connection> conns;
     {
         support::MutexLock lock(connMutex_);
-        threads.swap(connThreads_);
+        // shutdown() unblocks a handler's reads without racing its
+        // close(): an unfinished handler has not closed its fd yet.
+        for (const auto &conn : conns_) {
+            if (!conn.finished)
+                ::shutdown(conn.fd, SHUT_RDWR);
+        }
+        conns.swap(conns_);
     }
-    for (auto &t : threads)
-        t.join();
+    // Splicing and swapping move list nodes, so each handler still
+    // finds its entry here.
+    for (auto &conn : conns)
+        conn.handler.join();
     ::unlink(path_.c_str());
     inform("server stopped (", connections(), " connection(s) total)");
 }

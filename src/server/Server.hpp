@@ -6,6 +6,8 @@
  * accepts connections on a poll loop (so stop() is honored promptly),
  * and runs one thread per connection that reads request frames,
  * hands them to the EvalService, and writes response frames back.
+ * The accept loop joins each connection's thread once it has
+ * finished, so a closed connection leaves no thread stack behind.
  * Every robustness decision — admission, deadlines, shedding,
  * drain — lives in the service, which is why the chaos tests can
  * bypass this layer entirely.
@@ -20,9 +22,9 @@
 #define PICO_SERVER_SERVER_HPP
 
 #include <atomic>
+#include <list>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "server/EvalService.hpp"
 #include "support/ThreadAnnotations.hpp"
@@ -50,7 +52,8 @@ class Server
     Server &operator=(const Server &) = delete;
 
     /** Accept loop; returns after stop(). Run it on its own thread
-     *  or let serve-forever mains call it directly. */
+     *  or let serve-forever mains call it directly. Between accepts
+     *  it joins the handlers of closed connections. */
     void run();
 
     /**
@@ -68,9 +71,19 @@ class Server
     }
 
   private:
-    void handleConnection(int fd);
-    /** Close every open connection fd (wakes blocked reads). */
-    void closeAllConnections();
+    /** One accepted connection and the thread serving it. */
+    struct Connection
+    {
+        int fd = -1;
+        std::thread handler;
+        /** Set by the handler, under connMutex_, once it has closed
+         *  fd; only a finished handler's thread may be reaped. */
+        bool finished = false;
+    };
+
+    void handleConnection(Connection &conn);
+    /** Join the handlers that have finished. */
+    void reapFinished();
 
     std::string path_;
     EvalService *service_;
@@ -82,10 +95,10 @@ class Server
 
     support::Mutex connMutex_{"server.conn",
                               support::rank::kServerConn};
-    /** Open connection fds, for shutdown-time unblocking. */
-    std::vector<int> connFds_ PICO_GUARDED_BY(connMutex_);
-    std::vector<std::thread> connThreads_
-        PICO_GUARDED_BY(connMutex_);
+    /** Connections whose handler is not joined yet. A list, so a
+     *  handler's reference to its entry survives other entries
+     *  coming and going. */
+    std::list<Connection> conns_ PICO_GUARDED_BY(connMutex_);
 };
 
 } // namespace pico::server

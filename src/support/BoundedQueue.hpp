@@ -1,7 +1,7 @@
 /**
  * @file
- * Bounded MPMC queue with an admission watermark — the only queue
- * the serving layer is allowed to use.
+ * Bounded MPMC queue with one admission bound, the watermark — the
+ * only queue the serving layer is allowed to use.
  *
  * An unbounded queue turns overload into unbounded memory growth and
  * unbounded latency: every queued request is admitted work the server
@@ -9,13 +9,11 @@
  * without limit and p99 follows it. This queue makes the overload
  * policy explicit instead:
  *
- *  - *capacity* is a hard bound — tryPush() never blocks and never
- *    allocates past it;
- *  - the *watermark* (<= capacity) is the load-shedding threshold:
- *    tryPush() reports AtWatermark once depth reaches it, and the
- *    caller sheds (reject with retry-after) rather than queueing.
- *    The gap between watermark and capacity absorbs racing pushes
- *    that passed the check together;
+ *  - the *watermark* is the load-shedding threshold and the hard
+ *    bound at once: tryPush() compares the depth with it and pushes
+ *    under one lock, so it never blocks, the depth never passes the
+ *    watermark, and a push at the watermark reports AtWatermark so
+ *    the caller sheds (reject with retry-after) rather than queueing;
  *  - close() stops admission permanently; pop() drains what was
  *    admitted and then returns false, so consumers terminate.
  *    closeAndDrain() additionally hands back the unconsumed items so
@@ -49,31 +47,20 @@ enum class QueuePush
 {
     /** Item accepted below the watermark. */
     Ok,
-    /** Rejected: depth at/over the watermark (shed the request). */
+    /** Rejected: depth at the watermark (shed the request). */
     AtWatermark,
-    /** Rejected: the hard capacity bound (should be rare — the
-     *  watermark sheds first). */
-    Full,
     /** Rejected: the queue is closed (draining/shutting down). */
     Closed,
 };
 
-/** Fixed-capacity FIFO with watermark admission and closed drain. */
+/** Bounded FIFO with watermark admission and closed drain. */
 template <typename T> class BoundedQueue
 {
   public:
-    /**
-     * @param capacity hard bound on queued items (> 0)
-     * @param watermark shed threshold; 0 means "= capacity"
-     */
-    explicit BoundedQueue(size_t capacity, size_t watermark = 0)
-        : capacity_(capacity),
-          watermark_(watermark == 0 ? capacity : watermark)
+    /** @param watermark bound on queued items (> 0) */
+    explicit BoundedQueue(size_t watermark) : watermark_(watermark)
     {
-        fatalIf(capacity_ == 0, "bounded queue needs capacity > 0");
-        fatalIf(watermark_ > capacity_,
-                "queue watermark ", watermark_, " exceeds capacity ",
-                capacity_);
+        fatalIf(watermark_ == 0, "bounded queue needs a watermark > 0");
     }
 
     /** Non-blocking push; see QueuePush for the rejection reasons. */
@@ -84,11 +71,8 @@ template <typename T> class BoundedQueue
             MutexLock lock(queueMutex_);
             if (closed_)
                 return QueuePush::Closed;
-            if (items_.size() >= watermark_) {
-                return items_.size() >= capacity_
-                           ? QueuePush::Full
-                           : QueuePush::AtWatermark;
-            }
+            if (items_.size() >= watermark_)
+                return QueuePush::AtWatermark;
             items_.push_back(std::move(item));
             if (items_.size() > peakDepth_)
                 peakDepth_ = items_.size();
@@ -175,11 +159,9 @@ template <typename T> class BoundedQueue
         return closed_;
     }
 
-    size_t capacity() const { return capacity_; }
     size_t watermark() const { return watermark_; }
 
   private:
-    const size_t capacity_;
     const size_t watermark_;
     mutable Mutex queueMutex_{"boundedqueue", rank::kBoundedQueue};
     std::deque<T> items_ PICO_GUARDED_BY(queueMutex_);

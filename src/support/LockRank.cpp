@@ -14,7 +14,7 @@ namespace
 std::atomic<bool> checkOn{true};
 
 /** Deepest ranked-lock nesting any one thread may reach. The real
- *  program peaks at 3 (e.g. flush → shard → metrics); 16 leaves
+ *  program nests a few deep (e.g. flush → table); 16 leaves
  *  generous headroom and keeps the stack a fixed thread-local array
  *  with no allocation on the lock path. */
 constexpr size_t maxHeld = 16;

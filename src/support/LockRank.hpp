@@ -81,7 +81,7 @@ constexpr int kPoolQueue = 410;
 constexpr int kPoolLoop = 420;
 
 // --- middle: cache internals ------------------------------------------
-constexpr int kCacheShard = 500;
+constexpr int kCacheTable = 500;
 constexpr int kCacheInflight = 510;
 
 // --- middle: per-request completion -----------------------------------

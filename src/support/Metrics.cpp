@@ -1,11 +1,10 @@
 #include "support/Metrics.hpp"
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <ostream>
 #include <sstream>
-
-#include "support/Logging.hpp"
 
 namespace pico::support
 {
@@ -86,31 +85,6 @@ MetricsRegistry::instance()
     return registry;
 }
 
-MetricsRegistry::Shard &
-MetricsRegistry::localShard()
-{
-    /** The calling thread's shard pointer (set once per thread). */
-    static thread_local Shard *tlsShard = nullptr;
-    if (tlsShard == nullptr) {
-        auto shard = std::make_unique<Shard>();
-        tlsShard = shard.get();
-        MutexLock lock(registryMutex_);
-        shards_.push_back(std::move(shard));
-    }
-    return *tlsShard;
-}
-
-size_t
-MetricsRegistry::allocateSlots(size_t words, const std::string &name)
-{
-    panicIf(nextSlot_ + words > slotCapacity,
-            "metrics registry slot capacity exhausted registering '",
-            name, "'");
-    size_t slot = nextSlot_;
-    nextSlot_ += words;
-    return slot;
-}
-
 Counter &
 MetricsRegistry::counter(const std::string &name)
 {
@@ -118,8 +92,7 @@ MetricsRegistry::counter(const std::string &name)
     auto it = counters_.find(name);
     if (it == counters_.end()) {
         it = counters_
-                 .emplace(name, std::unique_ptr<Counter>(new Counter(
-                                    allocateSlots(1, name))))
+                 .emplace(name, std::unique_ptr<Counter>(new Counter()))
                  .first;
     }
     return *it->second;
@@ -146,9 +119,7 @@ MetricsRegistry::histogram(const std::string &name)
     if (it == histograms_.end()) {
         it = histograms_
                  .emplace(name,
-                          std::unique_ptr<Histogram>(new Histogram(
-                              allocateSlots(Histogram::slotWords,
-                                            name))))
+                          std::unique_ptr<Histogram>(new Histogram()))
                  .first;
     }
     return *it->second;
@@ -157,29 +128,22 @@ MetricsRegistry::histogram(const std::string &name)
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
-    // Concurrent updaters use relaxed stores, so a snapshot taken
+    // Concurrent updaters use relaxed adds, so a snapshot taken
     // while work is in flight may lag by in-flight increments; the
     // pipeline snapshots after joins, where totals are exact.
+    constexpr auto relaxed = std::memory_order_relaxed;
     MutexLock lock(registryMutex_);
-    auto sumSlot = [this](size_t slot) {
-        uint64_t total = 0;
-        for (const auto &shard : shards_)
-            total +=
-                shard->slots[slot].load(std::memory_order_relaxed);
-        return total;
-    };
-
     MetricsSnapshot snap;
     for (const auto &[name, ctr] : counters_)
-        snap.counters[name] = sumSlot(ctr->slot_);
+        snap.counters[name] = ctr->value_.load(relaxed);
     for (const auto &[name, g] : gauges_)
         snap.gauges[name] = g->value();
     for (const auto &[name, h] : histograms_) {
         HistogramValue v;
-        v.count = sumSlot(h->slot_);
-        v.sum = sumSlot(h->slot_ + 1);
+        v.count = h->count_.load(relaxed);
+        v.sum = h->sum_.load(relaxed);
         for (size_t b = 0; b < Histogram::bucketCount; ++b)
-            v.buckets[b] = sumSlot(h->slot_ + 2 + b);
+            v.buckets[b] = h->buckets_[b].load(relaxed);
         snap.histograms[name] = v;
     }
     return snap;
@@ -188,13 +152,18 @@ MetricsRegistry::snapshot() const
 void
 MetricsRegistry::resetValues()
 {
+    constexpr auto relaxed = std::memory_order_relaxed;
     MutexLock lock(registryMutex_);
-    for (auto &shard : shards_) {
-        for (auto &slot : shard->slots)
-            slot.store(0, std::memory_order_relaxed);
-    }
+    for (auto &[name, ctr] : counters_)
+        ctr->value_.store(0, relaxed);
     for (auto &[name, g] : gauges_)
-        g->value_.store(0.0, std::memory_order_relaxed);
+        g->value_.store(0.0, relaxed);
+    for (auto &[name, h] : histograms_) {
+        h->count_.store(0, relaxed);
+        h->sum_.store(0, relaxed);
+        for (auto &bucket : h->buckets_)
+            bucket.store(0, relaxed);
+    }
 }
 
 // --- handles -----------------------------------------------------------
@@ -205,8 +174,7 @@ Counter::add(uint64_t n)
 #if PICOEVAL_METRICS
     if (!metricsEnabled())
         return;
-    auto &shard = MetricsRegistry::instance().localShard();
-    shard.slots[slot_].fetch_add(n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
 #else
     (void)n;
 #endif
@@ -249,12 +217,9 @@ Histogram::observe(uint64_t value)
 #if PICOEVAL_METRICS
     if (!metricsEnabled())
         return;
-    auto &shard = MetricsRegistry::instance().localShard();
-    shard.slots[slot_].fetch_add(1, std::memory_order_relaxed);
-    shard.slots[slot_ + 1].fetch_add(value,
-                                     std::memory_order_relaxed);
-    shard.slots[slot_ + 2 + bucketOf(value)].fetch_add(
-        1, std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(value, std::memory_order_relaxed);
+    buckets_[bucketOf(value)].fetch_add(1, std::memory_order_relaxed);
 #else
     (void)value;
 #endif

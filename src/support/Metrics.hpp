@@ -7,10 +7,11 @@
  * measure itself without distorting what it measures. The registry is
  * built around three rules:
  *
- *  - *Lock-free hot paths.* Counter and histogram updates land in a
- *    per-thread shard (a fixed array of relaxed atomics, allocated
- *    once per thread); no mutex, no contended cache line. Shards are
- *    merged only when a snapshot is taken.
+ *  - *Lock-free hot paths.* Each counter and histogram handle owns
+ *    its relaxed atomics, and an update is one to three relaxed
+ *    adds on them: no mutex and no per-thread storage. Updates come
+ *    at sweep, phase and request granularity, never per access, so
+ *    the shared words do not contend.
  *
  *  - *Zero cost when disabled.* Compiling with
  *    -DPICOEVAL_DISABLE_METRICS turns every update into a no-op; at
@@ -38,7 +39,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "support/ThreadAnnotations.hpp"
 
@@ -83,7 +83,7 @@ uint64_t monotonicNowNs();
 /** Escape a string for embedding in a JSON document. */
 std::string jsonEscape(const std::string &s);
 
-/** Monotonically increasing event count (sharded per thread). */
+/** Monotonically increasing event count (one relaxed atomic). */
 class Counter
 {
   public:
@@ -95,8 +95,8 @@ class Counter
 
   private:
     friend class MetricsRegistry;
-    explicit Counter(size_t slot) : slot_(slot) {}
-    const size_t slot_;
+    Counter() = default;
+    std::atomic<uint64_t> value_{0};
 };
 
 /** Last-written value (a single global atomic; low-frequency). */
@@ -132,13 +132,13 @@ class Histogram
 
   private:
     friend class MetricsRegistry;
-    explicit Histogram(size_t slot) : slot_(slot) {}
-    /** Slot layout: [count, sum, buckets[0..bucketCount-1]]. */
-    static constexpr size_t slotWords = 2 + bucketCount;
-    const size_t slot_;
+    Histogram() = default;
+    std::atomic<uint64_t> count_{0};
+    std::atomic<uint64_t> sum_{0};
+    std::array<std::atomic<uint64_t>, bucketCount> buckets_{};
 };
 
-/** Merged value of one histogram at snapshot time. */
+/** Value of one histogram at snapshot time. */
 struct HistogramValue
 {
     uint64_t count = 0;
@@ -155,7 +155,7 @@ struct HistogramValue
 };
 
 /**
- * Point-in-time merge of every registered metric. std::map keys give
+ * Point-in-time read of every registered metric. std::map keys give
  * sorted, stable iteration; writeJson() is byte-deterministic for
  * equal values.
  */
@@ -179,9 +179,6 @@ struct MetricsSnapshot
 class MetricsRegistry
 {
   public:
-    /** Per-thread slot capacity; registration fails beyond this. */
-    static constexpr size_t slotCapacity = 8192;
-
     static MetricsRegistry &instance();
 
     Counter &counter(const std::string &name)
@@ -191,7 +188,7 @@ class MetricsRegistry
     Histogram &histogram(const std::string &name)
         PICO_REQUIRES(!registryMutex_);
 
-    /** Merge all thread shards into one deterministic snapshot. */
+    /** Read every handle into one deterministic snapshot. */
     MetricsSnapshot snapshot() const
         PICO_REQUIRES(!registryMutex_);
 
@@ -202,22 +199,7 @@ class MetricsRegistry
     void resetValues() PICO_REQUIRES(!registryMutex_);
 
   private:
-    friend class Counter;
-    friend class Histogram;
-
     MetricsRegistry() = default;
-
-    /** One thread's accumulation array (relaxed atomics only). */
-    struct Shard
-    {
-        std::array<std::atomic<uint64_t>, slotCapacity> slots{};
-    };
-
-    /** The calling thread's shard, registered on first use. */
-    Shard &localShard() PICO_REQUIRES(!registryMutex_);
-
-    size_t allocateSlots(size_t words, const std::string &name)
-        PICO_REQUIRES(registryMutex_);
 
     mutable Mutex registryMutex_{"metrics.registry", rank::kMetricsRegistry};
     std::map<std::string, std::unique_ptr<Counter>> counters_
@@ -225,12 +207,6 @@ class MetricsRegistry
     std::map<std::string, std::unique_ptr<Gauge>> gauges_
         PICO_GUARDED_BY(registryMutex_);
     std::map<std::string, std::unique_ptr<Histogram>> histograms_
-        PICO_GUARDED_BY(registryMutex_);
-    size_t nextSlot_ PICO_GUARDED_BY(registryMutex_) = 0;
-    /** Owned for the life of the process; threads may die, their
-     *  totals persist. Registration is guarded; updates go through
-     *  each shard's relaxed atomics, lock-free. */
-    mutable std::vector<std::unique_ptr<Shard>> shards_
         PICO_GUARDED_BY(registryMutex_);
 };
 

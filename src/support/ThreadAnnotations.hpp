@@ -2,10 +2,11 @@
  * @file
  * Clang thread-safety-analysis shim and annotated lock types.
  *
- * The parallel engine (PR 2) and the instrumentation layer (PR 3)
- * grew a real concurrency surface: a 16-shard lock-striped
- * EvaluationCache, a nesting-safe ThreadPool, per-thread metrics and
- * trace-event buffers, and a process-global fault injector. TSan only
+ * The parallel engine and the instrumentation layer grew a real
+ * concurrency surface: an EvaluationCache shared by every evaluation
+ * task, with single-flight computation, a nesting-safe ThreadPool,
+ * per-thread trace-event buffers, and a process-global fault
+ * injector. TSan only
  * catches the interleavings a run happens to produce; Clang's static
  * thread-safety analysis (-Wthread-safety) proves lock discipline at
  * compile time, on every path, for free.
@@ -102,8 +103,8 @@ namespace pico::support
  * scoped MutexLock.
  *
  * Every mutex in src/support, src/dse and src/server must use the
- * ranked constructor — `Mutex mutex_{"evalcache.shard",
- * rank::kCacheShard}` — with a rank from the table in LockRank.hpp;
+ * ranked constructor — `Mutex mutex_{"evalcache.table",
+ * rank::kCacheTable}` — with a rank from the table in LockRank.hpp;
  * tools/picoeval-lockcheck.py fails CI on unranked declarations in
  * those directories and proves the declared order acyclic.
  */

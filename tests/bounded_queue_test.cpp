@@ -45,20 +45,12 @@ TEST(BoundedQueue, FifoOrder)
 
 TEST(BoundedQueue, ShedsAtWatermark)
 {
-    BoundedQueue<int> q(4, 2);
-    EXPECT_EQ(q.tryPush(1), QueuePush::Ok);
-    EXPECT_EQ(q.tryPush(2), QueuePush::Ok);
-    // Depth == watermark: shed, even though capacity remains.
-    EXPECT_EQ(q.tryPush(3), QueuePush::AtWatermark);
-    EXPECT_EQ(q.size(), 2u);
-}
-
-TEST(BoundedQueue, WatermarkDefaultsToCapacity)
-{
     BoundedQueue<int> q(2);
     EXPECT_EQ(q.tryPush(1), QueuePush::Ok);
     EXPECT_EQ(q.tryPush(2), QueuePush::Ok);
-    EXPECT_EQ(q.tryPush(3), QueuePush::Full);
+    // Depth == watermark: shed.
+    EXPECT_EQ(q.tryPush(3), QueuePush::AtWatermark);
+    EXPECT_EQ(q.size(), 2u);
 }
 
 TEST(BoundedQueue, RejectsAfterClose)
@@ -169,7 +161,7 @@ TEST(BoundedQueue, CloseAndDrainStarvesBlockedWaiters)
 
 TEST(BoundedQueue, PeakDepthNeverExceedsWatermark)
 {
-    BoundedQueue<int> q(64, 8);
+    BoundedQueue<int> q(8);
     std::atomic<uint64_t> accepted{0}, shed{0};
     std::atomic<uint64_t> popped{0};
     std::vector<std::thread> producers;

@@ -17,6 +17,7 @@
 #include "dse/Spacewalker.hpp"
 #include "support/CancelToken.hpp"
 #include "support/Logging.hpp"
+#include "support/Metrics.hpp"
 
 namespace pico::dse
 {
@@ -37,6 +38,24 @@ TEST(EvaluationCache, ComputesOnMissOnly)
     EXPECT_EQ(a, b);
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(cache.misses(), 1u);
+}
+
+TEST(EvaluationCache, RegistryCountsHitsMissesAndStores)
+{
+    // With metrics on, every cache in the process adds to three
+    // aggregate registry counters.
+    support::setMetricsEnabled(true);
+    auto before = support::metrics().snapshot().counters;
+    EvaluationCache cache;
+    std::vector<double> values;
+    EXPECT_FALSE(cache.lookup("k", values));
+    cache.getOrCompute("k", [] { return std::vector<double>{1.0}; });
+    cache.getOrCompute("k", [] { return std::vector<double>{2.0}; });
+    auto after = support::metrics().snapshot().counters;
+    support::setMetricsEnabled(false);
+    EXPECT_EQ(after["evalcache.hits"] - before["evalcache.hits"], 1u);
+    EXPECT_EQ(after["evalcache.misses"] - before["evalcache.misses"], 2u);
+    EXPECT_EQ(after["evalcache.stores"] - before["evalcache.stores"], 1u);
 }
 
 TEST(EvaluationCache, LookupWithoutCompute)

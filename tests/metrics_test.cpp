@@ -1,8 +1,8 @@
 /**
  * @file
  * Instrumentation layer tests: the metrics registry's concurrent
- * accumulation must be exact (sharded counts merge to the serial
- * sum), snapshots must be deterministic documents (sorted keys,
+ * accumulation must be exact (concurrent updates add up to the
+ * serial sum), snapshots must be deterministic documents (sorted keys,
  * byte-stable JSON), the disabled paths must drop updates, and the
  * span recorder / run report must produce loadable JSON.
  */

@@ -253,7 +253,6 @@ TEST(ScheduleSweep, ConcurrentCallsAreBitIdenticalPerKey)
     // exactly.
     ServiceOptions opts;
     opts.workers = 2;
-    opts.queueCapacity = 8;
     opts.queueWatermark = 8;
     opts.drainDeadlineMs = 5000;
     EvalService service(opts);
@@ -303,7 +302,6 @@ TEST(ScheduleSweep, DrainDuringChaosStormReconciles)
         ScopedPerturb perturb(seed);
         ServiceOptions opts;
         opts.workers = 2;
-        opts.queueCapacity = 8;
         opts.queueWatermark = 4;
         opts.chaosSlowMs = 5;
         opts.drainDeadlineMs = 2000;

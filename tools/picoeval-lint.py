@@ -25,7 +25,8 @@ Checks C++ sources under src/ for constructions the project bans:
                  in the serving layer is admitted work the server has
                  promised to do; an unbounded one turns overload into
                  unbounded memory and latency. Use
-                 support::BoundedQueue (capacity + shed watermark).
+                 support::BoundedQueue (bounded by its shed
+                 watermark).
   raw-span       TimedSpan in src/server. A server span opened
                  without a TraceContext is invisible to dump-trace
                  and unattributable in the Chrome trace; the serving

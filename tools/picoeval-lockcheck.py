@@ -3,8 +3,8 @@
 
 Every mutex in src/support, src/dse and src/server declares a
 compile-time name and an integer rank from the table in
-src/support/LockRank.hpp (`Mutex m{"evalcache.shard",
-rank::kCacheShard}`). The discipline: a thread only acquires a mutex
+src/support/LockRank.hpp (`Mutex m{"evalcache.table",
+rank::kCacheTable}`). The discipline: a thread only acquires a mutex
 whose rank is strictly greater than every rank it already holds, so
 acquisition order is a total order and deadlock is impossible by
 construction.
@@ -14,8 +14,8 @@ This tool proves the *source* obeys the discipline:
   1. parses the rank table from LockRank.hpp;
   2. parses every ranked Mutex declaration in the covered directories
      (member identifiers are globally unique by convention, so an
-     acquisition expression like `shard.shardMutex` resolves by its
-     trailing identifier);
+     acquisition expression like `flight->inflightMutex` resolves by
+     its trailing identifier);
   3. lexically tracks `MutexLock` scopes (brace depth) through every
      file, collecting the nesting edges `held -> acquired`, including
      one level of interprocedural nesting via PICO_REQUIRES
@@ -64,8 +64,8 @@ EXCLUDED_FILES = {
 
 RANK_RE = re.compile(r"constexpr\s+int\s+(k\w+)\s*=\s*(\d+)\s*;")
 
-# `mutable support::Mutex shardMutex{"evalcache.shard",
-#  support::rank::kCacheShard};` — possibly split across lines.
+# `mutable support::Mutex tableMutex_{"evalcache.table",
+#  support::rank::kCacheTable};` — possibly split across lines.
 RANKED_DECL_RE = re.compile(
     r"\bMutex\s+(\w+)\s*\{\s*\"([^\"]+)\"\s*,\s*(?:\w+\s*::\s*)*"
     r"rank\s*::\s*(k\w+)\s*\}",
