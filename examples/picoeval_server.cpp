@@ -63,6 +63,10 @@
 
 #include "CliFlags.hpp"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 using namespace pico;
 using cli::flagValue;
 
@@ -126,11 +130,32 @@ armChaos()
     std::cout << "chaos mode: fault sites armed\n";
 }
 
+/**
+ * Fix glibc's mmap threshold at its 128-KiB default. Left dynamic,
+ * glibc raises it to the size of the first mapped block a thread
+ * frees (a cold walk's single-pass simulator tables, up to 512 KiB)
+ * and lets each arena keep twice that much free memory untrimmed.
+ * What the worker arenas hold at that moment depends on which worker
+ * frees first, so the server's resident peak fell into two modes
+ * about 2 MB apart from one run to the next. With the threshold
+ * fixed, blocks that large stay mapped and go back to the system when
+ * freed; a served walk's own buffers are smaller and come from the
+ * arenas as before.
+ */
+void
+pinMallocThresholds()
+{
+#if defined(__GLIBC__)
+    mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+#endif
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    pinMallocThresholds();
     std::string socket_path, cache_path, metrics_out, verify_path;
     std::string trace_out, flight_out;
     server::ServiceOptions opts;

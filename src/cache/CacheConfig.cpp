@@ -1,6 +1,6 @@
 #include "cache/CacheConfig.hpp"
 
-#include <sstream>
+#include <string>
 
 #include "support/BitUtils.hpp"
 #include "support/Logging.hpp"
@@ -25,20 +25,28 @@ CacheConfig::validate() const
 std::string
 CacheConfig::name() const
 {
-    std::ostringstream oss;
     uint64_t size = sizeBytes();
-    if (size >= 1024 && size % 1024 == 0)
-        oss << (size / 1024) << "KB";
-    else
-        oss << size << "B";
-    oss << "/" << assoc << "way/" << lineBytes << "B";
-    if (ports > 1)
-        oss << "/" << ports << "p";
-    if (replacement != ReplacementPolicy::LRU)
-        oss << "/" << replacementName(replacement);
-    if (write != WritePolicy::WriteBack)
-        oss << "/" << writePolicyName(write);
-    return oss.str();
+    const bool kb = size >= 1024 && size % 1024 == 0;
+    std::string out = std::to_string(kb ? size / 1024 : size);
+    out += kb ? "KB/" : "B/";
+    out += std::to_string(assoc);
+    out += "way/";
+    out += std::to_string(lineBytes);
+    out += 'B';
+    if (ports > 1) {
+        out += '/';
+        out += std::to_string(ports);
+        out += 'p';
+    }
+    if (replacement != ReplacementPolicy::LRU) {
+        out += '/';
+        out += replacementName(replacement);
+    }
+    if (write != WritePolicy::WriteBack) {
+        out += '/';
+        out += writePolicyName(write);
+    }
+    return out;
 }
 
 CacheConfig

@@ -40,8 +40,16 @@ namespace pico::core::ahh
 double setOccupancyProb(double uL, uint32_t a, uint32_t sets);
 
 /**
+ * collisions() reads log(a!) from a table of this many entries, filled
+ * once per process, and calls lgamma_r past its end.
+ */
+constexpr uint32_t logFactorialTableSize = 1024;
+
+/**
  * Expected collisions (equation 4.8) via the numerically stable
- * tail-series form.
+ * tail-series form. The series stops at a negligible term only once
+ * the terms fall, so an overloaded cache whose leading terms
+ * underflow still sums to about u(L) - S * A.
  * @param uL unique lines per granule
  * @param sets number of sets S
  * @param assoc associativity A

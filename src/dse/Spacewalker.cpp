@@ -122,27 +122,13 @@ MemoryWalker::pareto(double dilation, uint32_t dcache_ports,
     // Subsystem Pareto fronts first: with additive cost and additive
     // stall time, any hierarchy containing a dominated component is
     // itself dominated, so the product of the subsystem fronts
-    // covers the full hierarchy Pareto set. Each front is built once,
-    // before the composition loops.
+    // covers the full hierarchy Pareto set. Candidates and offers
+    // carry numbers only; ids are built for the survivors.
     struct Candidate
     {
         cache::CacheConfig cfg;
-        DesignPoint point;
-    };
-    auto front = [](const std::vector<Candidate> &cands) {
-        std::vector<Candidate> kept;
-        for (const auto &c : cands) {
-            bool dominated = false;
-            for (const auto &other : cands) {
-                if (other.point.dominates(c.point)) {
-                    dominated = true;
-                    break;
-                }
-            }
-            if (!dominated)
-                kept.push_back(c);
-        }
-        return kept;
+        double cost = 0.0;
+        double time = 0.0;
     };
 
     // Evaluate one subspace: the per-design miss estimates (the
@@ -168,10 +154,8 @@ MemoryWalker::pareto(double dilation, uint32_t dcache_ports,
                 configs.size(), pool_, [&](size_t i) {
                     const auto &cfg = configs[i];
                     auto candidate = [&] {
-                        return Candidate{
-                            cfg, DesignPoint{prefix + cfg.name(),
-                                             cfg.areaCost(),
-                                             stall_cycles(cfg)}};
+                        return Candidate{cfg, cfg.areaCost(),
+                                         stall_cycles(cfg)};
                     };
                     if (cancel != nullptr)
                         cancel->checkpoint("MemoryWalker::pareto");
@@ -193,11 +177,12 @@ MemoryWalker::pareto(double dilation, uint32_t dcache_ports,
             cands.reserve(configs.size());
             for (size_t i = 0; i < configs.size(); ++i) {
                 if (slots[i])
-                    cands.push_back(std::move(*slots[i]));
+                    cands.push_back(*slots[i]);
                 else
                     failures->record(prefix + configs[i].name(),
                                      "memory-pareto", errors[i]);
             }
+            keepParetoFront(cands);
             return cands;
         };
 
@@ -208,13 +193,13 @@ MemoryWalker::pareto(double dilation, uint32_t dcache_ports,
         d_configs.push_back(cfg);
     }
 
-    auto i_cands = evalSubspace(
+    const auto i_front = evalSubspace(
         spaces_.icache.enumerate(), "I$",
         [&](const cache::CacheConfig &cfg) {
             return icacheEval_.misses(cfg, dilation) *
                    stalls_.l2HitLatency;
         });
-    auto d_cands = evalSubspace(
+    const auto d_front = evalSubspace(
         d_configs, "D$", [&](const cache::CacheConfig &cfg) {
             double t =
                 dcacheEval_.misses(cfg) * stalls_.l2HitLatency;
@@ -223,7 +208,7 @@ MemoryWalker::pareto(double dilation, uint32_t dcache_ports,
                      stalls_.writeCost;
             return t;
         });
-    auto u_cands = evalSubspace(
+    const auto u_front = evalSubspace(
         spaces_.ucache.enumerate(), "U$",
         [&](const cache::CacheConfig &cfg) {
             double t = ucacheEval_.misses(cfg, dilation) *
@@ -234,13 +219,24 @@ MemoryWalker::pareto(double dilation, uint32_t dcache_ports,
             return t;
         });
 
-    const auto i_front = front(i_cands);
-    const auto d_front = front(d_cands);
-    const auto u_front = front(u_cands);
-    ParetoSet out;
-    for (const auto &ic : i_front) {
-        for (const auto &dc : d_front) {
-            for (const auto &uc : u_front) {
+    // One offer per inclusion-feasible (I$, D$, U$) triple of front
+    // members, in the nesting order the ids follow.
+    struct Hierarchy
+    {
+        double cost = 0.0;
+        double time = 0.0;
+        uint32_t i = 0;
+        uint32_t d = 0;
+        uint32_t u = 0;
+    };
+    std::vector<Hierarchy> offers;
+    offers.reserve(i_front.size() * d_front.size() * u_front.size());
+    for (uint32_t i = 0; i < i_front.size(); ++i) {
+        const Candidate &ic = i_front[i];
+        for (uint32_t d = 0; d < d_front.size(); ++d) {
+            const Candidate &dc = d_front[d];
+            for (uint32_t u = 0; u < u_front.size(); ++u) {
+                const Candidate &uc = u_front[u];
                 // Inclusion requirement (section 3.1).
                 if (uc.cfg.sizeBytes() < ic.cfg.sizeBytes() ||
                     uc.cfg.sizeBytes() < dc.cfg.sizeBytes() ||
@@ -248,18 +244,32 @@ MemoryWalker::pareto(double dilation, uint32_t dcache_ports,
                     uc.cfg.lineBytes < dc.cfg.lineBytes) {
                     continue;
                 }
-                DesignPoint point;
-                point.id = ic.point.id + "+" + dc.point.id + "+" +
-                           uc.point.id;
-                point.cost =
-                    ic.point.cost + dc.point.cost + uc.point.cost;
-                point.time =
-                    ic.point.time + dc.point.time + uc.point.time;
-                out.insertPoint(point);
+                offers.push_back({ic.cost + dc.cost + uc.cost,
+                                  ic.time + dc.time + uc.time, i, d, u});
             }
         }
     }
-    return out;
+    const uint64_t offered = offers.size();
+    keepParetoFront(offers);
+
+    auto names = [](const std::vector<Candidate> &front,
+                    const char *prefix) {
+        std::vector<std::string> out;
+        out.reserve(front.size());
+        for (const Candidate &c : front)
+            out.push_back(prefix + c.cfg.name());
+        return out;
+    };
+    const auto i_names = names(i_front, "I$");
+    const auto d_names = names(d_front, "D$");
+    const auto u_names = names(u_front, "U$");
+    std::vector<DesignPoint> points;
+    points.reserve(offers.size());
+    for (const Hierarchy &h : offers)
+        points.push_back(DesignPoint{
+            i_names[h.i] + "+" + d_names[h.d] + "+" + u_names[h.u],
+            h.cost, h.time});
+    return ParetoSet(std::move(points), offered);
 }
 
 std::string

@@ -44,6 +44,17 @@
 
 #include "support/LockRank.hpp"
 
+#if defined(__SANITIZE_THREAD__)
+#define PICO_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define PICO_TSAN 1
+#endif
+#endif
+#ifdef PICO_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
+
 #if defined(__clang__)
 #define PICO_THREAD_ANNOTATION(x) __attribute__((x))
 #else
@@ -120,6 +131,16 @@ class PICO_CAPABILITY("mutex") Mutex
 
     Mutex(const Mutex &) = delete;
     Mutex &operator=(const Mutex &) = delete;
+
+#ifdef PICO_TSAN
+    /**
+     * std::mutex's destructor is trivial, so TSan never learns that
+     * a mutex died, and a later mutex at the same address inherits
+     * its lock-order edges: two tests' stack mutexes then read as one
+     * inverted pair.
+     */
+    ~Mutex() { __tsan_mutex_destroy(&m_, 0); }
+#endif
 
     void lock() PICO_ACQUIRE() { m_.lock(); }
     void unlock() PICO_RELEASE() { m_.unlock(); }

@@ -52,24 +52,34 @@ TraceRecorder::instance()
     return recorder;
 }
 
+TraceRecorder::LocalTrack &
+TraceRecorder::localTrack()
+{
+    static thread_local LocalTrack track;
+    return track;
+}
+
 TraceRecorder::ThreadBuf &
 TraceRecorder::localBuf()
 {
-    static thread_local ThreadBuf *tlsTraceBuf = nullptr;
-    if (tlsTraceBuf == nullptr) {
+    LocalTrack &track = localTrack();
+    if (track.buf == nullptr) {
         auto buf = std::make_unique<ThreadBuf>();
-        tlsTraceBuf = buf.get();
+        track.buf = buf.get();
         MutexLock lock(traceMutex_);
         buf->tid = static_cast<uint32_t>(bufs_.size());
         {
             // The buffer is not shared yet, but name is guarded by
             // buf->mutex; the nested acquisition is uncontended.
             MutexLock nameLock(buf->bufMutex);
-            buf->name = "thread-" + std::to_string(buf->tid);
+            buf->name = track.name.empty()
+                            ? "thread-" + std::to_string(buf->tid)
+                            : std::move(track.name);
+            buf->named = track.named;
         }
         bufs_.push_back(std::move(buf));
     }
-    return *tlsTraceBuf;
+    return *track.buf;
 }
 
 void
@@ -88,7 +98,13 @@ TraceRecorder::append(ThreadBuf &buf, Event event)
 void
 TraceRecorder::nameThisThread(const std::string &name)
 {
-    auto &buf = localBuf();
+    LocalTrack &track = localTrack();
+    if (track.buf == nullptr) {
+        track.name = name;
+        track.named = true;
+        return;
+    }
+    ThreadBuf &buf = *track.buf;
     MutexLock lock(buf.bufMutex);
     buf.name = name;
     buf.named = true;
@@ -97,7 +113,13 @@ TraceRecorder::nameThisThread(const std::string &name)
 void
 TraceRecorder::nameThisThreadDefault(const std::string &name)
 {
-    auto &buf = localBuf();
+    LocalTrack &track = localTrack();
+    if (track.buf == nullptr) {
+        if (!track.named)
+            track.name = name;
+        return;
+    }
+    ThreadBuf &buf = *track.buf;
     MutexLock lock(buf.bufMutex);
     if (!buf.named)
         buf.name = name;

@@ -84,7 +84,9 @@ class TraceRecorder
     /**
      * Name the calling thread's track in the exported trace (e.g.
      * "pool-worker-3"). Safe to call whether or not recording is
-     * enabled; the last name set wins.
+     * enabled; the last name set wins. The track exists from the
+     * thread's first event on, so a thread that names itself and
+     * records nothing costs no buffer.
      */
     void nameThisThread(const std::string &name)
         PICO_REQUIRES(!traceMutex_);
@@ -194,6 +196,18 @@ class TraceRecorder
         std::vector<Event> events PICO_GUARDED_BY(bufMutex);
     };
 
+    /**
+     * The calling thread's track: its buffer once it has recorded an
+     * event, and until then the name it asked for (empty = none).
+     */
+    struct LocalTrack
+    {
+        ThreadBuf *buf = nullptr;
+        std::string name;
+        bool named = false;
+    };
+
+    static LocalTrack &localTrack();
     ThreadBuf &localBuf() PICO_REQUIRES(!traceMutex_);
     void append(ThreadBuf &buf, Event event);
     static void writeEvent(std::ostream &out, const Event &e,

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "cache/CacheSim.hpp"
@@ -15,6 +16,19 @@
 
 namespace pico::cache
 {
+
+/**
+ * Print a test parameter by its geometry, e.g. S32_A1_L32. Without
+ * this, gtest prints a CacheConfig's raw bytes, two of which are
+ * uninitialized padding, and the ctest ids of SimCrossValidation,
+ * which carry the printed parameter, changed from build to build.
+ */
+static void
+PrintTo(const CacheConfig &cfg, std::ostream *os)
+{
+    *os << "S" << cfg.sets << "_A" << cfg.assoc << "_L" << cfg.lineBytes;
+}
+
 namespace
 {
 

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "cache/CacheSim.hpp"
@@ -525,6 +527,143 @@ TEST(MemoryWalker, ParetoRespectsInclusion)
         bool big_l1 = p.id.find("I$16KB") != std::string::npos ||
                       p.id.find("D$16KB") != std::string::npos;
         EXPECT_FALSE(small_l2 && big_l1) << p.id;
+    }
+}
+
+/** CacheConfig::name() as an ostringstream formatted it. */
+std::string
+streamName(const cache::CacheConfig &cfg)
+{
+    std::ostringstream oss;
+    uint64_t size = cfg.sizeBytes();
+    if (size >= 1024 && size % 1024 == 0)
+        oss << (size / 1024) << "KB";
+    else
+        oss << size << "B";
+    oss << "/" << cfg.assoc << "way/" << cfg.lineBytes << "B";
+    if (cfg.ports > 1)
+        oss << "/" << cfg.ports << "p";
+    if (cfg.replacement != cache::ReplacementPolicy::LRU)
+        oss << "/" << cache::replacementName(cfg.replacement);
+    if (cfg.write != cache::WritePolicy::WriteBack)
+        oss << "/" << cache::writePolicyName(cfg.write);
+    return oss.str();
+}
+
+/**
+ * MemoryWalker::pareto as it composed before its candidates and
+ * offers carried numbers only: every candidate named, each front
+ * built by testing every pair, and one ParetoSet::insertPoint per
+ * inclusion-feasible offer.
+ */
+ParetoSet
+stringCarryingPareto(const MemoryWalker &walker, const MemorySpaces &spaces,
+                     double dilation, uint32_t dcache_ports)
+{
+    struct Candidate
+    {
+        cache::CacheConfig cfg;
+        DesignPoint point;
+    };
+    const StallModel &stalls = walker.stalls();
+    auto front = [](const CacheSpace &space, const char *prefix,
+                    uint32_t ports, const auto &stall_cycles) {
+        std::vector<Candidate> cands;
+        for (const auto &cfg : space.enumerate())
+            if (ports == 0 || cfg.ports == ports)
+                cands.push_back({cfg, DesignPoint{prefix + streamName(cfg),
+                                                  cfg.areaCost(),
+                                                  stall_cycles(cfg)}});
+        std::vector<Candidate> kept;
+        for (const auto &c : cands) {
+            bool dominated = false;
+            for (const auto &other : cands)
+                dominated = dominated || other.point.dominates(c.point);
+            if (!dominated)
+                kept.push_back(c);
+        }
+        return kept;
+    };
+    const auto i_front =
+        front(spaces.icache, "I$", 0, [&](const cache::CacheConfig &cfg) {
+            return walker.icache().misses(cfg, dilation) *
+                   stalls.l2HitLatency;
+        });
+    const auto d_front = front(
+        spaces.dcache, "D$", dcache_ports,
+        [&](const cache::CacheConfig &cfg) {
+            double t = walker.dcache().misses(cfg) * stalls.l2HitLatency;
+            if (stalls.writeCost != 0.0)
+                t += walker.dcache().writeTraffic(cfg) * stalls.writeCost;
+            return t;
+        });
+    const auto u_front =
+        front(spaces.ucache, "U$", 0, [&](const cache::CacheConfig &cfg) {
+            double t = walker.ucache().misses(cfg, dilation) *
+                       stalls.memoryLatency;
+            if (stalls.writeCost != 0.0)
+                t += walker.ucache().writeTraffic(cfg) * stalls.writeCost;
+            return t;
+        });
+    ParetoSet out;
+    for (const auto &ic : i_front)
+        for (const auto &dc : d_front)
+            for (const auto &uc : u_front) {
+                if (uc.cfg.sizeBytes() < ic.cfg.sizeBytes() ||
+                    uc.cfg.sizeBytes() < dc.cfg.sizeBytes() ||
+                    uc.cfg.lineBytes < ic.cfg.lineBytes ||
+                    uc.cfg.lineBytes < dc.cfg.lineBytes)
+                    continue;
+                DesignPoint point;
+                point.id = ic.point.id + "+" + dc.point.id + "+" +
+                           uc.point.id;
+                point.cost = ic.point.cost + dc.point.cost + uc.point.cost;
+                point.time = ic.point.time + dc.point.time + uc.point.time;
+                out.insertPoint(point);
+            }
+    return out;
+}
+
+TEST(MemoryWalker, ParetoMatchesTheStringCarryingComposition)
+{
+    auto same_bits = [](double a, double b) {
+        return std::memcmp(&a, &b, sizeof a) == 0;
+    };
+    MemorySpaces extended = extendedSpaces();
+    extended.dcache.portCounts = {1, 2};
+    for (const MemorySpaces &spaces : {MemorySpaces{}, extended}) {
+        MemoryWalker reference(spaces, StallModel{}, 2000, 10000);
+        reference.evaluate(syntheticUnifiedTrace(23, 60000, 0.3));
+        const ReferenceSet set = reference.freeze(1);
+        for (double write_cost : {0.0, 6.0}) {
+            StallModel stalls;
+            stalls.writeCost = write_cost;
+            const MemoryWalker walker(spaces, stalls, set);
+            std::vector<uint32_t> port_filters = spaces.dcache.portCounts;
+            port_filters.push_back(0);
+            for (double dilation : {1.0, 1.4, 2.5})
+                for (uint32_t ports : port_filters) {
+                    const ParetoSet want =
+                        stringCarryingPareto(walker, spaces, dilation, ports);
+                    const ParetoSet got = walker.pareto(dilation, ports);
+                    const std::string what =
+                        "extended " + std::to_string(&spaces == &extended) +
+                        " write cost " + std::to_string(write_cost) +
+                        " dilation " + std::to_string(dilation) +
+                        " ports " + std::to_string(ports);
+                    ASSERT_EQ(got.offered(), want.offered()) << what;
+                    ASSERT_EQ(got.size(), want.size()) << what;
+                    EXPECT_GT(got.size(), 1u) << what;
+                    for (size_t i = 0; i < got.size(); ++i) {
+                        const DesignPoint &a = got.points()[i];
+                        const DesignPoint &b = want.points()[i];
+                        EXPECT_EQ(a.id, b.id) << what;
+                        EXPECT_TRUE(same_bits(a.cost, b.cost) &&
+                                    same_bits(a.time, b.time))
+                            << what << " " << a.id;
+                    }
+                }
+        }
     }
 }
 

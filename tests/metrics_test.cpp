@@ -230,6 +230,42 @@ TEST(TraceEvents, RecordsSpansAcrossThreadsAndWritesJson)
     EXPECT_EQ(rec.eventCount(), 0u);
 }
 
+TEST(TraceEvents, NamedThreadGetsATrackOnlyOnceItRecords)
+{
+    auto &rec = TraceRecorder::instance();
+    setTraceEnabled(false);
+    // A thread that names itself and records nothing, like a server
+    // connection with tracing off, leaves no track behind.
+    std::thread idle([&rec] {
+        rec.nameThisThread("test-idle-namer");
+        TimedSpan span("test.untraced.span", "test");
+    });
+    idle.join();
+    // A name set while tracing is off labels the track once tracing
+    // is on and the thread records.
+    std::thread late([&rec] {
+        rec.nameThisThread("test-late-recorder");
+        rec.nameThisThreadDefault("test-default-loses");
+        setTraceEnabled(true);
+        TimedSpan span("test.late.span", "test");
+    });
+    late.join();
+
+    auto path = (std::filesystem::temp_directory_path() /
+                 "pico_metrics_test_naming.json")
+                    .string();
+    const bool written = rec.writeJson(path);
+    setTraceEnabled(false);
+    rec.clear();
+    ASSERT_TRUE(written);
+    auto doc = readFile(path);
+    std::filesystem::remove(path);
+    EXPECT_EQ(doc.find("test-idle-namer"), std::string::npos);
+    EXPECT_NE(doc.find("\"test-late-recorder\""), std::string::npos);
+    EXPECT_EQ(doc.find("test-default-loses"), std::string::npos);
+    EXPECT_NE(doc.find("\"test.late.span\""), std::string::npos);
+}
+
 TEST(TraceEvents, TimedSpanFeedsTheNamedHistogram)
 {
     InstrumentationOn on;

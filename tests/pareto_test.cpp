@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "dse/CacheSpace.hpp"
 #include "dse/Pareto.hpp"
+#include "support/Random.hpp"
 
 namespace pico::dse
 {
@@ -65,7 +71,8 @@ TEST(ParetoSet, NoMemberDominatedInvariant)
         int k = (i * 17) % 50;
         double cost = 1.0 + (k % 10);
         double time = 1.0 + (k / 10) * (10 - (k % 10));
-        set.insertPoint({"p" + std::to_string(k), cost, time});
+        set.insertPoint(
+            {std::string("p").append(std::to_string(k)), cost, time});
     }
     for (const auto &a : set.points()) {
         for (const auto &b : set.points()) {
@@ -91,6 +98,75 @@ TEST(ParetoSet, SortedByCost)
     // Along a Pareto front, time decreases as cost increases.
     EXPECT_GT(sorted[0].time, sorted[1].time);
     EXPECT_GT(sorted[1].time, sorted[2].time);
+}
+
+/** One random coordinate: a small grid, so ties are common, or an
+ *  occasional infinity or NaN. */
+double
+randomCoordinate(Rng &rng)
+{
+    switch (rng.below(40)) {
+    case 0: return std::numeric_limits<double>::infinity();
+    case 1: return -std::numeric_limits<double>::infinity();
+    case 2: return std::numeric_limits<double>::quiet_NaN();
+    case 3: return -0.0;
+    default: return static_cast<double>(rng.below(8)) * 0.5;
+    }
+}
+
+TEST(ParetoFront, FilterKeepsWhatInsertionKeepsInOfferOrder)
+{
+    auto same_bits = [](double a, double b) {
+        return std::memcmp(&a, &b, sizeof a) == 0;
+    };
+    for (uint64_t seed = 1; seed <= 400; ++seed) {
+        Rng rng(seed);
+        std::vector<DesignPoint> offers(rng.below(120));
+        for (size_t i = 0; i < offers.size(); ++i) {
+            // Every fifth offer repeats an earlier one exactly.
+            if (i > 0 && rng.below(5) == 0) {
+                offers[i] = offers[rng.below(i)];
+                offers[i].id += "'";
+                continue;
+            }
+            offers[i].id = std::to_string(i);
+            offers[i].cost = randomCoordinate(rng);
+            offers[i].time = randomCoordinate(rng);
+        }
+        ParetoSet inserted;
+        for (const auto &p : offers)
+            inserted.insertPoint(p);
+        std::vector<DesignPoint> front = offers;
+        keepParetoFront(front);
+        const ParetoSet filtered(front, offers.size());
+
+        ASSERT_EQ(filtered.offered(), inserted.offered()) << seed;
+        ASSERT_EQ(filtered.size(), inserted.size()) << "seed " << seed;
+        for (size_t i = 0; i < filtered.size(); ++i) {
+            const DesignPoint &a = filtered.points()[i];
+            const DesignPoint &b = inserted.points()[i];
+            EXPECT_EQ(a.id, b.id) << "seed " << seed << " member " << i;
+            EXPECT_TRUE(same_bits(a.cost, b.cost) &&
+                        same_bits(a.time, b.time))
+                << "seed " << seed << " member " << i;
+        }
+    }
+}
+
+TEST(ParetoFront, NaNOffersSurviveAndDominateNothing)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<DesignPoint> offers = {{"slow", 4.0, 4.0},
+                                       {"nan-cost", nan, 0.0},
+                                       {"fast", 1.0, 1.0},
+                                       {"nan-time", 0.0, nan},
+                                       {"tie", 1.0, 1.0}};
+    keepParetoFront(offers);
+    ASSERT_EQ(offers.size(), 4u);
+    EXPECT_EQ(offers[0].id, "nan-cost");
+    EXPECT_EQ(offers[1].id, "fast");
+    EXPECT_EQ(offers[2].id, "nan-time");
+    EXPECT_EQ(offers[3].id, "tie");
 }
 
 TEST(CacheSpace, EnumerateSkipsInfeasible)
