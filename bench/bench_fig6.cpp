@@ -37,20 +37,23 @@ void
 icachePanel(const bench::AppContext &app, bench::BenchReport &json)
 {
     // The oracle simulates the reference trace once per line size
-    // via the single-pass bank covering both cache shapes. The walker
+    // via the single-pass bank covering both cache shapes. The sweep
     // routes the unified trace's instruction references to its I$.
     dse::CacheSpace space;
     space.sizesBytes = {1024, 16384};
     space.assocs = {1, 2};
     space.lineSizes = {32};
-    dse::MemoryWalker walker(dse::MemorySpaces{space, space, space},
-                             dse::StallModel{}, bench::iGranule,
-                             bench::uGranule);
-    walker.evaluate([&app](const dse::TraceSink &sink) {
-        for (const auto &a :
-             app.traceFor("1111", trace::TraceKind::Unified))
-            sink(a);
-    });
+    const dse::MemorySpaces spaces{space, space, space};
+    dse::SweptReference swept = dse::sweepReference(
+        spaces,
+        [&app](const dse::TraceSink &sink) {
+            for (const auto &a :
+                 app.traceFor("1111", trace::TraceKind::Unified))
+                sink(a);
+        },
+        bench::iGranule, bench::uGranule, nullptr);
+    const dse::MemoryWalker walker(spaces, dse::StallModel{},
+                                   std::move(swept.set));
     const dse::IcacheEvaluator &eval = walker.icache();
 
     TextTable table("Estimated and Dilated Icache Misses - gcc");

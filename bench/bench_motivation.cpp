@@ -70,19 +70,21 @@ main(int argc, char **argv)
                         per_processor;
 
     // Hierarchical cost: one single-pass run per line size per cache
-    // type, on the reference trace only. The walker captures the
+    // type, on the reference trace only. The sweep captures the
     // unified trace once, and each bank reads its own records of it.
     t0 = std::chrono::steady_clock::now();
-    dse::MemoryWalker walker(dse::MemorySpaces{l1_space, l1_space, l2_space},
-                             dse::StallModel{}, bench::iGranule,
-                             bench::uGranule);
-    walker.evaluate([&app](const dse::TraceSink &sink) {
-        for (const auto &a :
-             app.traceFor("1111", trace::TraceKind::Unified))
-            sink(a);
-    });
+    const dse::MemorySpaces spaces{l1_space, l1_space, l2_space};
+    dse::SweptReference swept = dse::sweepReference(
+        spaces,
+        [&app](const dse::TraceSink &sink) {
+            for (const auto &a :
+                 app.traceFor("1111", trace::TraceKind::Unified))
+                sink(a);
+        },
+        bench::iGranule, bench::uGranule, nullptr);
+    const dse::MemoryWalker walker(spaces, dse::StallModel{},
+                                   std::move(swept.set));
     const dse::IcacheEvaluator &ieval = walker.icache();
-    const dse::DcacheEvaluator &deval = walker.dcache();
     const dse::UcacheEvaluator &ueval = walker.ucache();
     double hierarchical = seconds(t0);
 
@@ -107,9 +109,13 @@ main(int argc, char **argv)
                   TextTable::num(exhaustive, 1)});
     table.addRow(
         {"hierarchical (single-pass per line size, 1 processor)",
-         std::to_string(ieval.bank().simRuns() +
-                        deval.bank().simRuns() +
-                        ueval.bank().simRuns()),
+         std::to_string(
+             dse::SimBank(l1_space, dse::IcacheEvaluator::coverage)
+                 .simRuns() +
+             dse::SimBank(l1_space, dse::DcacheEvaluator::coverage)
+                 .simRuns() +
+             dse::SimBank(l2_space, dse::UcacheEvaluator::coverage)
+                 .simRuns()),
          TextTable::num(hierarchical, 1)});
     table.addRow({"+ all 40x" + std::to_string(caches_per_type) +
                       " model queries",

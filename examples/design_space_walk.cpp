@@ -40,7 +40,9 @@
  *   --write-cost N      stall cycles per memory write (dirty-line
  *            writeback or store write-through; default 0 = classic
  *            read-only stall model)
- * Flags accept both `--flag value` and `--flag=value`.
+ * Flags accept both `--flag value` and `--flag=value`. An unknown
+ * flag, app or policy name prints one line on stderr and exits with
+ * code 2 before the walk starts.
  */
 
 #include <cstdlib>
@@ -64,6 +66,17 @@ using namespace pico;
 using cli::flagValue;
 using cli::splitList;
 
+namespace
+{
+
+const char *const usage =
+    "usage: design_space_walk [app] [--jobs N] [--verify[=0|1]] "
+    "[--metrics-out FILE] [--trace-out FILE] [--cache FILE] "
+    "[--timeout-ms N] [--replacement LIST] [--write LIST] "
+    "[--write-cost N]\n";
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
@@ -75,37 +88,49 @@ main(int argc, char **argv)
     std::vector<cache::ReplacementPolicy> replacements;
     std::vector<cache::WritePolicy> write_policies;
     std::string metrics_out, trace_out, cache_path, value;
-    for (int i = 1; i < argc; ++i) {
-        if (flagValue(argc, argv, i, "--jobs", value)) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 10));
-        } else if (flagValue(argc, argv, i, "--timeout-ms", value)) {
-            timeout_ms = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flagValue(argc, argv, i, "--replacement",
-                             value)) {
-            for (const auto &item : splitList(value))
-                replacements.push_back(cache::parseReplacement(item));
-        } else if (flagValue(argc, argv, i, "--write", value)) {
-            for (const auto &item : splitList(value))
-                write_policies.push_back(
-                    cache::parseWritePolicy(item));
-        } else if (flagValue(argc, argv, i, "--write-cost", value)) {
-            write_cost = std::strtod(value.c_str(), nullptr);
-        } else if (std::string(argv[i]) == "--verify") {
-            verify = 1;
-        } else if (std::string(argv[i]).rfind("--verify=", 0) == 0) {
-            // `=value` form only: a bare `--verify` must not eat
-            // the app-name argument.
-            verify = std::string(argv[i]).substr(9) == "0" ? 0 : 1;
-        } else if (flagValue(argc, argv, i, "--metrics-out",
-                             metrics_out) ||
-                   flagValue(argc, argv, i, "--trace-out",
-                             trace_out) ||
-                   flagValue(argc, argv, i, "--cache", cache_path)) {
-            // value captured by flagValue
-        } else {
-            app_name = argv[i];
+    workloads::AppSpec spec;
+    // A bad app or policy name fails in fatal(), which has already
+    // printed the one-line reason.
+    try {
+        for (int i = 1; i < argc; ++i) {
+            if (flagValue(argc, argv, i, "--jobs", value)) {
+                jobs = static_cast<unsigned>(
+                    std::strtoul(value.c_str(), nullptr, 10));
+            } else if (flagValue(argc, argv, i, "--timeout-ms", value)) {
+                timeout_ms = std::strtoull(value.c_str(), nullptr, 10);
+            } else if (flagValue(argc, argv, i, "--replacement",
+                                 value)) {
+                for (const auto &item : splitList(value))
+                    replacements.push_back(cache::parseReplacement(item));
+            } else if (flagValue(argc, argv, i, "--write", value)) {
+                for (const auto &item : splitList(value))
+                    write_policies.push_back(
+                        cache::parseWritePolicy(item));
+            } else if (flagValue(argc, argv, i, "--write-cost", value)) {
+                write_cost = std::strtod(value.c_str(), nullptr);
+            } else if (std::string(argv[i]) == "--verify") {
+                verify = 1;
+            } else if (std::string(argv[i]).rfind("--verify=", 0) == 0) {
+                // `=value` form only: a bare `--verify` must not eat
+                // the app-name argument.
+                verify = std::string(argv[i]).substr(9) == "0" ? 0 : 1;
+            } else if (flagValue(argc, argv, i, "--metrics-out",
+                                 metrics_out) ||
+                       flagValue(argc, argv, i, "--trace-out",
+                                 trace_out) ||
+                       flagValue(argc, argv, i, "--cache", cache_path)) {
+                // value captured by flagValue
+            } else if (std::string(argv[i]).rfind("--", 0) == 0) {
+                std::cerr << "unknown argument: " << argv[i] << "\n"
+                          << usage;
+                return 2;
+            } else {
+                app_name = argv[i];
+            }
         }
+        spec = workloads::specByName(app_name);
+    } catch (const FatalError &) {
+        return 2;
     }
     // Instrumentation is opt-in: without the flags the walk runs
     // with the registry disabled (a relaxed load per call site).
@@ -113,8 +138,7 @@ main(int argc, char **argv)
         support::setMetricsEnabled(true);
     if (!trace_out.empty())
         support::setTraceEnabled(true);
-    auto prog = workloads::buildAndProfile(
-        workloads::specByName(app_name));
+    auto prog = workloads::buildAndProfile(spec);
 
     // Processor space: every FU mix from narrow to wide.
     std::vector<std::string> machines = {"1111", "2111", "2211",

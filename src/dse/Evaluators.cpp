@@ -179,57 +179,34 @@ SimBank::freeze() const
 
 // --- SubsystemEvaluator -----------------------------------------------
 
-SubsystemEvaluator::SubsystemEvaluator(CacheSpace space,
-                                       Coverage coverage)
-    : space_(std::move(space)),
-      bank_(std::make_unique<SimBank>(space_, coverage))
+SubsystemEvaluator::SubsystemEvaluator(
+    CacheSpace space, FrozenBank bank,
+    std::shared_ptr<const trace::ColumnarTraceBuffer> capture)
+    : space_(std::move(space)), bank_(std::move(bank)),
+      trace_(std::move(capture))
 {}
-
-SubsystemEvaluator::SubsystemEvaluator(CacheSpace space,
-                                       FrozenBank frozen)
-    : space_(std::move(space)), frozen_(std::move(frozen)),
-      evaluated_(true)
-{}
-
-const SimBank &
-SubsystemEvaluator::bank() const
-{
-    fatalIf(!bank_, "evaluator was built from a frozen reference set "
-                    "and has no simulation bank");
-    return *bank_;
-}
-
-const FrozenBank &
-SubsystemEvaluator::frozen() const
-{
-    fatalIf(!evaluated_, "evaluator has not seen a trace yet");
-    return frozen_;
-}
 
 const trace::ColumnarTraceBuffer &
 SubsystemEvaluator::capturedTrace() const
 {
-    fatalIf(!bank_, "evaluator was built from a frozen reference set "
-                    "and captured no trace");
-    fatalIf(!trace_, "evaluator has not captured a trace yet");
+    fatalIf(!trace_, "evaluator was built from a cached reference set "
+                     "and captured no trace");
     return *trace_;
 }
 
 double
 SubsystemEvaluator::writeTraffic(const cache::CacheConfig &config) const
 {
-    return frozen().writeTraffic(config);
+    return bank_.writeTraffic(config);
 }
 
 // --- IcacheEvaluator ---------------------------------------------------
 
-IcacheEvaluator::IcacheEvaluator(CacheSpace space)
-    : SubsystemEvaluator(std::move(space), coverage)
-{}
-
-IcacheEvaluator::IcacheEvaluator(CacheSpace space, FrozenBank frozen,
-                                 core::ComponentParams params)
-    : SubsystemEvaluator(std::move(space), std::move(frozen)),
+IcacheEvaluator::IcacheEvaluator(
+    CacheSpace space, FrozenBank bank, core::ComponentParams params,
+    std::shared_ptr<const trace::ColumnarTraceBuffer> capture)
+    : SubsystemEvaluator(std::move(space), std::move(bank),
+                         std::move(capture)),
       params_(params)
 {}
 
@@ -237,13 +214,12 @@ double
 IcacheEvaluator::misses(const cache::CacheConfig &config,
                         double dilation) const
 {
-    const FrozenBank &bank = frozen();
     if (dilation == 1.0)
-        return bank.misses(config);
+        return bank_.misses(config);
     core::DilationModel model(params_, params_, params_);
     if (config.replacement == cache::ReplacementPolicy::LRU)
         return model.estimateIcacheMisses(config, dilation,
-                                          bank.oracle());
+                                          bank_.oracle());
     // The dilation model reasons over LRU stack behavior
     // (contracted line sizes against the Cheetah oracle). For
     // non-stack policies, apply the model's *relative* dilation
@@ -252,39 +228,36 @@ IcacheEvaluator::misses(const cache::CacheConfig &config,
     cache::CacheConfig twin = config;
     twin.replacement = cache::ReplacementPolicy::LRU;
     twin.write = cache::WritePolicy::WriteBack;
-    double twin_sim = bank.misses(twin);
+    double twin_sim = bank_.misses(twin);
     double twin_est = model.estimateIcacheMisses(twin, dilation,
-                                                 bank.oracle());
+                                                 bank_.oracle());
     double scale = twin_sim > 0.0 ? twin_est / twin_sim : 1.0;
-    return bank.misses(config) * scale;
+    return bank_.misses(config) * scale;
 }
 
 // --- DcacheEvaluator ---------------------------------------------------
 
-DcacheEvaluator::DcacheEvaluator(CacheSpace space)
-    : SubsystemEvaluator(std::move(space), coverage)
-{}
-
-DcacheEvaluator::DcacheEvaluator(CacheSpace space, FrozenBank frozen)
-    : SubsystemEvaluator(std::move(space), std::move(frozen))
+DcacheEvaluator::DcacheEvaluator(
+    CacheSpace space, FrozenBank bank,
+    std::shared_ptr<const trace::ColumnarTraceBuffer> capture)
+    : SubsystemEvaluator(std::move(space), std::move(bank),
+                         std::move(capture))
 {}
 
 double
 DcacheEvaluator::misses(const cache::CacheConfig &config) const
 {
-    return frozen().misses(config);
+    return bank_.misses(config);
 }
 
 // --- UcacheEvaluator ---------------------------------------------------
 
-UcacheEvaluator::UcacheEvaluator(CacheSpace space)
-    : SubsystemEvaluator(std::move(space), coverage)
-{}
-
-UcacheEvaluator::UcacheEvaluator(CacheSpace space, FrozenBank frozen,
-                                 core::ComponentParams instr_params,
-                                 core::ComponentParams data_params)
-    : SubsystemEvaluator(std::move(space), std::move(frozen)),
+UcacheEvaluator::UcacheEvaluator(
+    CacheSpace space, FrozenBank bank, core::ComponentParams instr_params,
+    core::ComponentParams data_params,
+    std::shared_ptr<const trace::ColumnarTraceBuffer> capture)
+    : SubsystemEvaluator(std::move(space), std::move(bank),
+                         std::move(capture)),
       iParams_(instr_params), dParams_(data_params)
 {}
 
@@ -295,11 +268,66 @@ UcacheEvaluator::misses(const cache::CacheConfig &config,
     // The dilation estimate scales the simulated reference count
     // (equations 4.13–4.15), so routing the reference count by
     // replacement policy is all a non-LRU design needs.
-    double ref_misses = frozen().misses(config);
+    double ref_misses = bank_.misses(config);
     if (dilation == 1.0)
         return ref_misses;
     core::DilationModel model(iParams_, iParams_, dParams_);
     return model.estimateUcacheMisses(config, dilation, ref_misses);
+}
+
+// --- sweepReference ----------------------------------------------------
+
+SweptReference
+sweepReference(const MemorySpaces &spaces,
+               const TraceSource &unified_trace, uint64_t i_granule,
+               uint64_t u_granule, support::ThreadPool *pool,
+               const support::CancelToken *cancel)
+{
+    // The banks are built before the capture: built after it,
+    // walk-policy's sweeps measured about 12% slower.
+    SimBank ibank(spaces.icache, IcacheEvaluator::coverage);
+    SimBank dbank(spaces.dcache, DcacheEvaluator::coverage);
+    SimBank ubank(spaces.ucache, UcacheEvaluator::coverage);
+    // The instruction and data traces are exactly the isInstr and
+    // !isInstr subsequences of the unified one (pinned by
+    // TraceGenerator.UnifiedIsSupersetCountOfComponents), so one
+    // emulation and one capture feed all three banks, and the I-trace
+    // modeler skips the data references itself.
+    auto capture = std::make_shared<trace::ColumnarTraceBuffer>();
+    core::ItraceModeler imodeler(i_granule);
+    core::UtraceModeler umodeler(u_granule);
+    {
+        support::TimedSpan span("evaluate.capture", "evaluate");
+        support::CancelCheck check(cancel);
+        unified_trace([&](const trace::Access &a) {
+            check.tick("sweepReference");
+            capture->append(a);
+            imodeler.access(a);
+            umodeler.access(a);
+        });
+    }
+    PICO_METRIC_COUNT("evaluate.captured.accesses", capture->size());
+    PICO_METRIC_COUNT("evaluate.captured.bytes", capture->encodedBytes());
+    // One lane loop over the three banks: on a pool, no bank waits
+    // for its own slowest lane while the others' lanes could run.
+    const SimBank::Sweep sweeps[] = {
+        {&ibank, SimBank::Records::Instructions},
+        {&dbank, SimBank::Records::Data},
+        {&ubank, SimBank::Records::All},
+    };
+    {
+        support::TimedSpan span("evaluate.sweep", "evaluate");
+        SimBank::simulate(*capture, sweeps, pool, cancel);
+    }
+    SweptReference out;
+    out.set.iParams = imodeler.params();
+    out.set.uiParams = umodeler.instrParams();
+    out.set.udParams = umodeler.dataParams();
+    out.set.icache = ibank.freeze();
+    out.set.dcache = dbank.freeze();
+    out.set.ucache = ubank.freeze();
+    out.capture = std::move(capture);
+    return out;
 }
 
 } // namespace pico::dse

@@ -3,17 +3,18 @@
  * Cache-subsystem evaluators: single-pass simulation banks plus the
  * dilation-model estimators, one evaluator per cache type.
  *
- * MemoryWalker::evaluate is the one way in: it captures the *reference
+ * sweepReference is the one way in: it captures the *reference
  * processor's* unified trace once (feeding the trace modelers as it
- * goes) and sweeps the three banks once, in one lane loop (one
+ * goes) and sweeps three banks once, in one lane loop (one
  * Cheetah-style pass per line size the answers read), each bank over
  * the records it reads: instruction fetches for the I-cache, data
  * references for the D-cache, every record for the unified cache.
- * Each bank is then frozen into flat tables (FrozenBank), the one way
- * out: the misses of any configuration in the space at any dilation
- * are read from them without further simulation — the paper's central
- * efficiency claim. Only the I-cache model reads contracted line
- * sizes, so only its bank simulates lines the space does not list.
+ * Each bank is then frozen into flat tables (FrozenBank) and dies with
+ * the sweep. The frozen tables are the one way out: the misses of any
+ * configuration in the space at any dilation are read from them
+ * without further simulation — the paper's central efficiency claim.
+ * Only the I-cache model reads contracted line sizes, so only its bank
+ * simulates lines the space does not list.
  */
 
 #ifndef PICO_DSE_EVALUATORS_HPP
@@ -166,17 +167,10 @@ class SimBank
 };
 
 /**
- * What the three cache evaluators share: a cache space, its simulator
- * bank, the class's captured reference trace and the bank's frozen
- * answers. A live evaluator exists only inside a MemoryWalker: the
- * walker builds it, sweeps its bank over the records it reads of the
- * one capture, freezes the bank and sets the fitted trace models. A
- * cancel token aborts with CancelledError and leaves the evaluator not
- * evaluated.
- *
- * Every query reads the frozen tables. An evaluator built from a
- * frozen bank (a ReferenceSet found in the evaluation cache) answers
- * the same queries but has no bank and no capture.
+ * What the three cache evaluators share: a cache space, its bank's
+ * frozen answers and, when this process swept the class, the class's
+ * captured reference trace. Only a MemoryWalker builds evaluators,
+ * from a ReferenceSet, and every query reads the frozen tables.
  */
 class SubsystemEvaluator
 {
@@ -185,35 +179,25 @@ class SubsystemEvaluator
     double writeTraffic(const cache::CacheConfig &config) const;
 
     const CacheSpace &space() const { return space_; }
-    bool evaluated() const { return evaluated_; }
 
-    /** The live bank; fatal() when built from a frozen bank. */
-    const SimBank &bank() const;
-
-    /** The frozen answers every query reads (once evaluated). */
-    const FrozenBank &frozen() const;
+    /** The frozen answers every query reads. */
+    const FrozenBank &bank() const { return bank_; }
 
     /** The class's one captured (columnar-compressed) unified trace,
-     *  shared by its three evaluators; fatal() before the sweep or
-     *  when built from a frozen bank. */
+     *  shared by its three evaluators; fatal() when the walker was
+     *  built from a set found in the evaluation cache. */
     const trace::ColumnarTraceBuffer &capturedTrace() const;
 
   protected:
-    SubsystemEvaluator(CacheSpace space, Coverage coverage);
-
-    /** An evaluated evaluator over frozen answers (no bank). */
-    SubsystemEvaluator(CacheSpace space, FrozenBank frozen);
+    SubsystemEvaluator(
+        CacheSpace space, FrozenBank bank,
+        std::shared_ptr<const trace::ColumnarTraceBuffer> capture);
 
     CacheSpace space_;
-    /** Null when built from a frozen bank. */
-    std::unique_ptr<SimBank> bank_;
-    /** Shared with the class's other evaluators; null until swept. */
+    FrozenBank bank_;
+    /** Shared with the class's other evaluators; null when the set
+     *  came from the evaluation cache. */
     std::shared_ptr<const trace::ColumnarTraceBuffer> trace_;
-    FrozenBank frozen_;
-    bool evaluated_ = false;
-
-    /** Sweeps and freezes the three evaluators of a class. */
-    friend class MemoryWalker;
 };
 
 /** Instruction-cache evaluator (simulation + dilation model). */
@@ -235,11 +219,9 @@ class IcacheEvaluator : public SubsystemEvaluator
     const core::ComponentParams &params() const { return params_; }
 
   private:
-    explicit IcacheEvaluator(CacheSpace space);
-
-    /** An evaluated evaluator over a frozen bank and parameters. */
-    IcacheEvaluator(CacheSpace space, FrozenBank frozen,
-                    core::ComponentParams params);
+    IcacheEvaluator(
+        CacheSpace space, FrozenBank bank, core::ComponentParams params,
+        std::shared_ptr<const trace::ColumnarTraceBuffer> capture);
 
     core::ComponentParams params_;
 
@@ -256,10 +238,9 @@ class DcacheEvaluator : public SubsystemEvaluator
     double misses(const cache::CacheConfig &config) const;
 
   private:
-    explicit DcacheEvaluator(CacheSpace space);
-
-    /** An evaluated evaluator over a frozen bank. */
-    DcacheEvaluator(CacheSpace space, FrozenBank frozen);
+    DcacheEvaluator(
+        CacheSpace space, FrozenBank bank,
+        std::shared_ptr<const trace::ColumnarTraceBuffer> capture);
 
     friend class MemoryWalker;
 };
@@ -277,18 +258,40 @@ class UcacheEvaluator : public SubsystemEvaluator
     const core::ComponentParams &dataParams() const { return dParams_; }
 
   private:
-    explicit UcacheEvaluator(CacheSpace space);
-
-    /** An evaluated evaluator over a frozen bank and parameters. */
-    UcacheEvaluator(CacheSpace space, FrozenBank frozen,
-                    core::ComponentParams instr_params,
-                    core::ComponentParams data_params);
+    UcacheEvaluator(
+        CacheSpace space, FrozenBank bank,
+        core::ComponentParams instr_params,
+        core::ComponentParams data_params,
+        std::shared_ptr<const trace::ColumnarTraceBuffer> capture);
 
     core::ComponentParams iParams_;
     core::ComponentParams dParams_;
 
     friend class MemoryWalker;
 };
+
+/** One swept trace-equivalence class (see sweepReference). */
+struct SweptReference
+{
+    /** The class's frozen answers; the caller fills in textBytes. */
+    ReferenceSet set;
+    /** The one capture the set was swept from. */
+    std::shared_ptr<const trace::ColumnarTraceBuffer> capture;
+};
+
+/**
+ * Sweep one trace-equivalence class, the only way to (see the file
+ * comment): capture the unified trace once, fitting the I- and U-trace
+ * models at the given granules, sweep a bank of each evaluator's
+ * coverage over it in one lane loop on the pool (null: one fused
+ * lane) and freeze the banks into the returned set. A cancel token
+ * aborts with CancelledError, and nothing is returned.
+ */
+SweptReference
+sweepReference(const MemorySpaces &spaces,
+               const TraceSource &unified_trace, uint64_t i_granule,
+               uint64_t u_granule, support::ThreadPool *pool,
+               const support::CancelToken *cancel = nullptr);
 
 } // namespace pico::dse
 

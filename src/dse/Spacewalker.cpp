@@ -16,80 +16,44 @@
 namespace pico::dse
 {
 
-MemoryWalker::MemoryWalker(MemorySpaces spaces, StallModel stalls,
-                           uint64_t i_granule, uint64_t u_granule)
-    : spaces_(spaces), stalls_(stalls), iGranule_(i_granule),
-      uGranule_(u_granule), icacheEval_(spaces.icache),
-      dcacheEval_(spaces.dcache), ucacheEval_(spaces.ucache)
+MemoryWalker::MemoryWalker(
+    MemorySpaces spaces, StallModel stalls, ReferenceSet set,
+    std::shared_ptr<const trace::ColumnarTraceBuffer> capture)
+    : spaces_(std::move(spaces)), stalls_(stalls),
+      icacheEval_(spaces_.icache, std::move(set.icache), set.iParams,
+                  capture),
+      dcacheEval_(spaces_.dcache, std::move(set.dcache), capture),
+      ucacheEval_(spaces_.ucache, std::move(set.ucache), set.uiParams,
+                  set.udParams, std::move(capture))
 {}
 
-MemoryWalker::MemoryWalker(MemorySpaces spaces, StallModel stalls,
-                           const ReferenceSet &set)
-    : spaces_(spaces), stalls_(stalls),
-      icacheEval_(spaces.icache, set.icache, set.iParams),
-      dcacheEval_(spaces.dcache, set.dcache),
-      ucacheEval_(spaces.ucache, set.ucache, set.uiParams, set.udParams)
-{}
-
-ReferenceSet
-MemoryWalker::freeze(uint64_t reference_text_bytes) const
+double
+MemoryWalker::icacheTime(const cache::CacheConfig &config,
+                         double dilation) const
 {
-    ReferenceSet set;
-    set.textBytes = reference_text_bytes;
-    set.iParams = icacheEval_.params();
-    set.uiParams = ucacheEval_.instrParams();
-    set.udParams = ucacheEval_.dataParams();
-    set.icache = icacheEval_.frozen();
-    set.dcache = dcacheEval_.frozen();
-    set.ucache = ucacheEval_.frozen();
-    return set;
+    return icacheEval_.misses(config, dilation) * stalls_.l2HitLatency;
 }
 
-void
-MemoryWalker::evaluate(const TraceSource &unified_trace,
-                       const support::CancelToken *cancel)
+// Write traffic: instruction fetches never write, so only the
+// data-side caches pay it. It stays additive per subsystem, which is
+// what keeps the product-of-fronts Pareto construction valid.
+double
+MemoryWalker::dcacheTime(const cache::CacheConfig &config) const
 {
-    // The instruction and data traces are exactly the isInstr and
-    // !isInstr subsequences of the unified one (pinned by
-    // TraceGenerator.UnifiedIsSupersetCountOfComponents), so one
-    // emulation and one capture feed all three banks, and the I-trace
-    // modeler skips the data references itself.
-    auto capture = std::make_shared<trace::ColumnarTraceBuffer>();
-    core::ItraceModeler imodeler(iGranule_);
-    core::UtraceModeler umodeler(uGranule_);
-    {
-        support::TimedSpan span("evaluate.capture", "evaluate");
-        support::CancelCheck check(cancel);
-        unified_trace([&](const trace::Access &a) {
-            check.tick("MemoryWalker::evaluate");
-            capture->append(a);
-            imodeler.access(a);
-            umodeler.access(a);
-        });
-    }
-    PICO_METRIC_COUNT("evaluate.captured.accesses", capture->size());
-    PICO_METRIC_COUNT("evaluate.captured.bytes", capture->encodedBytes());
-    // One lane loop over the three banks: on a pool, no bank waits
-    // for its own slowest lane while the others' lanes could run.
-    const SimBank::Sweep sweeps[] = {
-        {icacheEval_.bank_.get(), SimBank::Records::Instructions},
-        {dcacheEval_.bank_.get(), SimBank::Records::Data},
-        {ucacheEval_.bank_.get(), SimBank::Records::All},
-    };
-    {
-        support::TimedSpan span("evaluate.sweep", "evaluate");
-        SimBank::simulate(*capture, sweeps, pool_, cancel);
-    }
-    icacheEval_.params_ = imodeler.params();
-    ucacheEval_.iParams_ = umodeler.instrParams();
-    ucacheEval_.dParams_ = umodeler.dataParams();
-    SubsystemEvaluator *const evaluators[] = {&icacheEval_, &dcacheEval_,
-                                              &ucacheEval_};
-    for (SubsystemEvaluator *e : evaluators) {
-        e->trace_ = capture;
-        e->frozen_ = e->bank_->freeze();
-        e->evaluated_ = true;
-    }
+    double t = dcacheEval_.misses(config) * stalls_.l2HitLatency;
+    if (stalls_.writeCost != 0.0)
+        t += dcacheEval_.writeTraffic(config) * stalls_.writeCost;
+    return t;
+}
+
+double
+MemoryWalker::ucacheTime(const cache::CacheConfig &config,
+                         double dilation) const
+{
+    double t = ucacheEval_.misses(config, dilation) * stalls_.memoryLatency;
+    if (stalls_.writeCost != 0.0)
+        t += ucacheEval_.writeTraffic(config) * stalls_.writeCost;
+    return t;
 }
 
 double
@@ -98,19 +62,8 @@ MemoryWalker::stallCycles(const cache::CacheConfig &icache,
                           const cache::CacheConfig &ucache,
                           double dilation) const
 {
-    double stalls =
-        icacheEval_.misses(icache, dilation) * stalls_.l2HitLatency +
-        dcacheEval_.misses(dcache) * stalls_.l2HitLatency +
-        ucacheEval_.misses(ucache, dilation) * stalls_.memoryLatency;
-    // Write traffic (instruction fetches never write, so only the
-    // data-side caches contribute). Still additive per subsystem,
-    // which is what keeps the product-of-fronts Pareto construction
-    // valid.
-    if (stalls_.writeCost != 0.0) {
-        stalls += dcacheEval_.writeTraffic(dcache) * stalls_.writeCost;
-        stalls += ucacheEval_.writeTraffic(ucache) * stalls_.writeCost;
-    }
-    return stalls;
+    return icacheTime(icache, dilation) + dcacheTime(dcache) +
+           ucacheTime(ucache, dilation);
 }
 
 ParetoSet
@@ -131,60 +84,33 @@ MemoryWalker::pareto(double dilation, uint32_t dcache_ports,
         double time = 0.0;
     };
 
-    // Evaluate one subspace: the per-design miss estimates (the
-    // dilation-model extrapolations) are independent, so they are
-    // sharded across the pool; each task writes only its own slot
-    // and the slots are merged in enumeration order, which keeps
-    // candidate ordering and failure ordering schedule-independent.
-    //
-    // With a failure log, one unevaluable cache configuration is
-    // recorded and skipped; without one the error propagates (the
-    // historical behavior; parallelFor rethrows the error of the
-    // smallest failing index — the same one the serial loop hit
-    // first).
-    auto evalSubspace =
-        [&](const std::vector<cache::CacheConfig> &configs,
-            const char *prefix,
-            const std::function<double(const cache::CacheConfig &)>
-                &stall_cycles) {
-            std::vector<std::optional<Candidate>> slots(
-                configs.size());
-            std::vector<std::string> errors(configs.size());
-            support::parallelFor(
-                configs.size(), pool_, [&](size_t i) {
-                    const auto &cfg = configs[i];
-                    auto candidate = [&] {
-                        return Candidate{cfg, cfg.areaCost(),
-                                         stall_cycles(cfg)};
-                    };
-                    if (cancel != nullptr)
-                        cancel->checkpoint("MemoryWalker::pareto");
-                    if (!failures) {
-                        slots[i] = candidate();
-                        return;
-                    }
-                    try {
-                        slots[i] = candidate();
-                    } catch (const PanicError &) {
-                        throw; // internal bugs always propagate
-                    } catch (const CancelledError &) {
-                        throw; // a deadline is not a design failure
-                    } catch (const std::exception &e) {
-                        errors[i] = e.what();
-                    }
-                });
-            std::vector<Candidate> cands;
-            cands.reserve(configs.size());
-            for (size_t i = 0; i < configs.size(); ++i) {
-                if (slots[i])
-                    cands.push_back(*slots[i]);
-                else
-                    failures->record(prefix + configs[i].name(),
-                                     "memory-pareto", errors[i]);
+    // One subspace's front, its configurations priced in enumeration
+    // order. With a failure log, an unevaluable configuration is
+    // recorded and skipped; without one its error propagates (the
+    // historical behavior).
+    auto front = [&](const std::vector<cache::CacheConfig> &configs,
+                     const char *prefix, const auto &time_of) {
+        std::vector<Candidate> cands;
+        cands.reserve(configs.size());
+        for (const auto &cfg : configs) {
+            if (cancel != nullptr)
+                cancel->checkpoint("MemoryWalker::pareto");
+            try {
+                cands.push_back({cfg, cfg.areaCost(), time_of(cfg)});
+            } catch (const PanicError &) {
+                throw; // internal bugs always propagate
+            } catch (const CancelledError &) {
+                throw; // a deadline is not a design failure
+            } catch (const std::exception &e) {
+                if (failures == nullptr)
+                    throw;
+                failures->record(prefix + cfg.name(), "memory-pareto",
+                                 e.what());
             }
-            keepParetoFront(cands);
-            return cands;
-        };
+        }
+        keepParetoFront(cands);
+        return cands;
+    };
 
     std::vector<cache::CacheConfig> d_configs;
     for (const auto &cfg : spaces_.dcache.enumerate()) {
@@ -193,31 +119,14 @@ MemoryWalker::pareto(double dilation, uint32_t dcache_ports,
         d_configs.push_back(cfg);
     }
 
-    const auto i_front = evalSubspace(
-        spaces_.icache.enumerate(), "I$",
-        [&](const cache::CacheConfig &cfg) {
-            return icacheEval_.misses(cfg, dilation) *
-                   stalls_.l2HitLatency;
-        });
-    const auto d_front = evalSubspace(
-        d_configs, "D$", [&](const cache::CacheConfig &cfg) {
-            double t =
-                dcacheEval_.misses(cfg) * stalls_.l2HitLatency;
-            if (stalls_.writeCost != 0.0)
-                t += dcacheEval_.writeTraffic(cfg) *
-                     stalls_.writeCost;
-            return t;
-        });
-    const auto u_front = evalSubspace(
-        spaces_.ucache.enumerate(), "U$",
-        [&](const cache::CacheConfig &cfg) {
-            double t = ucacheEval_.misses(cfg, dilation) *
-                       stalls_.memoryLatency;
-            if (stalls_.writeCost != 0.0)
-                t += ucacheEval_.writeTraffic(cfg) *
-                     stalls_.writeCost;
-            return t;
-        });
+    const auto i_front =
+        front(spaces_.icache.enumerate(), "I$",
+              [&](const auto &c) { return icacheTime(c, dilation); });
+    const auto d_front = front(
+        d_configs, "D$", [&](const auto &c) { return dcacheTime(c); });
+    const auto u_front =
+        front(spaces_.ucache.enumerate(), "U$",
+              [&](const auto &c) { return ucacheTime(c, dilation); });
 
     // One offer per inclusion-feasible (I$, D$, U$) triple of front
     // members, in the nesting order the ids follow.
@@ -453,9 +362,9 @@ verifyClassInvariants(bool predicated, const ClassContext &ctx,
     if (capture != nullptr)
         verify::verifyColumnarTrace(*capture, cls + " unified trace",
                                     diags);
-    verify::verifyAccessSplit(mem.icache().frozen().accesses(),
-                              mem.dcache().frozen().accesses(),
-                              mem.ucache().frozen().accesses(), capture,
+    verify::verifyAccessSplit(mem.icache().bank().accesses(),
+                              mem.dcache().bank().accesses(),
+                              mem.ucache().bank().accesses(), capture,
                               cls + " unified trace", diags);
     // At dilation 1 every evaluator answers with its bank's simulated
     // counts. Extended policy axes add the write model: check every
@@ -468,7 +377,7 @@ verifyClassInvariants(bool predicated, const ClassContext &ctx,
         {" U$", &mem.ucache()},
     };
     for (const auto &[tag, eval] : banks) {
-        const FrozenBank &bank = eval->frozen();
+        const FrozenBank &bank = eval->bank();
         for (const auto &cfg : eval->space().enumerate()) {
             const std::string what = cls + tag + cfg.name();
             verify::verifyMissCount(bank.misses(cfg),
@@ -578,6 +487,7 @@ Spacewalker::explore(const ir::Program &prog)
             }
 
             std::optional<ReferenceSet> found;
+            std::shared_ptr<const trace::ColumnarTraceBuffer> capture;
             auto values = cacheRef().getOrCompute(
                 referenceKey(prog.name, prog.seed, options_.traceBlocks,
                              options_.iGranule, options_.uGranule,
@@ -585,25 +495,23 @@ Spacewalker::explore(const ir::Program &prog)
                 [&]() {
                     ctx->refBuild = workloads::buildFor(*ctx->prog,
                                                         ref_mdes);
-                    auto memory = std::make_unique<MemoryWalker>(
-                        spaces_, options_.stalls, options_.iGranule,
-                        options_.uGranule);
-                    memory->setThreadPool(&pool);
                     trace::TraceGenerator gen(*ctx->prog,
                                               ctx->refBuild->sched,
                                               ctx->refBuild->bin);
                     uint64_t blocks = options_.traceBlocks;
-                    memory->evaluate(
+                    SweptReference swept = sweepReference(
+                        spaces_,
                         [&gen, blocks](const TraceSink &sink) {
                             gen.generate(trace::TraceKind::Unified,
                                          sink, blocks);
                         },
+                        options_.iGranule, options_.uGranule, &pool,
                         cancel);
-                    ctx->refTextBytes = ctx->refBuild->bin.textSize();
-                    ctx->memory = std::move(memory);
+                    swept.set.textBytes = ctx->refBuild->bin.textSize();
+                    found = std::move(swept.set);
+                    capture = std::move(swept.capture);
                     PICO_METRIC_COUNT("walk.reference.computed", 1);
-                    return ctx->memory->freeze(ctx->refTextBytes)
-                        .encode();
+                    return found->encode();
                 },
                 [&](const std::vector<double> &v) {
                     found = ReferenceSet::decode(v, spaces_,
@@ -611,7 +519,7 @@ Spacewalker::explore(const ir::Program &prog)
                                                  options_.uGranule);
                     return found.has_value();
                 });
-            if (!ctx->memory) {
+            if (!capture) {
                 // A hit, or another walk's compute this one waited on.
                 std::string why;
                 if (!found)
@@ -620,16 +528,15 @@ Spacewalker::explore(const ir::Program &prog)
                         options_.uGranule, &why);
                 panicIf(!found, "reference set does not decode: ", why);
                 PICO_METRIC_COUNT("walk.reference.hits", 1);
-                ctx->refTextBytes = found->textBytes;
-                ctx->memory = std::make_unique<MemoryWalker>(
-                    spaces_, options_.stalls, *found);
-                ctx->memory->setThreadPool(&pool);
             }
+            ctx->refTextBytes = found->textBytes;
+            ctx->memory = std::make_unique<MemoryWalker>(
+                spaces_, options_.stalls, std::move(*found),
+                std::move(capture));
         } catch (const PanicError &) {
             throw; // internal bugs always propagate
         } catch (const std::exception &) {
             ctx->error = std::current_exception();
-            ctx->memory.reset();
         }
         if (verifying && ctx->memory) {
             support::TimedSpan span("walk.verify.class", "verify");
@@ -816,12 +723,7 @@ Spacewalker::explore(const ir::Program &prog)
              " design(s); ", result.evaluatedDesigns, " evaluated");
 
     // Keep the base class's walker accessible for callers that want
-    // to inspect the memory design space after exploration. The
-    // pool dies with this frame, so detach it first.
-    for (auto &[pred, ctx] : classes) {
-        if (ctx->memory)
-            ctx->memory->setThreadPool(nullptr);
-    }
+    // to inspect the memory design space after exploration.
     for (auto pred : {false, true}) {
         auto it = classes.find(pred);
         if (it != classes.end() && it->second->memory) {

@@ -79,49 +79,24 @@ std::string referenceKey(const std::string &prog_name, uint64_t seed,
                          const std::string &reference_machine,
                          const MemorySpaces &spaces);
 
-/** Walks the memory design space for one reference trace set. */
+/**
+ * Walks the memory design space of one trace-equivalence class,
+ * answering from its frozen ReferenceSet whether this process swept
+ * the class (sweepReference) or found the set in the evaluation cache.
+ */
 class MemoryWalker
 {
   public:
-    MemoryWalker(MemorySpaces spaces, StallModel stalls,
-                 uint64_t i_granule = core::defaultIGranule,
-                 uint64_t u_granule = core::defaultUGranule);
+    /** @param capture the trace the set was swept from, when this
+     *  process swept it (only capturedTrace() reads it). */
+    MemoryWalker(MemorySpaces spaces, StallModel stalls, ReferenceSet set,
+                 std::shared_ptr<const trace::ColumnarTraceBuffer>
+                     capture = nullptr);
 
     /**
-     * A walker answering from a frozen set: evaluated, with no banks
-     * and no captures (see SubsystemEvaluator::bank()).
+     * Stall cycles of one hierarchy at one dilation: the sum, in
+     * pareto()'s order, of the three subsystem times it composes.
      */
-    MemoryWalker(MemorySpaces spaces, StallModel stalls,
-                 const ReferenceSet &set);
-
-    /**
-     * Evaluate all three subsystems from one reference unified
-     * trace: each reference is captured once and fed to the I- and
-     * U-trace modelers. Then the three banks sweep the capture in one
-     * lane loop, on the attached pool if any — the I bank reads the
-     * records whose isInstr bit is set, the D bank the others, the U
-     * bank all of them — and each bank is frozen. This is the only way
-     * to sweep a trace-equivalence class. A cancel token aborts with
-     * CancelledError; the walker is then only partially evaluated and
-     * must be discarded.
-     */
-    void evaluate(const TraceSource &unified_trace,
-                  const support::CancelToken *cancel = nullptr);
-
-    /**
-     * The evaluated walker's frozen answers, with the reference
-     * binary's text size (which the walker does not know).
-     */
-    ReferenceSet freeze(uint64_t reference_text_bytes) const;
-
-    /**
-     * Attach (or detach, with nullptr) the pool used by evaluate()
-     * and pareto(). The walker never owns the pool; results are
-     * identical with and without one.
-     */
-    void setThreadPool(support::ThreadPool *pool) { pool_ = pool; }
-
-    /** Stall cycles of one hierarchy at one dilation. */
     double stallCycles(const cache::CacheConfig &icache,
                        const cache::CacheConfig &dcache,
                        const cache::CacheConfig &ucache,
@@ -131,7 +106,8 @@ class MemoryWalker
      * Pareto set of hierarchies at one dilation: cost is the summed
      * cache area, time the summed stall cycles. Built from the
      * product of subsystem Pareto sets (valid because both metrics
-     * are additive), filtered for inclusion feasibility.
+     * are additive), filtered for inclusion feasibility. Runs on the
+     * calling thread.
      *
      * @param dilation text dilation of the processor under study
      * @param dcache_ports restrict data caches to this port count
@@ -156,15 +132,22 @@ class MemoryWalker
     const StallModel &stalls() const { return stalls_; }
 
   private:
+    /**
+     * Stall cycles of one subsystem configuration: its misses at its
+     * latency plus, with a write cost, its write traffic. The one
+     * price stallCycles() and pareto() both sum.
+     */
+    double icacheTime(const cache::CacheConfig &config,
+                      double dilation) const;
+    double dcacheTime(const cache::CacheConfig &config) const;
+    double ucacheTime(const cache::CacheConfig &config,
+                      double dilation) const;
+
     MemorySpaces spaces_;
     StallModel stalls_;
-    /** AHH granules of evaluate()'s trace modelers. */
-    uint64_t iGranule_ = core::defaultIGranule;
-    uint64_t uGranule_ = core::defaultUGranule;
     IcacheEvaluator icacheEval_;
     DcacheEvaluator dcacheEval_;
     UcacheEvaluator ucacheEval_;
-    support::ThreadPool *pool_ = nullptr;
 };
 
 /** Result bundle of a full system exploration. */

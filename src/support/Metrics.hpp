@@ -90,9 +90,6 @@ class Counter
     /** Add n to the counter (lock-free; no-op while disabled). */
     void add(uint64_t n = 1);
 
-    /** Convenience: add(1). */
-    void increment() { add(1); }
-
   private:
     friend class MetricsRegistry;
     Counter() = default;
@@ -217,37 +214,10 @@ metrics()
     return MetricsRegistry::instance();
 }
 
-/**
- * RAII wall-clock timer: observes the elapsed nanoseconds into the
- * named histogram on destruction. Costs two clock reads when metrics
- * are enabled and nothing (beyond the enabled check) when not.
- */
-class ScopedTimer
-{
-  public:
-    explicit ScopedTimer(Histogram &hist)
-        : hist_(&hist),
-          startNs_(metricsEnabled() ? monotonicNowNs() : 0)
-    {}
-
-    ~ScopedTimer()
-    {
-        if (startNs_ != 0 && metricsEnabled())
-            hist_->observe(monotonicNowNs() - startNs_);
-    }
-
-    ScopedTimer(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-  private:
-    Histogram *hist_;
-    uint64_t startNs_;
-};
-
 } // namespace pico::support
 
 /**
- * Call-site macros: compile to nothing under
+ * Call-site macro: compiles to nothing under
  * -DPICOEVAL_DISABLE_METRICS. The handle lookup is a function-local
  * static, so each site pays the registry mutex exactly once — which
  * means `name` MUST be a constant at each call site. For dynamic
@@ -262,17 +232,8 @@ class ScopedTimer
             pico_metric_ctr_.add(n);                                  \
         }                                                             \
     } while (0)
-#define PICO_METRIC_OBSERVE(name, v)                                  \
-    do {                                                              \
-        if (::pico::support::metricsEnabled()) {                      \
-            static auto &pico_metric_hist_ =                          \
-                ::pico::support::metrics().histogram(name);           \
-            pico_metric_hist_.observe(v);                             \
-        }                                                             \
-    } while (0)
 #else
 #define PICO_METRIC_COUNT(name, n) ((void)0)
-#define PICO_METRIC_OBSERVE(name, v) ((void)0)
 #endif
 
 #endif // PICO_SUPPORT_METRICS_HPP

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -73,15 +74,25 @@ extendedSpaces()
     return spaces;
 }
 
+/** A walker over one sweep of a trace, on no pool. */
+MemoryWalker
+sweptWalker(const MemorySpaces &spaces, const TraceSource &trace,
+            StallModel stalls = {}, uint64_t i_granule = 2000,
+            uint64_t u_granule = 10000)
+{
+    SweptReference swept =
+        sweepReference(spaces, trace, i_granule, u_granule, nullptr);
+    return MemoryWalker(spaces, stalls, std::move(swept.set),
+                        std::move(swept.capture));
+}
+
 /** A walker over small spaces, swept over one synthetic trace. */
 std::unique_ptr<MemoryWalker>
 smallWalker(uint64_t seed, int length)
 {
-    auto walker = std::make_unique<MemoryWalker>(
-        MemorySpaces{smallSpace(), smallSpace(), smallSpace()},
-        StallModel{}, 2000, 10000);
-    walker->evaluate(syntheticUnifiedTrace(seed, length));
-    return walker;
+    return std::make_unique<MemoryWalker>(
+        sweptWalker(MemorySpaces{smallSpace(), smallSpace(), smallSpace()},
+                    syntheticUnifiedTrace(seed, length)));
 }
 
 TEST(SimBank, CoversDownToOneWordLines)
@@ -175,14 +186,15 @@ TEST(SimBank, EvaluatorBanksCoverWhatTheirModelsRead)
     // hold one Cheetah pass per listed line size, over the set band
     // the space enumerates at that line: 11 passes, not 16.
     MemorySpaces spaces;
-    MemoryWalker walker(spaces, StallModel{}, 2000, 10000);
-    walker.evaluate(syntheticUnifiedTrace(31, 60000));
+    const MemoryWalker walker =
+        sweptWalker(spaces, syntheticUnifiedTrace(31, 60000));
 
     SimBank full_l1_bank(spaces.icache);
     const FrozenBank full_l1 = full_l1_bank.freeze();
-    const FrozenBank &ibank = walker.icache().frozen();
-    EXPECT_EQ(walker.icache().bank().simRuns(), full_l1_bank.simRuns());
-    EXPECT_EQ(walker.icache().bank().simRuns(), 5u);
+    const FrozenBank &ibank = walker.icache().bank();
+    const SimBank i_sims(spaces.icache, IcacheEvaluator::coverage);
+    EXPECT_EQ(i_sims.simRuns(), full_l1_bank.simRuns());
+    EXPECT_EQ(i_sims.simRuns(), 5u);
     for (uint32_t line = SimBank::minCoveredLine; line <= 128; line *= 2)
         for (uint32_t sets = 1; sets <= 8192; sets *= 2)
             for (uint32_t assoc = 1; assoc <= 8; ++assoc) {
@@ -192,10 +204,12 @@ TEST(SimBank, EvaluatorBanksCoverWhatTheirModelsRead)
             }
     EXPECT_TRUE(ibank.covers(cache::CacheConfig{2048, 1, 4}));
 
-    const FrozenBank &dbank = walker.dcache().frozen();
-    const FrozenBank &ubank = walker.ucache().frozen();
-    EXPECT_EQ(walker.dcache().bank().simRuns(), 3u);
-    EXPECT_EQ(walker.ucache().bank().simRuns(), 3u);
+    const FrozenBank &dbank = walker.dcache().bank();
+    const FrozenBank &ubank = walker.ucache().bank();
+    EXPECT_EQ(SimBank(spaces.dcache, DcacheEvaluator::coverage).simRuns(),
+              3u);
+    EXPECT_EQ(SimBank(spaces.ucache, UcacheEvaluator::coverage).simRuns(),
+              3u);
     for (const auto &cfg : spaces.dcache.enumerate())
         EXPECT_TRUE(dbank.covers(cfg)) << cfg.name();
     for (const auto &cfg : spaces.ucache.enumerate())
@@ -247,14 +261,6 @@ TEST(IcacheEvaluator, DilationIncreasesMisses)
     EXPECT_GT(dil, base);
 }
 
-TEST(IcacheEvaluator, RejectsQueriesBeforeEvaluate)
-{
-    MemoryWalker walker(MemorySpaces{smallSpace(), smallSpace(), smallSpace()},
-                        StallModel{});
-    EXPECT_THROW(walker.icache().misses(cache::CacheConfig{64, 1, 32}, 1.0),
-                 FatalError);
-}
-
 TEST(DcacheEvaluator, SimulatesAndIgnoresDilation)
 {
     auto walker = smallWalker(6, 50000);
@@ -295,8 +301,9 @@ TEST(MemoryWalker, StallCyclesAdditive)
     spaces.dcache = smallSpace();
     spaces.ucache = CacheSpace::defaultL2Space();
     StallModel stalls;
-    MemoryWalker walker(spaces, stalls);
-    walker.evaluate(syntheticUnifiedTrace(11, 250000));
+    const MemoryWalker walker =
+        sweptWalker(spaces, syntheticUnifiedTrace(11, 250000), stalls,
+                    core::defaultIGranule, core::defaultUGranule);
 
     cache::CacheConfig ic{64, 1, 32};
     cache::CacheConfig dc{64, 2, 32};
@@ -309,9 +316,46 @@ TEST(MemoryWalker, StallCyclesAdditive)
     EXPECT_DOUBLE_EQ(total, manual);
 }
 
+TEST(MemoryWalker, StallCyclesPricesEveryParetoPointBitForBit)
+{
+    // stallCycles() sums the same per-subsystem prices as pareto(), in
+    // the same order, so a Pareto point's time is exactly the stall
+    // cycles of its three configurations, write traffic included.
+    MemorySpaces spaces = extendedSpaces();
+    spaces.dcache.portCounts = {1, 2};
+    StallModel stalls;
+    stalls.writeCost = 6.0;
+    const MemoryWalker walker = sweptWalker(
+        spaces, syntheticUnifiedTrace(23, 60000, 0.3), stalls);
+    std::map<std::string, cache::CacheConfig> configs;
+    for (const auto &[prefix, space] :
+         {std::pair{"I$", &spaces.icache}, std::pair{"D$", &spaces.dcache},
+          std::pair{"U$", &spaces.ucache}})
+        for (const auto &cfg : space->enumerate())
+            configs.emplace(prefix + cfg.name(), cfg);
+    size_t points = 0;
+    size_t differing = 0;
+    for (double dilation : {1.0, 1.25, 1.4, 1.8, 2.5, 3.3})
+        for (uint32_t ports : {0u, 1u, 2u}) {
+            const ParetoSet front = walker.pareto(dilation, ports);
+            for (const DesignPoint &p : front.points()) {
+                const size_t d = p.id.find('+');
+                const size_t u = p.id.find('+', d + 1);
+                const double time = walker.stallCycles(
+                    configs.at(p.id.substr(0, d)),
+                    configs.at(p.id.substr(d + 1, u - d - 1)),
+                    configs.at(p.id.substr(u + 1)), dilation);
+                ++points;
+                differing += std::memcmp(&time, &p.time, sizeof time) != 0;
+            }
+        }
+    EXPECT_GT(points, 1000u);
+    EXPECT_EQ(differing, 0u) << "of " << points << " Pareto points";
+}
+
 TEST(MemoryWalker, OneUnifiedSourceMatchesComponentEvaluators)
 {
-    // evaluate() captures one unified trace, and each bank reads its
+    // sweepReference captures one unified trace, and each bank reads its
     // own records of it; every answer, write traffic included, must
     // equal the one built from each subsystem's own component: its
     // capture swept by a bank of the evaluator's coverage, frozen, and
@@ -368,12 +412,14 @@ TEST(MemoryWalker, OneUnifiedSourceMatchesComponentEvaluators)
                                          ? "extended"
                                          : "classic") +
                          (pool ? ", 4 workers" : ", no pool"));
-            MemoryWalker walker(spaces, StallModel{}, 2000, 10000);
-            walker.setThreadPool(pool);
-            walker.evaluate(unified);
-            EXPECT_EQ(walker.icache().frozen(), ibank);
-            EXPECT_EQ(walker.dcache().frozen(), dbank);
-            EXPECT_EQ(walker.ucache().frozen(), ubank);
+            SweptReference swept =
+                sweepReference(spaces, unified, 2000, 10000, pool);
+            EXPECT_EQ(swept.set.icache, ibank);
+            EXPECT_EQ(swept.set.dcache, dbank);
+            EXPECT_EQ(swept.set.ucache, ubank);
+            const MemoryWalker walker(spaces, StallModel{},
+                                      std::move(swept.set),
+                                      std::move(swept.capture));
             EXPECT_EQ(walker.ucache().capturedTrace().checksum(),
                       all.checksum());
             for (const auto &cfg : spaces.icache.enumerate()) {
@@ -409,20 +455,25 @@ TEST(MemoryWalker, OneUnifiedSourceMatchesComponentEvaluators)
 
 TEST(MemoryWalker, LaneLoopIsJobCountInvariant)
 {
-    // evaluate() sweeps the three banks in one lane loop: one fused
-    // lane for every bank without pool workers, one lane per simulator
-    // with them. Every enumerated cell's misses and write traffic, and
-    // every sweep.* counter, must not depend on which ran. A counter
-    // counts the records its simulator read: on the default spaces
-    // only the I$ bank simulates 4-byte lines, the I$ and D$ banks
-    // 16-byte lines and only the U$ bank 128-byte lines.
+    // sweepReference sweeps the three banks in one lane loop: one
+    // fused lane for every bank without pool workers, one lane per
+    // simulator with them. The encoded set's bytes, every enumerated
+    // cell's misses and write traffic, and every sweep.* counter must
+    // not depend on which ran. A counter counts the records its
+    // simulator read: on the default spaces only the I$ bank simulates
+    // 4-byte lines, the I$ and D$ banks 16-byte lines and only the U$
+    // bank 128-byte lines.
     for (const MemorySpaces &spaces : {MemorySpaces{}, extendedSpaces()}) {
-        auto run = [&spaces](unsigned jobs) {
+        std::vector<std::vector<double>> encoded;
+        auto run = [&spaces, &encoded](unsigned jobs) {
             support::ThreadPool pool(jobs - 1);
-            MemoryWalker walker(spaces, StallModel{}, 2000, 10000);
-            walker.setThreadPool(&pool);
             support::metrics().resetValues();
-            walker.evaluate(syntheticUnifiedTrace(51, 120000, 0.3));
+            SweptReference swept = sweepReference(
+                spaces, syntheticUnifiedTrace(51, 120000, 0.3), 2000,
+                10000, &pool);
+            encoded.push_back(swept.set.encode());
+            const MemoryWalker walker(spaces, StallModel{},
+                                      std::move(swept.set));
             std::map<std::string, double> out;
             for (const auto &[name, value] :
                  support::metrics().snapshot().counters) {
@@ -445,12 +496,15 @@ TEST(MemoryWalker, LaneLoopIsJobCountInvariant)
                 out["U$w" + cfg.name()] = walker.ucache().writeTraffic(cfg);
             }
             out["runs"] = static_cast<double>(
-                walker.icache().bank().simRuns() +
-                walker.dcache().bank().simRuns() +
-                walker.ucache().bank().simRuns());
-            out["I$accesses"] = walker.icache().frozen().accesses();
-            out["D$accesses"] = walker.dcache().frozen().accesses();
-            out["U$accesses"] = walker.ucache().frozen().accesses();
+                SimBank(spaces.icache, IcacheEvaluator::coverage)
+                    .simRuns() +
+                SimBank(spaces.dcache, DcacheEvaluator::coverage)
+                    .simRuns() +
+                SimBank(spaces.ucache, UcacheEvaluator::coverage)
+                    .simRuns());
+            out["I$accesses"] = walker.icache().bank().accesses();
+            out["D$accesses"] = walker.dcache().bank().accesses();
+            out["U$accesses"] = walker.ucache().bank().accesses();
             return out;
         };
         support::setMetricsEnabled(true);
@@ -466,42 +520,42 @@ TEST(MemoryWalker, LaneLoopIsJobCountInvariant)
         EXPECT_EQ(serial["U$accesses"], 120000);
         EXPECT_EQ(serial, two);
         EXPECT_EQ(serial, eight);
+        ASSERT_EQ(encoded.size(), 3u);
+        for (const auto &other : {encoded[1], encoded[2]}) {
+            ASSERT_EQ(other.size(), encoded[0].size());
+            EXPECT_EQ(std::memcmp(other.data(), encoded[0].data(),
+                                  other.size() * sizeof(double)),
+                      0);
+        }
     }
 }
 
-TEST(MemoryWalker, CancelDuringSweepRejectsQueries)
+TEST(MemoryWalker, CancelDuringSweepReturnsNothing)
 {
     // The token is cancelled once the last reference is captured, so
-    // the first checkpoint to see it is the lane loop's. The walk
-    // unwinds with CancelledError and no evaluator answers.
+    // the first checkpoint to see it is the lane loop's. The sweep
+    // unwinds with CancelledError and returns nothing, so no
+    // half-swept walker exists to query.
     for (unsigned jobs : {1u, 4u}) {
         support::ThreadPool pool(jobs - 1);
-        MemorySpaces spaces;
-        MemoryWalker walker(spaces, StallModel{}, 2000, 10000);
-        walker.setThreadPool(&pool);
         support::CancelToken token;
         TraceSource trace = syntheticUnifiedTrace(61, 60000);
+        std::optional<SweptReference> swept;
         try {
-            walker.evaluate(
+            swept = sweepReference(
+                MemorySpaces{},
                 [&](const TraceSink &sink) {
                     trace(sink);
                     token.cancel();
                 },
-                &token);
+                2000, 10000, &pool, &token);
             ADD_FAILURE() << "not cancelled, jobs=" << jobs;
         } catch (const CancelledError &e) {
             EXPECT_NE(std::string(e.what()).find("SimBank::simulate"),
                       std::string::npos)
                 << e.what();
         }
-        EXPECT_FALSE(walker.icache().evaluated());
-        EXPECT_FALSE(walker.dcache().evaluated());
-        EXPECT_FALSE(walker.ucache().evaluated());
-        cache::CacheConfig l1{64, 2, 32};
-        cache::CacheConfig l2{512, 2, 64};
-        EXPECT_THROW(walker.icache().misses(l1, 1.0), FatalError);
-        EXPECT_THROW(walker.dcache().misses(l1), FatalError);
-        EXPECT_THROW(walker.ucache().misses(l2, 1.0), FatalError);
+        EXPECT_FALSE(swept.has_value()) << "jobs=" << jobs;
     }
 }
 
@@ -516,8 +570,9 @@ TEST(MemoryWalker, ParetoRespectsInclusion)
     l2.lineSizes = {32, 64};
     spaces.ucache = l2;
 
-    MemoryWalker walker(spaces, StallModel{});
-    walker.evaluate(syntheticUnifiedTrace(14, 250000));
+    const MemoryWalker walker =
+        sweptWalker(spaces, syntheticUnifiedTrace(14, 250000), StallModel{},
+                    core::defaultIGranule, core::defaultUGranule);
     auto front = walker.pareto(1.0);
     EXPECT_FALSE(front.empty());
     // Hierarchy ids embed the component names; an 8KB L2 may never
@@ -632,9 +687,10 @@ TEST(MemoryWalker, ParetoMatchesTheStringCarryingComposition)
     MemorySpaces extended = extendedSpaces();
     extended.dcache.portCounts = {1, 2};
     for (const MemorySpaces &spaces : {MemorySpaces{}, extended}) {
-        MemoryWalker reference(spaces, StallModel{}, 2000, 10000);
-        reference.evaluate(syntheticUnifiedTrace(23, 60000, 0.3));
-        const ReferenceSet set = reference.freeze(1);
+        const ReferenceSet set =
+            sweepReference(spaces, syntheticUnifiedTrace(23, 60000, 0.3),
+                           2000, 10000, nullptr)
+                .set;
         for (double write_cost : {0.0, 6.0}) {
             StallModel stalls;
             stalls.writeCost = write_cost;

@@ -105,13 +105,16 @@ TEST(Integration, EstimatedTracksDilatedIcacheMisses)
     space.sizesBytes = {1024};
     space.assocs = {1};
     space.lineSizes = {32};
-    dse::MemoryWalker walker(dse::MemorySpaces{space, space, space},
-                             dse::StallModel{}, core::defaultIGranule,
-                             /*u_granule=*/10000);
+    const dse::MemorySpaces spaces{space, space, space};
     trace::TraceGenerator gen(app.prog, app.ref.sched, app.ref.bin);
-    walker.evaluate([&gen](const dse::TraceSink &sink) {
-        gen.generate(trace::TraceKind::Unified, sink, kBlocks);
-    });
+    dse::SweptReference swept = dse::sweepReference(
+        spaces,
+        [&gen](const dse::TraceSink &sink) {
+            gen.generate(trace::TraceKind::Unified, sink, kBlocks);
+        },
+        core::defaultIGranule, /*u_granule=*/10000, nullptr);
+    const dse::MemoryWalker walker(spaces, dse::StallModel{},
+                                   std::move(swept.set));
     const dse::IcacheEvaluator &eval = walker.icache();
 
     for (double d : {1.4, 2.0, 3.0}) {

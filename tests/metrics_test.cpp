@@ -185,18 +185,6 @@ TEST(Metrics, RegisteringTwiceReturnsTheSameHandle)
     EXPECT_EQ(&a, &b);
 }
 
-TEST(Metrics, ScopedTimerObservesElapsedTime)
-{
-    InstrumentationOn on;
-    auto &hist = metrics().histogram("test.timer.ns");
-    auto before = metrics().snapshot().histograms["test.timer.ns"];
-    {
-        ScopedTimer timer(hist);
-    }
-    auto after = metrics().snapshot().histograms["test.timer.ns"];
-    EXPECT_EQ(after.count - before.count, 1u);
-}
-
 TEST(TraceEvents, RecordsSpansAcrossThreadsAndWritesJson)
 {
     InstrumentationOn on;

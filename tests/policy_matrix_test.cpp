@@ -599,15 +599,18 @@ TEST(PolicyMatrix, IcacheDilationScalingStaysSaneForNonLru)
     std::vector<trace::Access> fetches;
     for (const auto &a : refs)
         fetches.push_back({a.addr, true, false});
-    dse::MemoryWalker walker(dse::MemorySpaces{space, space, space},
-                             dse::StallModel{}, /*i_granule=*/250,
-                             /*u_granule=*/500);
-    walker.evaluate([&](const dse::TraceSink &sink) {
-        for (size_t i = 0; i < refs.size(); ++i) {
-            sink(fetches[i]);
-            sink(refs[i]);
-        }
-    });
+    const dse::MemorySpaces spaces{space, space, space};
+    dse::SweptReference swept = dse::sweepReference(
+        spaces,
+        [&](const dse::TraceSink &sink) {
+            for (size_t i = 0; i < refs.size(); ++i) {
+                sink(fetches[i]);
+                sink(refs[i]);
+            }
+        },
+        /*i_granule=*/250, /*u_granule=*/500, nullptr);
+    const dse::MemoryWalker walker(spaces, dse::StallModel{},
+                                   std::move(swept.set));
     const dse::IcacheEvaluator &eval = walker.icache();
 
     for (const auto &cfg : space.enumerate()) {
@@ -648,11 +651,14 @@ TEST(PolicyMatrix, AcceleratorWorkloadsDifferentiatePolicies)
         space.writePolicies = {WritePolicy::WriteBack,
                                WritePolicy::WriteThrough};
 
-        dse::MemoryWalker walker(spaces, dse::StallModel{},
-                                 /*i_granule=*/2000, /*u_granule=*/5000);
-        walker.evaluate([&](const dse::TraceSink &sink) {
-            gen.generate(trace::TraceKind::Unified, sink, 6000);
-        });
+        dse::SweptReference swept = dse::sweepReference(
+            spaces,
+            [&](const dse::TraceSink &sink) {
+                gen.generate(trace::TraceKind::Unified, sink, 6000);
+            },
+            /*i_granule=*/2000, /*u_granule=*/5000, nullptr);
+        const dse::MemoryWalker walker(spaces, dse::StallModel{},
+                                       std::move(swept.set));
 
         // The D$ front alone: misses at an 80-cycle penalty plus
         // write traffic at 6 cycles per write.

@@ -52,8 +52,10 @@ extendedSpaces()
 /** One class swept as Spacewalker's phase 2 sweeps it. */
 struct SweptClass
 {
+    /** The class's set, its reference text size filled in. */
+    ReferenceSet set;
+    /** A walker over that set and its capture. */
     std::unique_ptr<MemoryWalker> walker;
-    uint64_t textBytes = 0;
 };
 
 SweptClass
@@ -65,14 +67,18 @@ sweepClass(const std::string &reference, const MemorySpaces &spaces,
     auto mdes = machine::MachineDesc::fromName(reference);
     auto prog = workloads::programForClass(base, mdes, traceBlocks);
     auto build = workloads::buildFor(prog, mdes);
-    SweptClass out;
-    out.walker = std::make_unique<MemoryWalker>(spaces, stalls, iGranule,
-                                                uGranule);
     trace::TraceGenerator gen(prog, build.sched, build.bin);
-    out.walker->evaluate([&gen](const TraceSink &sink) {
-        gen.generate(trace::TraceKind::Unified, sink, traceBlocks);
-    });
-    out.textBytes = build.bin.textSize();
+    SweptReference swept = sweepReference(
+        spaces,
+        [&gen](const TraceSink &sink) {
+            gen.generate(trace::TraceKind::Unified, sink, traceBlocks);
+        },
+        iGranule, uGranule, nullptr);
+    swept.set.textBytes = build.bin.textSize();
+    SweptClass out;
+    out.set = swept.set;
+    out.walker = std::make_unique<MemoryWalker>(
+        spaces, stalls, std::move(swept.set), std::move(swept.capture));
     return out;
 }
 
@@ -128,7 +134,7 @@ expectFrozenMatchesLive(const SubsystemEvaluator &eval,
                         SimBank::Records records, const char *what)
 {
     SCOPED_TRACE(what);
-    const FrozenBank &frozen = eval.frozen();
+    const FrozenBank &frozen = eval.bank();
     const BankLayout layout(eval.space(), coverage);
     const BankRecords capture = recordsOf(eval.capturedTrace(), records);
     EXPECT_EQ(frozen.accesses(), capture.addrs.size());
@@ -235,11 +241,14 @@ TEST(ReferenceSet, FrozenBanksMatchLiveBanks)
                           model.estimateIcacheMisses(cfg, d, direct))
                     << cfg.name() << " at " << d;
         }
-        auto set = w.freeze(swept.textBytes);
+        // The walker answers from the set it was built from.
+        const ReferenceSet &set = swept.set;
         EXPECT_EQ(set.iParams, w.icache().params());
         EXPECT_EQ(set.uiParams, w.ucache().instrParams());
         EXPECT_EQ(set.udParams, w.ucache().dataParams());
-        EXPECT_EQ(set.textBytes, swept.textBytes);
+        EXPECT_EQ(set.icache, w.icache().bank());
+        EXPECT_EQ(set.dcache, w.dcache().bank());
+        EXPECT_EQ(set.ucache, w.ucache().bank());
     }
 }
 
@@ -266,7 +275,7 @@ TEST(ReferenceSet, EncodeDecodeRoundTripsInMemoryAndThroughAFile)
 {
     for (const MemorySpaces &spaces : {MemorySpaces{}, extendedSpaces()}) {
         auto swept = sweepClass("1111", spaces);
-        const auto set = swept.walker->freeze(swept.textBytes);
+        const ReferenceSet &set = swept.set;
         const auto encoded = set.encode();
         auto decoded =
             ReferenceSet::decode(encoded, spaces, iGranule, uGranule);
@@ -297,7 +306,7 @@ TEST(ReferenceSet, MalformedEntriesDoNotDecode)
 {
     MemorySpaces spaces;
     auto swept = sweepClass("1111", spaces);
-    const auto good = swept.walker->freeze(swept.textBytes).encode();
+    const auto good = swept.set.encode();
     // The I$ parameters u(1), p1, lav follow version and text size;
     // the I$ bank starts after the nine parameters.
     const size_t i_u1 = 2, i_p1 = 3, i_lav = 4;
@@ -347,9 +356,8 @@ TEST(ReferenceSet, FrozenWalkerAnswersAsTheSweptOne)
         StallModel stalls;
         stalls.writeCost = spaces.dcache.extendedAxes() ? 6.0 : 0.0;
         auto swept = sweepClass("1111", spaces, stalls);
-        auto set = ReferenceSet::decode(
-            swept.walker->freeze(swept.textBytes).encode(), spaces,
-            iGranule, uGranule);
+        auto set = ReferenceSet::decode(swept.set.encode(), spaces, iGranule,
+                                        uGranule);
         ASSERT_TRUE(set.has_value());
         MemoryWalker from_set(spaces, stalls, *set);
         for (double d : {1.0, 1.3, 2.1}) {
@@ -364,8 +372,10 @@ TEST(ReferenceSet, FrozenWalkerAnswersAsTheSweptOne)
                 }
             }
         }
-        EXPECT_TRUE(from_set.icache().evaluated());
-        EXPECT_THROW(from_set.icache().bank(), FatalError);
+        // Its banks hold the swept tables; it captured no trace.
+        EXPECT_EQ(from_set.icache().bank(), swept.walker->icache().bank());
+        EXPECT_EQ(from_set.dcache().bank(), swept.walker->dcache().bank());
+        EXPECT_EQ(from_set.ucache().bank(), swept.walker->ucache().bank());
         EXPECT_THROW(from_set.ucache().capturedTrace(), FatalError);
         // Outside coverage fails as in the walker that swept it.
         cache::CacheConfig outside{8192, 1, 256};

@@ -219,11 +219,8 @@ TEST(SpacewalkerCache, HitWalkEqualsColdWalk)
         workloads::specByName("unepic"), 8000);
     const std::vector<std::string> machines = {"2211", "2211p", "3221",
                                                "0111"};
-    std::string cold;
-    {
-        Spacewalker walker(tinySpaces(), machines, tinyOptions());
-        cold = flatten(walker.explore(prog));
-    }
+    Spacewalker cold_walker(tinySpaces(), machines, tinyOptions());
+    const std::string cold = flatten(cold_walker.explore(prog));
 
     // Through a shared in-memory cache, warmed by other machines.
     EvaluationCache shared;
@@ -236,10 +233,14 @@ TEST(SpacewalkerCache, HitWalkEqualsColdWalk)
         EXPECT_EQ(flatten(walker.explore(prog)), cold);
         EXPECT_EQ(refs.hits(), 2u);
         EXPECT_EQ(refs.computed(), 0u);
-        // A walker served from the cache swept nothing.
-        EXPECT_THROW(walker.memoryWalker().icache().bank(), FatalError);
-        EXPECT_THROW(walker.memoryWalker().ucache().capturedTrace(),
-                     FatalError);
+        // A walker served from the cache swept nothing, yet its banks
+        // answer with the cold walk's tables.
+        const MemoryWalker &warm = walker.memoryWalker();
+        const MemoryWalker &swept = cold_walker.memoryWalker();
+        EXPECT_EQ(warm.icache().bank(), swept.icache().bank());
+        EXPECT_EQ(warm.dcache().bank(), swept.dcache().bank());
+        EXPECT_EQ(warm.ucache().bank(), swept.ucache().bank());
+        EXPECT_THROW(warm.ucache().capturedTrace(), FatalError);
     }
 
     // Through a database file, reloaded by a fresh walker.
