@@ -1,14 +1,18 @@
 /**
  * @file
  * Flag parsing shared by the example tools: every flag takes both
- * `--flag value` and `--flag=value`, and list values are
- * comma-separated.
+ * `--flag value` and `--flag=value`, list values are comma-separated,
+ * and a numeric value must parse whole.
  */
 
 #ifndef PICO_EXAMPLES_CLI_FLAGS_HPP
 #define PICO_EXAMPLES_CLI_FLAGS_HPP
 
+#include <charconv>
+#include <cmath>
+#include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 namespace pico::cli
@@ -48,6 +52,35 @@ splitList(const std::string &text)
         pos = comma + 1;
     }
     return items;
+}
+
+/**
+ * Read the whole of `text` as a decimal value of the unsigned type T:
+ * no sign, no surrounding text, and no value above T's maximum.
+ */
+template <typename T>
+std::optional<T>
+parseUnsigned(const std::string &text)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || ptr != end)
+        return std::nullopt;
+    return value;
+}
+
+/** Read the whole of `text` as a finite, non-negative number. */
+inline std::optional<double>
+parseNumber(const std::string &text)
+{
+    double value = 0.0;
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || ptr != end || !std::isfinite(value) ||
+        value < 0.0)
+        return std::nullopt;
+    return value;
 }
 
 } // namespace pico::cli

@@ -41,11 +41,12 @@
  *            writeback or store write-through; default 0 = classic
  *            read-only stall model)
  * Flags accept both `--flag value` and `--flag=value`. An unknown
- * flag, app or policy name prints one line on stderr and exits with
- * code 2 before the walk starts.
+ * flag, app or policy name, or a number that does not parse whole,
+ * prints one line on stderr and exits with code 2 before the walk
+ * starts.
  */
 
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -64,6 +65,8 @@
 
 using namespace pico;
 using cli::flagValue;
+using cli::parseNumber;
+using cli::parseUnsigned;
 using cli::splitList;
 
 namespace
@@ -74,6 +77,15 @@ const char *const usage =
     "[--metrics-out FILE] [--trace-out FILE] [--cache FILE] "
     "[--timeout-ms N] [--replacement LIST] [--write LIST] "
     "[--write-cost N]\n";
+
+/** Report a flag value that does not parse; returns the exit code. */
+int
+invalidValue(const char *flag, const std::string &value)
+{
+    std::cerr << "invalid value for " << flag << ": " << value << "\n"
+              << usage;
+    return 2;
+}
 
 } // namespace
 
@@ -94,10 +106,15 @@ main(int argc, char **argv)
     try {
         for (int i = 1; i < argc; ++i) {
             if (flagValue(argc, argv, i, "--jobs", value)) {
-                jobs = static_cast<unsigned>(
-                    std::strtoul(value.c_str(), nullptr, 10));
+                auto parsed = parseUnsigned<unsigned>(value);
+                if (!parsed)
+                    return invalidValue("--jobs", value);
+                jobs = *parsed;
             } else if (flagValue(argc, argv, i, "--timeout-ms", value)) {
-                timeout_ms = std::strtoull(value.c_str(), nullptr, 10);
+                auto parsed = parseUnsigned<uint64_t>(value);
+                if (!parsed)
+                    return invalidValue("--timeout-ms", value);
+                timeout_ms = *parsed;
             } else if (flagValue(argc, argv, i, "--replacement",
                                  value)) {
                 for (const auto &item : splitList(value))
@@ -107,7 +124,10 @@ main(int argc, char **argv)
                     write_policies.push_back(
                         cache::parseWritePolicy(item));
             } else if (flagValue(argc, argv, i, "--write-cost", value)) {
-                write_cost = std::strtod(value.c_str(), nullptr);
+                auto parsed = parseNumber(value);
+                if (!parsed)
+                    return invalidValue("--write-cost", value);
+                write_cost = *parsed;
             } else if (std::string(argv[i]) == "--verify") {
                 verify = 1;
             } else if (std::string(argv[i]).rfind("--verify=", 0) == 0) {

@@ -9,6 +9,8 @@
  * Usage: dilation_study [app] [machine]
  *   app      one of the suite names (default 085.gcc)
  *   machine  a "6332"-style FU mix (default 3221)
+ * An unknown app or a malformed machine name prints one line on
+ * stderr and exits with code 2 before any work.
  */
 
 #include <iostream>
@@ -51,13 +53,21 @@ main(int argc, char **argv)
 {
     std::string app_name = argc > 1 ? argv[1] : "085.gcc";
     std::string machine_name = argc > 2 ? argv[2] : "3221";
+    // A bad name fails in fatal(), which has already printed the
+    // one-line reason.
+    workloads::AppSpec spec;
+    machine::MachineDesc target_desc;
+    try {
+        spec = workloads::specByName(app_name);
+        target_desc = machine::MachineDesc::fromName(machine_name);
+    } catch (const FatalError &) {
+        return 2;
+    }
 
-    auto prog = workloads::buildAndProfile(
-        workloads::specByName(app_name));
+    auto prog = workloads::buildAndProfile(spec);
     auto ref = workloads::buildFor(
         prog, machine::MachineDesc::fromName("1111"));
-    auto target = workloads::buildFor(
-        prog, machine::MachineDesc::fromName(machine_name));
+    auto target = workloads::buildFor(prog, target_desc);
     double d = linker::textDilation(target.bin, ref.bin);
 
     std::cout << app_name << " on " << machine_name

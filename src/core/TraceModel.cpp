@@ -52,14 +52,37 @@ ComponentParams::domainErrors(uint64_t granuleRefs) const
 }
 
 void
+GranuleAccumulator::grow()
+{
+    table_.assign(2 * table_.size(), emptySlot);
+    --shift_;
+    const size_t mask = table_.size() - 1;
+    for (uint64_t word : buffer_) {
+        size_t slot = home(word);
+        while (table_[slot] != emptySlot)
+            slot = (slot + 1) & mask;
+        table_[slot] = word;
+    }
+}
+
+void
 GranuleAccumulator::closeGranule()
 {
     if (buffer_.empty())
         return;
 
+    // Empty the slots this granule filled. Each word is held in one
+    // slot, so probing from its home reaches it even after slots on
+    // the way were emptied.
+    const size_t mask = table_.size() - 1;
+    for (uint64_t word : buffer_) {
+        size_t slot = home(word);
+        while (table_[slot] != word)
+            slot = (slot + 1) & mask;
+        table_[slot] = emptySlot;
+    }
+
     std::sort(buffer_.begin(), buffer_.end());
-    buffer_.erase(std::unique(buffer_.begin(), buffer_.end()),
-                  buffer_.end());
 
     // Walk the sorted unique words, splitting into runs of
     // consecutive addresses.

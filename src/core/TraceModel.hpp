@@ -2,10 +2,10 @@
  * @file
  * AHH trace-parameter extraction (the paper's TraceModeler).
  *
- * The trace is divided into granules of a fixed number of references;
- * within each granule the unique word addresses are sorted so that
- * consecutive addresses form *runs*. Three basic parameters are
- * averaged over granules (section 4.2):
+ * The trace is divided into granules of a fixed number of references.
+ * Each granule keeps only the distinct word addresses it touches; at
+ * its end they are sorted so that consecutive addresses form *runs*.
+ * Three basic parameters are averaged over granules (section 4.2):
  *
  *   u(1) — unique word references per granule,
  *   p1   — fraction of unique references that are isolated
@@ -81,14 +81,43 @@ struct ComponentParams
 };
 
 /**
- * Shared granule machinery: buffers word addresses, and at each
- * granule boundary sorts them and accumulates run statistics.
+ * Shared granule machinery: keeps the distinct word addresses of the
+ * open granule, and at each granule boundary sorts them and
+ * accumulates run statistics. u(1), the runs and the isolated words
+ * depend only on which words a granule touches, so a repeated word is
+ * dropped as it arrives: a set of the granule's words (open
+ * addressing, linear probing, at most half full) answers whether it
+ * is new. The set's capacity is kept across granules.
  */
 class GranuleAccumulator
 {
   public:
-    /** Fold one word address into the current granule. */
-    void addWord(uint64_t word) { buffer_.push_back(word); }
+    GranuleAccumulator() : table_(size_t{1} << firstLog2Slots, emptySlot)
+    {
+    }
+
+    /**
+     * Fold one word address into the current granule. A word is a
+     * byte address divided by 4, so it is below 2^62.
+     */
+    void
+    addWord(uint64_t word)
+    {
+        const size_t mask = table_.size() - 1;
+        for (size_t slot = home(word);; slot = (slot + 1) & mask) {
+            if (table_[slot] == emptySlot) {
+                panicIf(word == emptySlot, "word address ", word,
+                        " is the empty-slot sentinel");
+                table_[slot] = word;
+                break;
+            }
+            if (table_[slot] == word)
+                return;
+        }
+        buffer_.push_back(word);
+        if (2 * buffer_.size() > table_.size())
+            grow();
+    }
 
     /** Close the current granule and accumulate its statistics. */
     void closeGranule();
@@ -99,11 +128,29 @@ class GranuleAccumulator
     /** Averaged parameters over all closed granules. */
     ComponentParams params() const;
 
-    /** Word addresses buffered in the open granule. */
-    size_t pendingWords() const { return buffer_.size(); }
-
   private:
+    /** Marks a free slot; no word (below 2^62) equals it. */
+    static constexpr uint64_t emptySlot = ~uint64_t{0};
+    /** log2 of the set's capacity before its first growth. */
+    static constexpr unsigned firstLog2Slots = 6;
+
+    /** First slot probed for a word (multiplicative hashing). */
+    size_t
+    home(uint64_t word) const
+    {
+        return static_cast<size_t>((word * 0x9E3779B97F4A7C15ull) >>
+                                   shift_);
+    }
+
+    /** Double the set's capacity and re-insert the open granule. */
+    void grow();
+
+    /** The open granule's distinct words, in arrival order. */
     std::vector<uint64_t> buffer_;
+    /** The same words hashed; a power-of-two number of slots. */
+    std::vector<uint64_t> table_;
+    /** 64 - log2(table_.size()). */
+    unsigned shift_ = 64 - firstLog2Slots;
     uint64_t granules_ = 0;
     double sumUnique_ = 0.0;
     double sumIsolatedFraction_ = 0.0;

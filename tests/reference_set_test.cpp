@@ -252,6 +252,24 @@ TEST(ReferenceSet, FrozenBanksMatchLiveBanks)
     }
 }
 
+TEST(ReferenceSet, CapturedAhhParametersArePinned)
+{
+    // unepic's 1111 class. Each parameter is a mean of integer counts
+    // and their ratios, so its bits do not depend on the platform's
+    // libm: a change to granule processing that moves one bit fails
+    // here.
+    auto swept = sweepClass("1111", MemorySpaces{});
+    EXPECT_EQ(swept.set.iParams,
+              (core::ComponentParams{0x1.0c4p+10, 0x0p+0,
+                                     0x1.4ec4b73dfa9c5p+5}));
+    EXPECT_EQ(swept.set.uiParams,
+              (core::ComponentParams{0x1.73cp+10, 0x0p+0,
+                                     0x1.43dfe651db15ap+5}));
+    EXPECT_EQ(swept.set.udParams,
+              (core::ComponentParams{0x1.86fp+11, 0x1.5b5cedb5a7b39p-2,
+                                     0x1.7add18f070be8p+1}));
+}
+
 TEST(ReferenceSet, DefaultSpacesHoldFourHundredEightyEightMissCounts)
 {
     // I$ 5 lines x 10 set counts x 4 ways; D$ 3 lines x 8 x 4; U$

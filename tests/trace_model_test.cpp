@@ -2,9 +2,15 @@
  * @file
  * Unit tests for the trace modelers: granule run statistics, the
  * derived parameters p2 and u(L), and the I/U modeler front ends.
+ * The accumulator keeps only each granule's distinct words; a copy of
+ * the accumulator that buffers and sorts every reference is the
+ * reference it must match bit for bit.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "core/TraceModel.hpp"
 #include "support/Logging.hpp"
@@ -25,6 +31,87 @@ trace::Access
 dataWord(uint64_t word)
 {
     return {word * 4, false, false};
+}
+
+/**
+ * The reference accumulator: buffers every word of a granule, and at
+ * the boundary sorts them all, removes duplicates and sums the run
+ * statistics in GranuleAccumulator's order.
+ */
+class SortEverythingAccumulator
+{
+  public:
+    void addWord(uint64_t word) { buffer_.push_back(word); }
+
+    void
+    closeGranule()
+    {
+        if (buffer_.empty())
+            return;
+        std::sort(buffer_.begin(), buffer_.end());
+        buffer_.erase(std::unique(buffer_.begin(), buffer_.end()),
+                      buffer_.end());
+        uint64_t unique = buffer_.size();
+        uint64_t runs = 0;
+        uint64_t isolated = 0;
+        size_t i = 0;
+        while (i < buffer_.size()) {
+            size_t j = i + 1;
+            while (j < buffer_.size() && buffer_[j] == buffer_[j - 1] + 1)
+                ++j;
+            ++runs;
+            if (j - i == 1)
+                ++isolated;
+            i = j;
+        }
+        ++granules_;
+        sumUnique_ += static_cast<double>(unique);
+        sumIsolatedFraction_ += static_cast<double>(isolated) /
+                                static_cast<double>(unique);
+        sumRunLength_ += static_cast<double>(unique) /
+                         static_cast<double>(runs);
+        buffer_.clear();
+    }
+
+    uint64_t granules() const { return granules_; }
+
+    ComponentParams
+    params() const
+    {
+        auto n = static_cast<double>(granules_);
+        return {sumUnique_ / n, sumIsolatedFraction_ / n,
+                sumRunLength_ / n};
+    }
+
+  private:
+    std::vector<uint64_t> buffer_;
+    uint64_t granules_ = 0;
+    double sumUnique_ = 0.0;
+    double sumIsolatedFraction_ = 0.0;
+    double sumRunLength_ = 0.0;
+};
+
+/**
+ * Feed the accumulator and the reference the same granules; after each
+ * granule their parameters must be equal, bit for bit.
+ */
+void
+expectMatchesReference(const std::vector<std::vector<uint64_t>> &granules)
+{
+    GranuleAccumulator acc;
+    SortEverythingAccumulator ref;
+    for (size_t g = 0; g < granules.size(); ++g) {
+        for (uint64_t w : granules[g]) {
+            acc.addWord(w);
+            ref.addWord(w);
+        }
+        acc.closeGranule();
+        ref.closeGranule();
+        ASSERT_EQ(acc.granules(), ref.granules()) << "granule " << g;
+        if (ref.granules() > 0) {
+            ASSERT_EQ(acc.params(), ref.params()) << "granule " << g;
+        }
+    }
 }
 
 TEST(GranuleAccumulator, SingleRunStatistics)
@@ -98,6 +185,136 @@ TEST(GranuleAccumulator, EmptyGranuleIgnored)
     acc.closeGranule();
     EXPECT_EQ(acc.granules(), 0u);
     EXPECT_THROW(acc.params(), PanicError);
+}
+
+TEST(GranuleAccumulator, OneRepeatedWordMatchesReference)
+{
+    expectMatchesReference({std::vector<uint64_t>(10000, 4242)});
+}
+
+TEST(GranuleAccumulator, AllDistinctWordsMatchReference)
+{
+    // Runs of one to four words, fed in descending order.
+    std::vector<uint64_t> words;
+    for (uint64_t i = 4000; i-- > 0;)
+        for (uint64_t k = i % 4 + 1; k-- > 0;)
+            words.push_back(i * 10 + k);
+    expectMatchesReference({words});
+}
+
+TEST(GranuleAccumulator, ExtremeWordsMatchReference)
+{
+    // Word 0 and the largest words an address can give (addr / 4).
+    constexpr uint64_t top = (uint64_t{1} << 62) - 1;
+    expectMatchesReference({{0, top, 1, top - 1, 0, top, 2, top - 3},
+                            {top, top, top - 2, top - 1, top},
+                            {0, 0, 0}});
+}
+
+TEST(GranuleAccumulator, SentinelWordIsRejected)
+{
+    GranuleAccumulator acc;
+    EXPECT_THROW(acc.addWord(~uint64_t{0}), PanicError);
+}
+
+TEST(GranuleAccumulator, LargeGranuleMatchesReference)
+{
+    // 120k distinct words in runs of 1-5, each seen twice in a
+    // shuffled order: the set grows from 64 slots twelve times.
+    std::vector<uint64_t> words;
+    for (uint64_t w = 0; words.size() < 120000; w += 7)
+        for (uint64_t k = 0; k <= w % 5; ++k)
+            words.push_back(w + k);
+    words.insert(words.end(), words.begin(), words.end());
+    Rng rng(11);
+    for (size_t i = words.size() - 1; i > 0; --i)
+        std::swap(words[i], words[rng.below(i + 1)]);
+    expectMatchesReference({words});
+}
+
+TEST(GranuleAccumulator, ClearedSetHoldsNoStaleWords)
+{
+    // A large granule grows the set; the small ones after it reuse the
+    // cleared slots and revisit words an earlier granule held.
+    std::vector<std::vector<uint64_t>> granules;
+    std::vector<uint64_t> first;
+    for (uint64_t w = 0; w < 5000; ++w)
+        first.push_back(w * 2);
+    granules.push_back(first);
+    for (uint64_t g = 0; g < 60; ++g) {
+        std::vector<uint64_t> words;
+        for (uint64_t w = 0; w < 300; ++w)
+            words.push_back((g * 37 + w * (1 + g % 3)) % 4000);
+        granules.push_back(words);
+    }
+    expectMatchesReference(granules);
+}
+
+TEST(GranuleAccumulator, RepetitiveRandomStreamMatchesReference)
+{
+    // Hot words repeat within and across granules; cold words are
+    // scattered over a wide range.
+    Rng rng(29);
+    std::vector<std::vector<uint64_t>> granules(200);
+    for (auto &words : granules) {
+        uint64_t base = rng.below(1 << 12);
+        for (int r = 0; r < 2000; ++r) {
+            if (rng.coin(0.8))
+                words.push_back(base + rng.below(64));
+            else
+                words.push_back(rng.below(uint64_t{1} << 40));
+        }
+    }
+    expectMatchesReference(granules);
+}
+
+TEST(TraceModel, ModelersMatchReference)
+{
+    // One seeded stream: instruction fetches run through basic blocks
+    // with jumps back into a loop body; data references mix strided
+    // array walks, a hot table and scattered words.
+    constexpr uint64_t iGranule = 1000, uGranule = 5000;
+    ItraceModeler imod(iGranule);
+    UtraceModeler umod(uGranule);
+    SortEverythingAccumulator iRef, uiRef, udRef;
+    uint64_t iRefs = 0, uRefs = 0;
+    Rng rng(47);
+    uint64_t pc = 0x10000, stride_addr = 0x800000;
+    for (int n = 0; n < 120000; ++n) {
+        trace::Access a;
+        if (rng.coin(0.7)) {
+            pc = rng.coin(0.1) ? 0x10000 + rng.below(1 << 14) * 4 : pc + 4;
+            a = {pc, true, false};
+        } else if (rng.coin(0.5)) {
+            stride_addr += 4 * (1 + rng.below(3));
+            a = {stride_addr, false, rng.coin(0.3)};
+        } else if (rng.coin(0.7)) {
+            a = {0x400000 + rng.below(256) * 4, false, false};
+        } else {
+            a = {rng.below(uint64_t{1} << 32) & ~uint64_t{3}, false, true};
+        }
+        imod.access(a);
+        umod.access(a);
+        if (a.isInstr) {
+            iRef.addWord(a.addr / 4);
+            if (++iRefs % iGranule == 0)
+                iRef.closeGranule();
+            uiRef.addWord(a.addr / 4);
+        } else {
+            udRef.addWord(a.addr / 4);
+        }
+        if (++uRefs % uGranule == 0) {
+            uiRef.closeGranule();
+            udRef.closeGranule();
+        }
+    }
+    ASSERT_EQ(imod.granules(), iRef.granules());
+    ASSERT_EQ(umod.granules(), uiRef.granules());
+    ASSERT_GT(imod.granules(), 50u);
+    ASSERT_GT(umod.granules(), 20u);
+    EXPECT_EQ(imod.params(), iRef.params());
+    EXPECT_EQ(umod.instrParams(), uiRef.params());
+    EXPECT_EQ(umod.dataParams(), udRef.params());
 }
 
 TEST(ComponentParams, P2Definition)
