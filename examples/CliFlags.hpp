@@ -2,7 +2,10 @@
  * @file
  * Flag parsing shared by the example tools: every flag takes both
  * `--flag value` and `--flag=value`, list values are comma-separated,
- * and a numeric value must parse whole.
+ * and a numeric value must parse whole. A tool reads its numeric
+ * flags with numberFlag() and answers the InvalidValue it throws with
+ * rejectValue(): one line naming the flag and the value, the usage
+ * line, and exit code 2, before any work.
  */
 
 #ifndef PICO_EXAMPLES_CLI_FLAGS_HPP
@@ -10,9 +13,11 @@
 
 #include <charconv>
 #include <cmath>
+#include <iostream>
 #include <optional>
 #include <string>
 #include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace pico::cli
@@ -81,6 +86,50 @@ parseNumber(const std::string &text)
         value < 0.0)
         return std::nullopt;
     return value;
+}
+
+/** A numeric flag value that does not parse or is below its floor. */
+struct InvalidValue
+{
+    std::string flag;
+    std::string value;
+};
+
+/**
+ * Match `flag` as flagValue() does and read its value whole into
+ * `out`: an unsigned integer type through parseUnsigned, double
+ * through parseNumber.
+ * @throws InvalidValue when the value does not parse or is below
+ *         `least`
+ */
+template <typename T>
+bool
+numberFlag(int argc, char **argv, int &i, const std::string &flag,
+           T &out, std::type_identity_t<T> least = T{})
+{
+    std::string value;
+    if (!flagValue(argc, argv, i, flag, value))
+        return false;
+    std::optional<T> parsed;
+    if constexpr (std::is_floating_point_v<T>)
+        parsed = parseNumber(value);
+    else
+        parsed = parseUnsigned<T>(value);
+    if (!parsed || *parsed < least)
+        throw InvalidValue{flag, value};
+    out = *parsed;
+    return true;
+}
+
+/** Report an invalid flag value and the usage line; returns the
+ *  exit code, 2. */
+inline int
+rejectValue(const InvalidValue &bad, const char *usage)
+{
+    std::cerr << "invalid value for " << bad.flag << ": " << bad.value
+              << "\n"
+              << usage;
+    return 2;
 }
 
 } // namespace pico::cli

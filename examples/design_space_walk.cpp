@@ -65,8 +65,7 @@
 
 using namespace pico;
 using cli::flagValue;
-using cli::parseNumber;
-using cli::parseUnsigned;
+using cli::numberFlag;
 using cli::splitList;
 
 namespace
@@ -77,15 +76,6 @@ const char *const usage =
     "[--metrics-out FILE] [--trace-out FILE] [--cache FILE] "
     "[--timeout-ms N] [--replacement LIST] [--write LIST] "
     "[--write-cost N]\n";
-
-/** Report a flag value that does not parse; returns the exit code. */
-int
-invalidValue(const char *flag, const std::string &value)
-{
-    std::cerr << "invalid value for " << flag << ": " << value << "\n"
-              << usage;
-    return 2;
-}
 
 } // namespace
 
@@ -105,16 +95,10 @@ main(int argc, char **argv)
     // printed the one-line reason.
     try {
         for (int i = 1; i < argc; ++i) {
-            if (flagValue(argc, argv, i, "--jobs", value)) {
-                auto parsed = parseUnsigned<unsigned>(value);
-                if (!parsed)
-                    return invalidValue("--jobs", value);
-                jobs = *parsed;
-            } else if (flagValue(argc, argv, i, "--timeout-ms", value)) {
-                auto parsed = parseUnsigned<uint64_t>(value);
-                if (!parsed)
-                    return invalidValue("--timeout-ms", value);
-                timeout_ms = *parsed;
+            if (numberFlag(argc, argv, i, "--jobs", jobs) ||
+                numberFlag(argc, argv, i, "--timeout-ms", timeout_ms) ||
+                numberFlag(argc, argv, i, "--write-cost", write_cost)) {
+                // value read by numberFlag
             } else if (flagValue(argc, argv, i, "--replacement",
                                  value)) {
                 for (const auto &item : splitList(value))
@@ -123,11 +107,6 @@ main(int argc, char **argv)
                 for (const auto &item : splitList(value))
                     write_policies.push_back(
                         cache::parseWritePolicy(item));
-            } else if (flagValue(argc, argv, i, "--write-cost", value)) {
-                auto parsed = parseNumber(value);
-                if (!parsed)
-                    return invalidValue("--write-cost", value);
-                write_cost = *parsed;
             } else if (std::string(argv[i]) == "--verify") {
                 verify = 1;
             } else if (std::string(argv[i]).rfind("--verify=", 0) == 0) {
@@ -149,6 +128,8 @@ main(int argc, char **argv)
             }
         }
         spec = workloads::specByName(app_name);
+    } catch (const cli::InvalidValue &bad) {
+        return cli::rejectValue(bad, usage);
     } catch (const FatalError &) {
         return 2;
     }

@@ -20,7 +20,6 @@
  * Exit codes: 0 = verb answered ok; 1 = non-ok response; 2 = usage.
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -30,27 +29,39 @@
 
 using namespace pico;
 using cli::flagValue;
+using cli::numberFlag;
+
+namespace
+{
+
+const char *const usage = "usage: picoeval_ctl --socket PATH "
+                          "ping|stats|health|dump-trace "
+                          "[--request-id N]\n";
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string socket_path, verb, value;
+    std::string socket_path, verb;
     uint64_t request_id = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (flagValue(argc, argv, i, "--socket", socket_path)) {
-        } else if (flagValue(argc, argv, i, "--request-id", value)) {
-            request_id = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (argv[i][0] != '-' && verb.empty()) {
-            verb = argv[i];
-        } else {
-            std::cerr << "unknown argument: " << argv[i] << "\n";
-            return 2;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            if (flagValue(argc, argv, i, "--socket", socket_path) ||
+                numberFlag(argc, argv, i, "--request-id", request_id)) {
+                // value read by flagValue or numberFlag
+            } else if (argv[i][0] != '-' && verb.empty()) {
+                verb = argv[i];
+            } else {
+                std::cerr << "unknown argument: " << argv[i] << "\n";
+                return 2;
+            }
         }
+    } catch (const cli::InvalidValue &bad) {
+        return cli::rejectValue(bad, usage);
     }
     if (socket_path.empty() || verb.empty()) {
-        std::cerr << "usage: picoeval_ctl --socket PATH "
-                     "ping|stats|health|dump-trace "
-                     "[--request-id N]\n";
+        std::cerr << usage;
         return 2;
     }
 

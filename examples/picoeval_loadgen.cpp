@@ -11,8 +11,8 @@
  *            [--max-attempts N] [--seed N] [--stats-interval MS]
  *            [--json-out FILE]
  *
- *   --clients N      concurrent client threads (default 4)
- *   --requests N     requests per client (default 25)
+ *   --clients N      concurrent client threads, >= 1 (default 4)
+ *   --requests N     requests per client, >= 1 (default 25)
  *   --apps LIST      app pool (default rasta,epic)
  *   --machines LIST  machine pool; each request draws one machine
  *                    (default 1111,2111,2211,3221)
@@ -23,7 +23,7 @@
  *   --trace-blocks N per-request walk budget (default 2000)
  *   --think-ms N     think time between a client's requests
  *                    (default 0 = closed loop)
- *   --max-attempts N retry budget per request (default 8)
+ *   --max-attempts N attempts per request, >= 1 (default 8)
  *   --seed N         experiment seed; retry jitter and request
  *                    draws are reproducible from it (default 1)
  *   --stats-interval MS  sample the server's stats and health verbs
@@ -45,7 +45,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -61,10 +60,18 @@
 
 using namespace pico;
 using cli::flagValue;
+using cli::numberFlag;
 using cli::splitList;
 
 namespace
 {
+
+const char *const usage =
+    "usage: picoeval_loadgen --socket PATH [--clients N] [--requests N] "
+    "[--apps a,b,...] [--machines m1,m2,...] [--zipf S] "
+    "[--deadline-ms N] [--trace-blocks N] [--think-ms N] "
+    "[--max-attempts N] [--seed N] [--stats-interval MS] "
+    "[--json-out FILE]\n";
 
 /** Per-client tally, merged after the join. */
 struct ClientTally
@@ -111,47 +118,43 @@ main(int argc, char **argv)
     std::string socket_path, value;
     uint64_t clients = 4, requests = 25, deadline_ms = 0;
     uint64_t trace_blocks = 2000, think_ms = 0, seed = 1;
-    uint64_t max_attempts = 8, stats_interval_ms = 0;
+    uint64_t stats_interval_ms = 0;
+    uint32_t max_attempts = 8;
     double zipf_s = 1.8;
     std::vector<std::string> apps = {"rasta", "epic"};
     std::vector<std::string> machines = {"1111", "2111", "2211",
                                          "3221"};
-    for (int i = 1; i < argc; ++i) {
-        if (flagValue(argc, argv, i, "--socket", socket_path)) {
-        } else if (flagValue(argc, argv, i, "--clients", value)) {
-            clients = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flagValue(argc, argv, i, "--requests", value)) {
-            requests = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flagValue(argc, argv, i, "--apps", value)) {
-            apps = splitList(value);
-        } else if (flagValue(argc, argv, i, "--machines", value)) {
-            machines = splitList(value);
-        } else if (flagValue(argc, argv, i, "--zipf", value)) {
-            zipf_s = std::strtod(value.c_str(), nullptr);
-        } else if (flagValue(argc, argv, i, "--deadline-ms", value)) {
-            deadline_ms = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flagValue(argc, argv, i, "--trace-blocks",
-                             value)) {
-            trace_blocks = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flagValue(argc, argv, i, "--think-ms", value)) {
-            think_ms = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flagValue(argc, argv, i, "--max-attempts",
-                             value)) {
-            max_attempts = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flagValue(argc, argv, i, "--seed", value)) {
-            seed = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flagValue(argc, argv, i, "--stats-interval",
-                             value)) {
-            stats_interval_ms =
-                std::strtoull(value.c_str(), nullptr, 10);
-        } else {
-            std::cerr << "unknown argument: " << argv[i] << "\n";
-            return 2;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            if (flagValue(argc, argv, i, "--socket", socket_path) ||
+                numberFlag(argc, argv, i, "--clients", clients, 1) ||
+                numberFlag(argc, argv, i, "--requests", requests, 1) ||
+                numberFlag(argc, argv, i, "--zipf", zipf_s) ||
+                numberFlag(argc, argv, i, "--deadline-ms",
+                           deadline_ms) ||
+                numberFlag(argc, argv, i, "--trace-blocks",
+                           trace_blocks) ||
+                numberFlag(argc, argv, i, "--think-ms", think_ms) ||
+                numberFlag(argc, argv, i, "--max-attempts",
+                           max_attempts, 1) ||
+                numberFlag(argc, argv, i, "--seed", seed) ||
+                numberFlag(argc, argv, i, "--stats-interval",
+                           stats_interval_ms)) {
+                // value read by flagValue or numberFlag
+            } else if (flagValue(argc, argv, i, "--apps", value)) {
+                apps = splitList(value);
+            } else if (flagValue(argc, argv, i, "--machines", value)) {
+                machines = splitList(value);
+            } else {
+                std::cerr << "unknown argument: " << argv[i] << "\n";
+                return 2;
+            }
         }
+    } catch (const cli::InvalidValue &bad) {
+        return cli::rejectValue(bad, usage);
     }
-    if (socket_path.empty() || apps.empty() || machines.empty() ||
-        clients == 0 || requests == 0) {
-        std::cerr << "usage: picoeval_loadgen --socket PATH [...]\n";
+    if (socket_path.empty() || apps.empty() || machines.empty()) {
+        std::cerr << usage;
         return 2;
     }
 
@@ -223,8 +226,7 @@ main(int argc, char **argv)
             copts.socketPath = socket_path;
             copts.seed = seed;
             copts.stream = c;
-            copts.maxAttempts =
-                static_cast<uint32_t>(max_attempts);
+            copts.maxAttempts = max_attempts;
             server::Client client(copts);
             // Separate stream for the workload draw so adding
             // retries never perturbs which requests are issued.

@@ -13,10 +13,10 @@
  *        picoeval_server --verify-cache FILE
  *
  *   --socket PATH      Unix socket to listen on (required to serve)
- *   --workers N        evaluation worker threads (default 2)
+ *   --workers N        evaluation worker threads, >= 1 (default 2)
  *   --cache FILE       persistent evaluation-cache database
- *   --watermark N      admission queue bound: requests that find
- *                      the queue this deep are shed (default 48)
+ *   --watermark N      admission queue bound, >= 1: requests that
+ *                      find the queue this deep are shed (default 48)
  *   --default-deadline-ms N  deadline applied to requests that
  *                      carry none (default 0 = none)
  *   --drain-ms N       graceful-drain deadline on SIGTERM/SIGINT
@@ -45,7 +45,6 @@
  */
 
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -69,9 +68,16 @@
 
 using namespace pico;
 using cli::flagValue;
+using cli::numberFlag;
 
 namespace
 {
+
+const char *const usage =
+    "usage: picoeval_server --socket PATH [--workers N] [--cache FILE] "
+    "[--watermark N] [--default-deadline-ms N] [--drain-ms N] "
+    "[--chaos] [--metrics-out FILE] [--trace-out FILE] "
+    "[--flight-out FILE] | --verify-cache FILE\n";
 
 volatile std::sig_atomic_t g_signal = 0;
 volatile std::sig_atomic_t g_dump = 0;
@@ -103,12 +109,6 @@ fatalFlightDump(const char *, const std::string &)
     if (!g_flight_path.empty())
         support::FlightRecorder::instance().dumpToFile(
             g_flight_path);
-}
-
-uint64_t
-toU64(const std::string &s)
-{
-    return std::strtoull(s.c_str(), nullptr, 10);
 }
 
 /**
@@ -161,31 +161,31 @@ main(int argc, char **argv)
     server::ServiceOptions opts;
     uint64_t drain_ms = 10000;
     bool chaos = false;
-    std::string value;
-    for (int i = 1; i < argc; ++i) {
-        if (flagValue(argc, argv, i, "--socket", socket_path) ||
-            flagValue(argc, argv, i, "--cache", cache_path) ||
-            flagValue(argc, argv, i, "--metrics-out", metrics_out) ||
-            flagValue(argc, argv, i, "--trace-out", trace_out) ||
-            flagValue(argc, argv, i, "--flight-out", flight_out) ||
-            flagValue(argc, argv, i, "--verify-cache",
-                      verify_path)) {
-            // value captured by flagValue
-        } else if (flagValue(argc, argv, i, "--workers", value)) {
-            opts.workers = static_cast<unsigned>(toU64(value));
-        } else if (flagValue(argc, argv, i, "--watermark", value)) {
-            opts.queueWatermark = toU64(value);
-        } else if (flagValue(argc, argv, i, "--default-deadline-ms",
-                             value)) {
-            opts.defaultDeadlineMs = toU64(value);
-        } else if (flagValue(argc, argv, i, "--drain-ms", value)) {
-            drain_ms = toU64(value);
-        } else if (std::string(argv[i]) == "--chaos") {
-            chaos = true;
-        } else {
-            std::cerr << "unknown argument: " << argv[i] << "\n";
-            return 2;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            if (flagValue(argc, argv, i, "--socket", socket_path) ||
+                flagValue(argc, argv, i, "--cache", cache_path) ||
+                flagValue(argc, argv, i, "--metrics-out", metrics_out) ||
+                flagValue(argc, argv, i, "--trace-out", trace_out) ||
+                flagValue(argc, argv, i, "--flight-out", flight_out) ||
+                flagValue(argc, argv, i, "--verify-cache",
+                          verify_path) ||
+                numberFlag(argc, argv, i, "--workers", opts.workers, 1) ||
+                numberFlag(argc, argv, i, "--watermark",
+                           opts.queueWatermark, 1) ||
+                numberFlag(argc, argv, i, "--default-deadline-ms",
+                           opts.defaultDeadlineMs) ||
+                numberFlag(argc, argv, i, "--drain-ms", drain_ms)) {
+                // value read by flagValue or numberFlag
+            } else if (std::string(argv[i]) == "--chaos") {
+                chaos = true;
+            } else {
+                std::cerr << "unknown argument: " << argv[i] << "\n";
+                return 2;
+            }
         }
+    } catch (const cli::InvalidValue &bad) {
+        return cli::rejectValue(bad, usage);
     }
 
     // Standalone audit mode: is a cache database internally
@@ -204,8 +204,7 @@ main(int argc, char **argv)
     }
 
     if (socket_path.empty()) {
-        std::cerr << "usage: picoeval_server --socket PATH [...] | "
-                     "--verify-cache FILE\n";
+        std::cerr << usage;
         return 2;
     }
 

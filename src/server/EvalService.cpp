@@ -23,9 +23,13 @@ namespace
 
 using support::FlightRecorder;
 
-/** Stats-key spelling of each Verb bucket. */
-constexpr const char *verbKeyNames[] = {"eval", "stats", "health",
-                                        "dump_trace", "ping"};
+/** Upper bound on a request's traceBlocks: the wire carries any
+ *  value, and the walk's cost grows with it. */
+constexpr uint64_t maxTraceBlocks = 60000;
+/** Retry-after hint attached to a watermark shed (ms). */
+constexpr uint64_t shedRetryAfterMs = 25;
+/** Completed responses the memo keeps for idempotent retries. */
+constexpr size_t memoCapacity = 1024;
 
 /** Split a comma-separated machine list ("" items dropped). */
 std::vector<std::string>
@@ -86,36 +90,21 @@ EvalService::failures() const
 Response
 EvalService::call(const Request &req)
 {
-    uint64_t start_ns = support::monotonicNowNs();
+    if (req.type == "eval")
+        return evalCall(req);
+    if (req.type == "health")
+        return healthResponse();
+    if (req.type == "dump-trace")
+        return dumpTraceResponse(req);
+    Response resp;
     if (req.type == "ping") {
-        Response resp;
         resp.values["draining"] = draining() ? 1.0 : 0.0;
-        recordVerb(VerbPing, start_ns);
-        return resp;
-    }
-    if (req.type == "stats") {
-        Response resp = statsResponse();
-        recordVerb(VerbStats, start_ns);
-        return resp;
-    }
-    if (req.type == "health") {
-        Response resp = healthResponse();
-        recordVerb(VerbHealth, start_ns);
-        return resp;
-    }
-    if (req.type == "dump-trace") {
-        Response resp = dumpTraceResponse(req);
-        recordVerb(VerbDumpTrace, start_ns);
-        return resp;
-    }
-    if (req.type != "eval") {
-        Response resp;
+    } else if (req.type == "stats") {
+        resp.values = statsValues();
+    } else {
         resp.status = Status::BadRequest;
         resp.error = "unknown request type: " + req.type;
-        return resp;
     }
-    Response resp = evalCall(req);
-    recordVerb(VerbEval, start_ns);
     return resp;
 }
 
@@ -155,8 +144,7 @@ EvalService::evalCall(const Request &req)
     // execute span parented under this thread's request span.
     task->ctx = span.context();
     task->req.traceBlocks = std::min(
-        std::max<uint64_t>(task->req.traceBlocks, 1),
-        options_.maxTraceBlocks);
+        std::max<uint64_t>(task->req.traceBlocks, 1), maxTraceBlocks);
 
     // Register before pushing: once the task is in the queue a
     // worker may already be executing it, and a drain must be able
@@ -182,14 +170,13 @@ EvalService::evalCall(const Request &req)
         break;
     case support::QueuePush::AtWatermark: {
         shed_.fetch_add(1, std::memory_order_relaxed);
-        PICO_METRIC_COUNT("server.shed", 1);
         FlightRecorder::instance().record(
             FlightRecorder::EventKind::Shed, rid,
             "queue at watermark");
         Response resp;
         resp.status = Status::Shed;
         resp.error = "queue at watermark";
-        resp.retryAfterMs = options_.retryAfterMs;
+        resp.retryAfterMs = shedRetryAfterMs;
         resp.values["request.id"] = static_cast<double>(rid);
         return resp;
     }
@@ -383,14 +370,6 @@ EvalService::execute(Task &task)
 }
 
 Response
-EvalService::statsResponse() const
-{
-    Response resp;
-    resp.values = statsValues();
-    return resp;
-}
-
-Response
 EvalService::healthResponse() const
 {
     Response resp;
@@ -442,16 +421,6 @@ EvalService::dumpTraceResponse(const Request &req) const
     return resp;
 }
 
-void
-EvalService::recordVerb(size_t verb, uint64_t start_ns) const
-{
-    uint64_t ns = support::monotonicNowNs() - start_ns;
-    VerbLatency &vl = verbLatency_[verb];
-    support::MutexLock lock(vl.latencyMutex);
-    vl.ns[vl.count % VerbLatency::ringSize] = ns;
-    ++vl.count;
-}
-
 std::map<std::string, double>
 EvalService::statsValues() const
 {
@@ -485,28 +454,6 @@ EvalService::statsValues() const
     v["cache.stores"] = static_cast<double>(cs.stores);
     v["cache.saves"] = static_cast<double>(cs.saves);
     v["cache.size"] = static_cast<double>(cache_.size());
-    for (size_t verb = 0; verb < VerbCount; ++verb) {
-        const VerbLatency &vl = verbLatency_[verb];
-        std::string prefix =
-            std::string("verb.") + verbKeyNames[verb];
-        uint64_t count;
-        std::vector<uint64_t> window;
-        {
-            support::MutexLock lock(vl.latencyMutex);
-            count = vl.count;
-            size_t held = static_cast<size_t>(
-                std::min<uint64_t>(count, VerbLatency::ringSize));
-            window.assign(vl.ns.begin(), vl.ns.begin() + held);
-        }
-        v[prefix + ".count"] = static_cast<double>(count);
-        if (!window.empty()) {
-            std::sort(window.begin(), window.end());
-            v[prefix + ".p50_ns"] = static_cast<double>(
-                window[(window.size() - 1) * 50 / 100]);
-            v[prefix + ".p99_ns"] = static_cast<double>(
-                window[(window.size() - 1) * 99 / 100]);
-        }
-    }
     v["flight.recorded"] =
         static_cast<double>(FlightRecorder::instance().recorded());
     v["trace.dropped"] = static_cast<double>(
@@ -518,7 +465,7 @@ void
 EvalService::memoize(const std::string &key, const Response &resp)
 {
     support::MutexLock lock(memoMutex_);
-    if (memo_.size() >= options_.memoCapacity &&
+    if (memo_.size() >= memoCapacity &&
         memo_.count(key) == 0)
         return; // full: plain retries still hit the eval cache
     memo_[key] = resp;

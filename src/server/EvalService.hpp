@@ -47,12 +47,16 @@
  *    execute span under the admit span, so one request renders as a
  *    single connected tree across threads in the exported trace;
  *
+ *  - request latency is recorded once, by the request and execute
+ *    spans: with metrics on they feed the `server.request.ns` and
+ *    `server.execute.ns` histograms, with tracing on the exported
+ *    trace and dump-trace;
+ *
  *  - introspection verbs bypass admission (an overloaded server must
- *    stay observable): "stats" reports every counter plus rolling
- *    per-verb latency quantiles, "health" reports drain state,
- *    watermark occupancy and the last recorded fault, "dump-trace"
- *    drains one request's span tree as JSON (Request::requestId
- *    names it);
+ *    stay observable): "stats" reports the lifecycle, queue and cache
+ *    counters, "health" reports drain state, watermark occupancy and
+ *    the last recorded fault, "dump-trace" drains one request's span
+ *    tree as JSON (Request::requestId names it);
  *
  *  - every lifecycle transition (admit/shed/start/deadline/fault/
  *    finish/drain) is also recorded in the always-on FlightRecorder,
@@ -63,7 +67,6 @@
 #ifndef PICO_SERVER_EVAL_SERVICE_HPP
 #define PICO_SERVER_EVAL_SERVICE_HPP
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <map>
@@ -96,14 +99,8 @@ struct ServiceOptions
     size_t queueWatermark = 48;
     /** Deadline applied when a request carries none (0 = none). */
     uint64_t defaultDeadlineMs = 0;
-    /** Upper bound on a request's traceBlocks (cost ceiling). */
-    uint64_t maxTraceBlocks = 60000;
-    /** Retry-after hint attached to shed responses (ms). */
-    uint64_t retryAfterMs = 25;
     /** Drain deadline used by the destructor (ms). */
     uint64_t drainDeadlineMs = 10000;
-    /** Completed-response memo capacity (idempotent retries). */
-    size_t memoCapacity = 1024;
     /** Sleep injected when the chaos site `EvalService::execute:slow`
      *  fires (ms). */
     uint64_t chaosSlowMs = 25;
@@ -179,29 +176,6 @@ class EvalService
     };
     using TaskPtr = std::shared_ptr<Task>;
 
-    /** Latency buckets: one rolling ring per protocol verb. */
-    enum Verb : size_t
-    {
-        VerbEval = 0,
-        VerbStats,
-        VerbHealth,
-        VerbDumpTrace,
-        VerbPing,
-        VerbCount,
-    };
-
-    /** Rolling latency samples of one verb; quantiles computed at
-     *  read time from whatever the ring currently holds. */
-    struct VerbLatency
-    {
-        static constexpr size_t ringSize = 512;
-        mutable support::Mutex latencyMutex{
-            "evalservice.verblatency", support::rank::kVerbLatency};
-        std::array<uint64_t, ringSize> ns
-            PICO_GUARDED_BY(latencyMutex){};
-        uint64_t count PICO_GUARDED_BY(latencyMutex) = 0;
-    };
-
     void workerLoop();
     /** Run one task's evaluation; fills the response. */
     Response execute(Task &task);
@@ -212,11 +186,8 @@ class EvalService
     programFor(const std::string &app);
     /** The admission/wait path of one eval request. */
     Response evalCall(const Request &req);
-    Response statsResponse() const;
     Response healthResponse() const;
     Response dumpTraceResponse(const Request &req) const;
-    /** Record one verb sample: now minus `start_ns`. */
-    void recordVerb(size_t verb, uint64_t start_ns) const;
     void memoize(const std::string &key, const Response &resp);
     bool memoLookup(const std::string &key, Response &resp) const;
     /** Cancel the token of every live (queued or running) task. */
@@ -263,9 +234,6 @@ class EvalService
                                support::rank::kEvalServiceDrain};
     bool drained_ PICO_GUARDED_BY(drainMutex_) = false;
     bool drainVerdict_ PICO_GUARDED_BY(drainMutex_) = true;
-
-    /** Per-verb latency rings (mutable: reads also sample). */
-    mutable std::array<VerbLatency, VerbCount> verbLatency_;
 
     std::atomic<bool> draining_{false};
     /** Eval requests received (memo hits and sheds included). */

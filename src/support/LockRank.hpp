@@ -73,7 +73,6 @@ constexpr int kEvalServiceMemo = 310;
 constexpr int kEvalServiceLive = 320;
 constexpr int kEvalServiceFailures = 330;
 constexpr int kEvalServiceExit = 340;
-constexpr int kVerbLatency = 350;
 
 // --- middle: queues and pool ------------------------------------------
 constexpr int kBoundedQueue = 400;

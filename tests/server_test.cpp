@@ -632,30 +632,34 @@ TEST(EvalService, DrainAnswersEveryWaiterAndIsIdempotent)
 // Introspection verbs: stats, health, dump-trace
 // ---------------------------------------------------------------
 
-TEST(Introspection, StatsReportsPerVerbLatencies)
+TEST(Introspection, RequestLatencyIsRecordedOnlyByTheSpans)
 {
+    // Request latency has one accounting: the server.request and
+    // server.execute spans' histograms. A memo hit is a request that
+    // executes nothing; the inline verbs are not requests at all, and
+    // stats carries counters only.
+    support::setMetricsEnabled(true);
+    support::metrics().resetValues();
     EvalService service(fastOptions());
     ASSERT_EQ(service.call(smallEval()).status, Status::Ok);
-    Request ping;
-    ping.type = "ping";
-    service.call(ping);
+    ASSERT_EQ(service.call(smallEval()).status, Status::Ok);
+    Response stats;
+    for (const char *type : {"ping", "stats", "health"}) {
+        Request req;
+        req.type = type;
+        Response resp = service.call(req);
+        ASSERT_EQ(resp.status, Status::Ok) << type;
+        if (req.type == "stats")
+            stats = resp;
+    }
+    auto histograms = support::metrics().snapshot().histograms;
+    support::setMetricsEnabled(false);
 
-    Request stats;
-    stats.type = "stats";
-    // A verb's latency is recorded after its response is built, so
-    // the first stats response cannot include its own sample...
-    Response first = service.call(stats);
-    ASSERT_EQ(first.status, Status::Ok);
-    EXPECT_DOUBLE_EQ(first.values["verb.stats.count"], 0.0);
-    EXPECT_DOUBLE_EQ(first.values["verb.eval.count"], 1.0);
-    EXPECT_DOUBLE_EQ(first.values["verb.ping.count"], 1.0);
-    EXPECT_GT(first.values["verb.eval.p50_ns"], 0.0);
-    EXPECT_GE(first.values["verb.eval.p99_ns"],
-              first.values["verb.eval.p50_ns"]);
-    // ...but the second one sees the first.
-    Response second = service.call(stats);
-    EXPECT_DOUBLE_EQ(second.values["verb.stats.count"], 1.0);
-    EXPECT_GT(second.values["verb.stats.p50_ns"], 0.0);
+    EXPECT_EQ(histograms["server.request.ns"].count, 2u);
+    EXPECT_EQ(histograms["server.execute.ns"].count, 1u);
+    EXPECT_DOUBLE_EQ(stats.values["memo_hits"], 1.0);
+    for (const auto &[key, value] : stats.values)
+        EXPECT_NE(key.rfind("verb.", 0), 0u) << key;
 }
 
 TEST(Introspection, HealthReportsOccupancyAndLastFault)
