@@ -22,8 +22,9 @@
  *            from the completed work instead of redoing it.
  *   --verify run the static verification passes (src/verify) at the
  *            walk's phase boundaries and print the findings;
- *            --verify=0 forces them off even in Debug builds. The
- *            walk's results are bit-identical either way.
+ *            --verify=0 forces them off even in Debug builds, and
+ *            any value but 0 or 1 is rejected. The walk's results
+ *            are bit-identical either way.
  *   --metrics-out FILE  enable the metrics registry and write a
  *            machine-readable run report (JSON) after the walk
  *   --trace-out FILE    record spans and write a Chrome trace-event
@@ -112,7 +113,10 @@ main(int argc, char **argv)
             } else if (std::string(argv[i]).rfind("--verify=", 0) == 0) {
                 // `=value` form only: a bare `--verify` must not eat
                 // the app-name argument.
-                verify = std::string(argv[i]).substr(9) == "0" ? 0 : 1;
+                value = std::string(argv[i]).substr(9);
+                if (value != "0" && value != "1")
+                    throw cli::InvalidValue{"--verify", value};
+                verify = value == "1";
             } else if (flagValue(argc, argv, i, "--metrics-out",
                                  metrics_out) ||
                        flagValue(argc, argv, i, "--trace-out",

@@ -38,9 +38,13 @@
  * every attempt that reached the server must be accounted for as
  * exactly one of memo-hit/shed/completed/deadline/failed.
  *
+ * A request whose every attempt failed on the wire never reached the
+ * server: it is counted as unreached, not shed, and fails the run.
+ *
  * Exit codes: 0 = every request reached a terminal answer; 1 =
- * protocol violation (bad_request/undecodable), lost requests,
- * non-monotonic mid-run stats, or a reconciliation failure.
+ * protocol violation (bad_request/undecodable), lost or unreached
+ * requests, non-monotonic mid-run stats, or a reconciliation failure
+ * (including a final stats call that got no answer).
  */
 
 #include <algorithm>
@@ -82,6 +86,8 @@ struct ClientTally
     uint64_t deadline = 0;
     uint64_t failed = 0;
     uint64_t badRequest = 0;
+    /** Requests whose every attempt failed on the wire. */
+    uint64_t unreached = 0;
     uint64_t retries = 0;
     uint64_t retriesShed = 0;
     uint64_t retriesTransport = 0;
@@ -240,29 +246,42 @@ main(int argc, char **argv)
                 req.machines = entry.machine;
                 req.traceBlocks = trace_blocks;
                 req.deadlineMs = deadline_ms;
+                const uint64_t retries_before = client.retries();
+                const uint64_t failures_before =
+                    client.transportFailures();
                 uint64_t t0 = support::monotonicNowNs();
                 server::Response resp = client.call(req);
                 double ms =
                     static_cast<double>(support::monotonicNowNs() -
                                         t0) /
                     1e6;
-                switch (resp.status) {
-                case server::Status::Ok:
-                    ++tally.ok;
-                    tally.okLatencyMs.push_back(ms);
-                    break;
-                case server::Status::Shed:
-                    ++tally.shed;
-                    break;
-                case server::Status::DeadlineExceeded:
-                    ++tally.deadline;
-                    break;
-                case server::Status::Failed:
-                    ++tally.failed;
-                    break;
-                case server::Status::BadRequest:
-                    ++tally.badRequest;
-                    break;
+                // The client reports an exhausted budget as Shed even
+                // when no attempt reached the server; its counters
+                // tell the two apart.
+                const uint64_t call_attempts =
+                    client.retries() - retries_before + 1;
+                if (client.transportFailures() - failures_before ==
+                    call_attempts) {
+                    ++tally.unreached;
+                } else {
+                    switch (resp.status) {
+                    case server::Status::Ok:
+                        ++tally.ok;
+                        tally.okLatencyMs.push_back(ms);
+                        break;
+                    case server::Status::Shed:
+                        ++tally.shed;
+                        break;
+                    case server::Status::DeadlineExceeded:
+                        ++tally.deadline;
+                        break;
+                    case server::Status::Failed:
+                        ++tally.failed;
+                        break;
+                    case server::Status::BadRequest:
+                        ++tally.badRequest;
+                        break;
+                    }
                 }
                 if (think_ms != 0)
                     support::sleepForMs(think_ms);
@@ -291,6 +310,7 @@ main(int argc, char **argv)
         sum.deadline += t.deadline;
         sum.failed += t.failed;
         sum.badRequest += t.badRequest;
+        sum.unreached += t.unreached;
         sum.retries += t.retries;
         sum.retriesShed += t.retriesShed;
         sum.retriesTransport += t.retriesTransport;
@@ -350,7 +370,9 @@ main(int argc, char **argv)
                           << " request(s), loadgen sent "
                           << wire_attempts << "\n";
         } else {
-            std::cerr << "warning: stats request failed ("
+            // No answer means no reconciliation, never a pass.
+            reconciled = false;
+            std::cerr << "FAIL: final stats request got no answer ("
                       << server::statusName(stats.status) << ")\n";
         }
     }
@@ -371,7 +393,8 @@ main(int argc, char **argv)
     std::cout << "server load: " << total << " request(s), "
               << sum.ok << " ok, " << sum.shed << " shed, "
               << sum.deadline << " deadline, " << sum.failed
-              << " failed, " << sum.retries << " retried; p50 "
+              << " failed, " << sum.unreached << " unreached, "
+              << sum.retries << " retried; p50 "
               << p50 << " ms, p99 " << p99 << " ms, " << throughput
               << " req/s; queue peak " << queue_peak << "/"
               << watermark << "\n";
@@ -390,6 +413,7 @@ main(int argc, char **argv)
     report.setMetric("requests.shed", sum.shed);
     report.setMetric("requests.deadline", sum.deadline);
     report.setMetric("requests.failed", sum.failed);
+    report.setMetric("requests.unreached", sum.unreached);
     report.setMetric("retries.total", sum.retries);
     report.setMetric("retries.shed", sum.retriesShed);
     report.setMetric("retries.transport", sum.retriesTransport);
@@ -417,7 +441,8 @@ main(int argc, char **argv)
     // bad_request.
     if (answered != total || sum.badRequest != 0) {
         std::cerr << "FAIL: " << answered << "/" << total
-                  << " answered, " << sum.badRequest
+                  << " answered (" << sum.unreached
+                  << " never reached the server), " << sum.badRequest
                   << " bad_request\n";
         return 1;
     }

@@ -6,8 +6,8 @@
  * write handling is write-back or write-through per
  * CacheConfig::write. Both write policies are write-allocate, so
  * miss counts depend only on the replacement policy; the policies
- * differ in memory write traffic (writebacks() for write-back,
- * writeThroughs() for write-through — see writeTraffic()).
+ * differ in memory write traffic (writebacks() for write-back, stores
+ * forwarded for write-through — see writeTraffic()).
  * Compulsory (first-reference) misses are tracked separately so
  * model validation can exclude start-up misses the way the AHH model
  * does.
@@ -73,9 +73,6 @@ class CacheSim
     uint64_t compulsoryMisses() const { return compulsory_; }
     /** Dirty lines written back on eviction or invalidation. */
     uint64_t writebacks() const { return writebacks_; }
-    /** Stores forwarded to memory under write-through. */
-    uint64_t writeThroughs() const { return writeThroughs_; }
-
     /**
      * Memory writes this cache generated under its write policy:
      * line writebacks (write-back) or store write-throughs

@@ -118,9 +118,6 @@ class CancelToken
     /** True when this token carries a deadline. */
     bool hasDeadline() const { return deadlineNs_ != noDeadline; }
 
-    /** The absolute deadline (noDeadline when none). */
-    uint64_t deadlineNs() const { return deadlineNs_; }
-
     /**
      * Nanoseconds until the deadline (0 when past, noDeadline when
      * the token has none). For sizing waits.

@@ -120,7 +120,6 @@ class WeightedDistribution
     }
 
     uint64_t count() const { return samples_.size(); }
-    double totalWeight() const { return totalWeight_; }
 
   private:
     struct Sample

@@ -7,19 +7,6 @@
 namespace pico::trace
 {
 
-uint64_t
-traceChecksumStep(uint64_t sum, int kind, uint64_t addr)
-{
-    constexpr uint64_t prime = 0x100000001b3ULL;
-    sum ^= static_cast<uint64_t>(kind) & 0xff;
-    sum *= prime;
-    for (int i = 0; i < 8; ++i) {
-        sum ^= (addr >> (8 * i)) & 0xff;
-        sum *= prime;
-    }
-    return sum;
-}
-
 namespace
 {
 
@@ -82,8 +69,7 @@ kindBytesFor(uint32_t count)
 bool
 decodeStreams(const uint8_t *deltas, size_t delta_bytes,
               const uint8_t *kinds, size_t kind_bytes, uint32_t count,
-              uint64_t first_addr, BlockScratch &scratch,
-              uint64_t &checksum_out)
+              uint64_t first_addr, BlockScratch &scratch)
 {
     if (count == 0)
         return false;
@@ -117,15 +103,7 @@ decodeStreams(const uint8_t *deltas, size_t delta_bytes,
         addr += static_cast<uint64_t>(unzigzag(z));
         scratch.addrs[i] = addr;
     }
-    if (p != end)
-        return false; // trailing bytes in the delta stream
-
-    uint64_t sum = traceChecksumSeed;
-    for (uint32_t i = 0; i < count; ++i)
-        sum = traceChecksumStep(sum, scratch.kinds[i],
-                                scratch.addrs[i]);
-    checksum_out = sum;
-    return true;
+    return p == end; // no trailing bytes in the delta stream
 }
 
 } // namespace
@@ -156,9 +134,7 @@ ColumnarTraceBuffer::append(const Access &a)
         open_.kinds.back() |
         (static_cast<unsigned>(kind) << ((open_.count & 3) * 2)));
     openLastAddr_ = a.addr;
-    open_.checksum = traceChecksumStep(open_.checksum, kind, a.addr);
     ++open_.count;
-    checksum_ = traceChecksumStep(checksum_, kind, a.addr);
     ++size_;
 }
 
@@ -186,12 +162,10 @@ ColumnarTraceBuffer::decodeBlock(size_t index,
     // The open tail block decodes in place: decoding mutates nothing,
     // so concurrent decodes stay safe.
     const Block &b = index < closed_.size() ? closed_[index] : open_;
-    uint64_t sum = 0;
     bool ok = decodeStreams(b.deltas.data(), b.deltas.size(),
                             b.kinds.data(), b.kinds.size(), b.count,
-                            b.firstAddr, scratch, sum);
-    panicIf(!ok || sum != b.checksum,
-            "in-memory columnar block failed to decode");
+                            b.firstAddr, scratch);
+    panicIf(!ok, "in-memory columnar block failed to decode");
     BlockView view;
     view.addrs = scratch.addrs.data();
     view.kinds = scratch.kinds.data();

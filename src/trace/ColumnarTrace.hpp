@@ -17,9 +17,11 @@
  *    two bytes per reference), and the kind column (read/write/
  *    instruction) packed at two bits per record; record sizes are
  *    implicit — every reference is one word;
- *  - each block keeps its record count, first address and the
- *    traceChecksumStep chain over its records, so every decode is
- *    checked against what was captured.
+ *  - each block keeps its record count and first address; a decode
+ *    checks the streams' structure (varint framing, stream lengths,
+ *    kind values) and panics on a block that does not yield its
+ *    record count, so a trace is never silently short. The bytes
+ *    never leave the process, so no checksum guards them.
  *
  * Decoding a block materializes a plain address array in a reusable
  * scratch buffer; SinglePassSim::accessBlock() then consumes the hot
@@ -42,12 +44,6 @@
 
 namespace pico::trace
 {
-
-/** FNV-1a 64 running checksum over one trace record. */
-uint64_t traceChecksumStep(uint64_t sum, int kind, uint64_t addr);
-
-/** Initial value of the running trace checksum. */
-inline constexpr uint64_t traceChecksumSeed = 0xcbf29ce484222325ULL;
 
 /** Reusable decode scratch: one block's materialized columns. */
 class BlockScratch
@@ -96,9 +92,6 @@ class ColumnarTraceBuffer
 
     uint32_t blockCapacity() const { return blockCapacity_; }
 
-    /** Running traceChecksumStep chain over every record. */
-    uint64_t checksum() const { return checksum_; }
-
     /** Encoded payload bytes (delta + kind streams, all blocks). */
     uint64_t encodedBytes() const;
 
@@ -129,19 +122,17 @@ class ColumnarTraceBuffer
     }
 
   private:
-    /** Encoded form of one block: its record checksum and streams. */
+    /** Encoded form of one block: its count, first address, streams. */
     struct Block
     {
         uint32_t count = 0;
         uint64_t firstAddr = 0;
-        uint64_t checksum = traceChecksumSeed;
         std::vector<uint8_t> deltas;
         std::vector<uint8_t> kinds;
     };
 
     uint32_t blockCapacity_;
     uint64_t size_ = 0;
-    uint64_t checksum_ = traceChecksumSeed;
     std::vector<Block> closed_;
     /** The open tail block and its last address (the next delta's
      *  base). */

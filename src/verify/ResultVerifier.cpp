@@ -420,7 +420,6 @@ verifyColumnarTrace(const trace::ColumnarTraceBuffer &buffer,
     const size_t blocks = buffer.blockCount();
     trace::BlockScratch scratch;
     uint64_t decoded = 0;
-    uint64_t chain = trace::traceChecksumSeed;
     for (size_t b = 0; b < blocks; ++b) {
         try {
             trace::BlockView view = buffer.decodeBlock(b, scratch);
@@ -434,9 +433,6 @@ verifyColumnarTrace(const trace::ColumnarTraceBuffer &buffer,
                                 std::to_string(
                                     buffer.blockCapacity()) +
                                 " records");
-            for (uint32_t i = 0; i < view.count; ++i)
-                chain = trace::traceChecksumStep(
-                    chain, view.kinds[i], view.addrs[i]);
             decoded += view.count;
         } catch (const std::exception &e) {
             diags.error("result.trace", what,
@@ -449,10 +445,6 @@ verifyColumnarTrace(const trace::ColumnarTraceBuffer &buffer,
                     "decoded " + std::to_string(decoded) +
                         " record(s) but the buffer captured " +
                         std::to_string(buffer.size()));
-    else if (chain != buffer.checksum())
-        diags.error("result.trace", what,
-                    "chained record checksum does not match the "
-                    "capture-time checksum");
     return diags.errorCount() == before;
 }
 

@@ -32,13 +32,13 @@
  *                     the failure log, per-machine dilations/cycles
  *                     present, finite and positive
  *  - result.trace     a captured columnar trace decodes block by
- *                     block: per-block checksums hold, block record
- *                     counts are full except the tail, the chained
- *                     whole-trace checksum matches, and the decoded
- *                     record count equals the captured size; a
- *                     class's I$ and D$ banks read disjoint parts of
- *                     its one capture, so their access counts sum to
- *                     the U$ bank's and to the capture's record count
+ *                     block: every block's streams are well formed,
+ *                     block record counts are full except the tail,
+ *                     and the decoded record count equals the
+ *                     captured size; a class's I$ and D$ banks read
+ *                     disjoint parts of its one capture, so their
+ *                     access counts sum to the U$ bank's and to the
+ *                     capture's record count
  */
 
 #ifndef PICO_VERIFY_RESULT_VERIFIER_HPP
@@ -107,8 +107,9 @@ bool verifyWalkResult(const dse::ExplorationResult &result,
 
 /**
  * Decode every block of a captured columnar trace and check the
- * encoding invariants: per-block checksums, full blocks except the
- * tail, record-count and whole-trace checksum consistency.
+ * encoding invariants: every block decodes, every block but the
+ * tail is full, and the decoded record count equals the captured
+ * size.
  * @return true when no error-severity finding was added
  */
 bool verifyColumnarTrace(const trace::ColumnarTraceBuffer &buffer,

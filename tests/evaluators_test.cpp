@@ -13,6 +13,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cache/CacheSim.hpp"
 #include "dse/Evaluators.hpp"
@@ -420,8 +421,22 @@ TEST(MemoryWalker, OneUnifiedSourceMatchesComponentEvaluators)
             const MemoryWalker walker(spaces, StallModel{},
                                       std::move(swept.set),
                                       std::move(swept.capture));
-            EXPECT_EQ(walker.ucache().capturedTrace().checksum(),
-                      all.checksum());
+            // The walker keeps the very records the class captured.
+            const trace::ColumnarTraceBuffer &captured =
+                walker.ucache().capturedTrace();
+            ASSERT_EQ(captured.size(), all.size());
+            std::vector<trace::Access> want;
+            all.replay(
+                [&want](const trace::Access &a) { want.push_back(a); });
+            size_t record = 0, differing_records = 0;
+            captured.replay([&](const trace::Access &a) {
+                const trace::Access &w = want[record++];
+                differing_records += a.addr != w.addr ||
+                                     a.isInstr != w.isInstr ||
+                                     a.isWrite != w.isWrite;
+            });
+            EXPECT_EQ(differing_records, 0u)
+                << "of " << captured.size() << " records";
             for (const auto &cfg : spaces.icache.enumerate()) {
                 EXPECT_EQ(walker.icache().misses(cfg, 1.0), ibank.misses(cfg))
                     << cfg.name();

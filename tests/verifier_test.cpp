@@ -549,6 +549,22 @@ TEST(ResultVerifier, AccessSplit)
     EXPECT_EQ(bad.count("result.trace"), 3u);
 }
 
+TEST(ResultVerifier, ColumnarTraceDecodesClean)
+{
+    // Three full blocks of four and a one-record tail that holds an
+    // address above 2^32; then the empty capture, which has no block.
+    trace::ColumnarTraceBuffer capture(4);
+    for (uint64_t i = 0; i < 12; ++i)
+        capture({0x400000 + 4 * i, i % 2 == 0, i % 4 == 1});
+    capture({0x1deadbeef0, false, true});
+    ASSERT_EQ(capture.blockCount(), 4u);
+    Diagnostics diags;
+    EXPECT_TRUE(verifyColumnarTrace(capture, "class", diags));
+    EXPECT_TRUE(verifyColumnarTrace(trace::ColumnarTraceBuffer{},
+                                    "empty class", diags));
+    EXPECT_TRUE(diags.empty()) << diags.report();
+}
+
 TEST(ResultVerifier, ParetoSets)
 {
     std::vector<dse::DesignPoint> good = {
