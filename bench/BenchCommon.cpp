@@ -11,6 +11,7 @@
 #include "support/Logging.hpp"
 #include "support/Metrics.hpp"
 #include "support/RunReport.hpp"
+#include "support/Stats.hpp"
 #include "trace/TraceGenerator.hpp"
 
 namespace pico::bench
@@ -361,6 +362,49 @@ writeReport(const BenchReport &report, const std::string &json_out)
 {
     return json_out.empty() ? report.write()
                             : report.writeTo(json_out);
+}
+
+// --- pairedOverhead ----------------------------------------------------
+
+namespace
+{
+
+/** Wall time of one call, in ns. */
+double
+timedCall(const std::function<void()> &side)
+{
+    const uint64_t start = support::monotonicNowNs();
+    side();
+    return static_cast<double>(support::monotonicNowNs() - start);
+}
+
+} // namespace
+
+PairedOverhead
+pairedOverhead(const std::function<void()> &off,
+               const std::function<void()> &on)
+{
+    constexpr int pairs = 10;
+    off();
+    on();
+    WeightedDistribution off_ns, on_ns, percent;
+    for (int p = 0; p < pairs; ++p) {
+        double on_time = p % 2 ? timedCall(on) : 0.0;
+        const double off_time = timedCall(off);
+        if (p % 2 == 0)
+            on_time = timedCall(on);
+        off_ns.add(off_time);
+        on_ns.add(on_time);
+        percent.add(100.0 * (on_time / off_time - 1.0));
+    }
+    PairedOverhead out;
+    out.pairs = pairs;
+    out.offNs = static_cast<uint64_t>(off_ns.quantile(0.5));
+    out.onNs = static_cast<uint64_t>(on_ns.quantile(0.5));
+    out.percent = percent.quantile(0.5);
+    out.q1Percent = percent.quantile(0.25);
+    out.q3Percent = percent.quantile(0.75);
+    return out;
 }
 
 } // namespace pico::bench

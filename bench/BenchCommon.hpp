@@ -217,6 +217,33 @@ std::string extractJsonOutArg(int &argc, char **argv);
 bool writeReport(const BenchReport &report,
                  const std::string &json_out);
 
+/** What pairedOverhead() measured: the cost of `on` over `off`. */
+struct PairedOverhead
+{
+    /** Pairs timed. */
+    int pairs = 0;
+    /** Median wall time of each side, in ns. */
+    uint64_t offNs = 0;
+    uint64_t onNs = 0;
+    /** Per-pair overhead, on / off - 1 in percent: median and
+     *  quartiles (nearest rank). */
+    double percent = 0.0;
+    double q1Percent = 0.0;
+    double q3Percent = 0.0;
+};
+
+/**
+ * Time the two sides of an overhead check in alternating pairs. After
+ * one untimed call of each side (caches fill, lazy set-up finishes),
+ * `off` and `on` run back to back in each of ten pairs, and the side
+ * that runs first alternates from pair to pair, so drift on a shared
+ * host moves both sides instead of one. Each call is one sample; the
+ * per-pair overhead is read pair by pair, so a slow stretch of the
+ * host skews one pair, not a whole side.
+ */
+PairedOverhead pairedOverhead(const std::function<void()> &off,
+                              const std::function<void()> &on);
+
 } // namespace pico::bench
 
 #endif // PICO_BENCH_BENCH_COMMON_HPP

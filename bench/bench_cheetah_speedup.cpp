@@ -5,30 +5,42 @@
  * associativities in a single pass costs little more than simulating
  * one configuration, and far less than per-configuration passes.
  *
- * Plus the parallel companion: one single-pass sweep is needed *per
- * line size*, and those sweeps are independent, so the SimBank runs
- * them concurrently on a ThreadPool. BM_ParallelLineSweeps measures
- * that sweep — over the production columnar trace path — at 1, 2 and
- * 4 jobs (real time; jobs = 1 is the serial fused reference —
- * speedup is hardware-dependent and only shows on multi-core
- * machines).
+ * Plus the production companion: one single-pass sweep is needed
+ * *per line size*, and those sweeps are independent, so the SimBank
+ * runs them concurrently on a ThreadPool. BM_ParallelLineSweeps
+ * measures that sweep — over the production columnar trace path — at
+ * 1, 2 and 4 jobs (real time; jobs = 1 is the serial fused reference
+ * — speedup is hardware-dependent and only shows on multi-core
+ * machines). BM_OraclePerConfig times what the sweep replaces: one
+ * CacheSim pass per configuration the same space enumerates.
+ *
+ * Before timing anything, main() proves the sweep right: fused and
+ * on a 4-job pool, every configuration its bank covers must equal an
+ * independent CacheSim pass, or the bench prints each mismatch and
+ * exits 1 — a faster wrong answer would be worthless.
  *
  * The run times of every benchmark are harvested into
  * BENCH_cheetah_speedup.json (honoring --json-out) together with the
  * derived ratios the CI bench gate tracks:
  *   allconfigs_cost_vs_single        one-pass-all-configs vs one
  *   singlepass_vs_perconfig_speedup  one pass vs 20 naive passes
+ *   sweep_vs_oracle_speedup          fused sweep vs one CacheSim pass
+ *                                    per enumerated configuration
+ *   parallel_sweep_speedup_4j        fused sweep vs the 4-job sweep
  */
 
 #include <benchmark/benchmark.h>
 
+#include <iostream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/BenchCommon.hpp"
 #include "cache/CacheSim.hpp"
 #include "cache/SinglePassSim.hpp"
+#include "dse/CacheSpace.hpp"
 #include "dse/Evaluators.hpp"
 #include "support/Random.hpp"
 #include "support/ThreadPool.hpp"
@@ -58,19 +70,25 @@ sharedTrace()
     return trace;
 }
 
+/** Misses of one CacheSim pass over the shared trace: the oracle. */
+uint64_t
+oracleMisses(const cache::CacheConfig &cfg)
+{
+    cache::CacheSim sim(cfg);
+    for (auto addr : sharedTrace())
+        sim.access(addr);
+    return sim.misses();
+}
+
 void
 BM_SingleConfigSim(benchmark::State &state)
 {
-    const auto &trace = sharedTrace();
-    for (auto _ : state) {
-        cache::CacheSim sim(cache::CacheConfig{
-            static_cast<uint32_t>(state.range(0)), 2, 32});
-        for (auto addr : trace)
-            sim.access(addr);
-        benchmark::DoNotOptimize(sim.misses());
-    }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations() * trace.size()));
+    const cache::CacheConfig cfg{static_cast<uint32_t>(state.range(0)),
+                                 2, 32};
+    for (auto _ : state)
+        benchmark::DoNotOptimize(oracleMisses(cfg));
+    state.SetItemsProcessed(static_cast<int64_t>(
+        state.iterations() * sharedTrace().size()));
 }
 
 void
@@ -92,22 +110,15 @@ void
 BM_PerConfigPasses(benchmark::State &state)
 {
     // The naive alternative: 20 separate passes.
-    const auto &trace = sharedTrace();
     for (auto _ : state) {
         uint64_t total = 0;
-        for (uint32_t sets = 32; sets <= 512; sets *= 2) {
-            for (uint32_t assoc = 1; assoc <= 4; ++assoc) {
-                cache::CacheSim sim(
-                    cache::CacheConfig{sets, assoc, 32});
-                for (auto addr : trace)
-                    sim.access(addr);
-                total += sim.misses();
-            }
-        }
+        for (uint32_t sets = 32; sets <= 512; sets *= 2)
+            for (uint32_t assoc = 1; assoc <= 4; ++assoc)
+                total += oracleMisses(cache::CacheConfig{sets, assoc, 32});
         benchmark::DoNotOptimize(total);
     }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations() * trace.size()));
+    state.SetItemsProcessed(static_cast<int64_t>(
+        state.iterations() * sharedTrace().size()));
 }
 
 const trace::ColumnarTraceBuffer &
@@ -122,18 +133,29 @@ sharedBuffer()
     return buffer;
 }
 
-void
-BM_ParallelLineSweeps(benchmark::State &state)
+/**
+ * The production sweep's space: 48 configurations over line sizes
+ * 8..64. Its bank covers five line sizes (SimBank also covers the
+ * 4-byte minimum for dilation interpolation) over the whole set-count
+ * range, 180 configurations.
+ */
+dse::CacheSpace
+sweepSpace()
 {
-    // Line sizes 8..64 → five covered sweeps (SimBank also covers
-    // the 4-byte minimum for dilation interpolation), fanned out on
-    // a pool of jobs workers. Results are identical for every job
-    // count; only wall-clock time changes.
     dse::CacheSpace space;
     space.sizesBytes = {2048, 4096, 8192, 16384};
     space.assocs = {1, 2, 4};
     space.lineSizes = {8, 16, 32, 64};
+    return space;
+}
 
+void
+BM_ParallelLineSweeps(benchmark::State &state)
+{
+    // Five covered sweeps fanned out on a pool of jobs workers.
+    // Results are identical for every job count (main() proves it);
+    // only wall-clock time changes.
+    const dse::CacheSpace space = sweepSpace();
     const auto jobs = static_cast<unsigned>(state.range(0));
     support::ThreadPool pool(jobs - 1);
     const auto &buffer = sharedBuffer();
@@ -145,6 +167,67 @@ BM_ParallelLineSweeps(benchmark::State &state)
     state.SetItemsProcessed(static_cast<int64_t>(
         state.iterations() * buffer.size() *
         dse::SimBank(space).simRuns()));
+}
+
+void
+BM_OraclePerConfig(benchmark::State &state)
+{
+    // What the sweep replaces: one pass per enumerated configuration.
+    const auto configs = sweepSpace().enumerate();
+    for (auto _ : state) {
+        uint64_t total = 0;
+        for (const auto &cfg : configs)
+            total += oracleMisses(cfg);
+        benchmark::DoNotOptimize(total);
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(
+        state.iterations() * sharedTrace().size() * configs.size()));
+}
+
+/**
+ * Oracle proof: the sweep, fused (no pool) and on a 4-job pool, must
+ * give every (line, sets, assoc) its bank covers the misses of one
+ * CacheSim pass. Prints each mismatch; returns their number.
+ */
+int
+sweepMismatches()
+{
+    const dse::CacheSpace space = sweepSpace();
+    support::ThreadPool four(3);
+    std::vector<std::pair<unsigned, dse::FrozenBank>> swept;
+    for (unsigned jobs : {1u, 4u}) {
+        dse::SimBank bank(space);
+        bank.simulate(sharedBuffer(), jobs > 1 ? &four : nullptr);
+        swept.emplace_back(jobs, bank.freeze());
+    }
+
+    int configs = 0, mismatches = 0;
+    for (uint32_t line = dse::SimBank::minCoveredLine;
+         line <= space.distinctLineSizes().back(); line *= 2) {
+        for (uint32_t sets = space.minSets(); sets <= space.maxSets();
+             sets *= 2) {
+            for (uint32_t assoc = 1; assoc <= space.maxAssoc();
+                 ++assoc) {
+                const cache::CacheConfig cfg{sets, assoc, line};
+                const uint64_t expect = oracleMisses(cfg);
+                ++configs;
+                for (const auto &[jobs, bank] : swept) {
+                    const auto got =
+                        static_cast<uint64_t>(bank.misses(cfg));
+                    if (got == expect)
+                        continue;
+                    std::cerr << "MISMATCH " << cfg.name() << " jobs "
+                              << jobs << ": sweep " << got
+                              << " CacheSim " << expect << "\n";
+                    ++mismatches;
+                }
+            }
+        }
+    }
+    std::cout << "oracle proof: " << configs
+              << " configurations at jobs 1 and 4, " << mismatches
+              << " mismatches\n";
+    return mismatches;
 }
 
 /**
@@ -191,6 +274,7 @@ BENCHMARK(BM_ParallelLineSweeps)
     ->Arg(2)
     ->Arg(4)
     ->UseRealTime();
+BENCHMARK(BM_OraclePerConfig);
 
 int
 main(int argc, char **argv)
@@ -199,6 +283,12 @@ main(int argc, char **argv)
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
+
+    if (sweepMismatches() != 0) {
+        std::cerr << "the sweep differs from CacheSim; refusing to "
+                     "time a wrong answer\n";
+        return 1;
+    }
 
     HarvestingReporter reporter;
     benchmark::RunSpecifiedBenchmarks(&reporter);
@@ -228,8 +318,11 @@ main(int argc, char **argv)
     }
     double serial = ns("BM_ParallelLineSweeps/1/real_time");
     double four = ns("BM_ParallelLineSweeps/4/real_time");
+    double oracle = ns("BM_OraclePerConfig");
     if (four > 0.0)
         json.setMetric("parallel_sweep_speedup_4j", serial / four);
+    if (serial > 0.0 && oracle > 0.0)
+        json.setMetric("sweep_vs_oracle_speedup", oracle / serial);
 
     benchmark::Shutdown();
     return bench::writeReport(json, json_out) ? 0 : 1;

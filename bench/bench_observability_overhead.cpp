@@ -4,23 +4,26 @@
  * contract is "zero cost when disabled, negligible when enabled".
  * This bench measures both sides on the hottest instrumented path —
  * the SimBank sweep over a captured columnar trace — by replaying it
- * with the registry off and on, and reports the enabled/
- * disabled wall-time ratio (expected well under the 2% budget;
- * instrumentation is per-sweep, not per-access).
+ * with the registry off and on, and reports the median per-pair
+ * enabled/disabled wall-time overhead (expected well under the 2%
+ * budget; instrumentation is per-sweep, not per-access).
  *
  * A second scenario measures the serving layer with request-scoped
  * tracing: end-to-end EvalService request latency with tracing off
  * vs on (request spans, flow events, context propagation and the
- * always-on flight recorder all engaged), over an identical request
- * sequence per mode. Same 2% budget.
+ * always-on flight recorder all engaged), on one warmed service whose
+ * switches flip between the halves of each pair. Same 2% budget.
  *
- * Emits BENCH_observability_overhead.json with the raw timings so CI
- * archives the ratio next to the run reports.
+ * Every scenario times its two sides in alternating pairs
+ * (bench::pairedOverhead). Emits BENCH_observability_overhead.json
+ * with the raw timings so CI archives the ratio next to the run
+ * reports.
  */
 
 #include <algorithm>
+#include <cstdlib>
 #include <iostream>
-#include <vector>
+#include <string>
 
 #include "bench/BenchCommon.hpp"
 #include "dse/Evaluators.hpp"
@@ -36,93 +39,97 @@ using namespace pico;
 namespace
 {
 
-/** Wall time of one full sweep set over the buffer, in ns. */
-uint64_t
-timedSimulate(dse::SimBank &bank, const trace::ColumnarTraceBuffer &buffer)
+/** Metrics and tracing together: the switch each scenario flips. */
+void
+setInstrumentation(bool on)
 {
-    uint64_t start = support::monotonicNowNs();
-    bank.simulate(buffer, nullptr);
-    return support::monotonicNowNs() - start;
-}
-
-/** Best-of-N sweep time (min filters scheduler noise). */
-uint64_t
-bestOf(dse::SimBank &bank, const trace::ColumnarTraceBuffer &buffer, int reps)
-{
-    uint64_t best = UINT64_MAX;
-    for (int i = 0; i < reps; ++i)
-        best = std::min(best, timedSimulate(bank, buffer));
-    return best;
+    support::setMetricsEnabled(on);
+    support::setTraceEnabled(on);
 }
 
 /**
- * Best-of-reps per-request latency of an EvalService under the
- * current observability switches. Every request is unique work (the
- * trace budget varies per call, so neither the service memo nor the
- * eval cache short-circuits it) and the (rep, i) -> budget mapping is
- * identical across modes, so off and on time the same walks.
+ * Request latency of one warmed EvalService with request-scoped
+ * tracing off vs on. Every request is unique work (each takes the
+ * next trace budget, so neither the service memo nor the eval cache
+ * short-circuits it); the side that runs second in a pair walks
+ * budgets `requests` blocks larger, and which side that is
+ * alternates.
  */
-uint64_t
-serveBestOf(const std::string &app, int reps, int requests)
+bench::PairedOverhead
+serveOverhead(const std::string &app, int requests)
 {
     server::ServiceOptions opts;
     opts.workers = 2;
     server::EvalService service(opts);
-
-    auto makeRequest = [&app](uint64_t trace_blocks) {
-        server::Request req;
-        req.app = app;
-        req.machines = "1111";
-        req.traceBlocks = trace_blocks;
-        return req;
-    };
-    // Warm-up: the first request pays the app build+profile.
-    service.call(makeRequest(1000));
-
-    uint64_t best = UINT64_MAX;
-    for (int rep = 0; rep < reps; ++rep) {
-        uint64_t start = support::monotonicNowNs();
+    uint64_t budget = 1000;
+    auto serve = [&](bool traced) {
+        setInstrumentation(traced);
         for (int i = 0; i < requests; ++i) {
-            server::Response resp = service.call(makeRequest(
-                1200 + static_cast<uint64_t>(rep) * 100 + i));
+            server::Request req;
+            req.app = app;
+            req.machines = "1111";
+            req.traceBlocks = budget++;
+            server::Response resp = service.call(req);
             if (resp.status != server::Status::Ok) {
                 std::cout << "server scenario request failed: "
                           << resp.error << "\n";
                 std::exit(1);
             }
         }
-        uint64_t total = support::monotonicNowNs() - start;
-        best = std::min(best, total / requests);
-    }
-    return best;
+    };
+    return bench::pairedOverhead([&] { serve(false); },
+                                 [&] { serve(true); });
 }
 
+/** Lock/unlock pairs per rank-checker sample. */
+constexpr int rankCheckIters = 200000;
+
 /**
- * Best-of-reps time of a hot uncontended MutexLock loop on a ranked
- * mutex under the current lock-rank-checker toggle. In Release the
- * checker is compiled out (PICOEVAL_LOCK_RANK_CHECK == 0) and the
- * toggle is inert, so disabled and enabled time the identical code —
- * the measured 0% *is* the Release overhead claim. In Debug the pair
- * quantifies what the thread-local stack bookkeeping costs.
+ * A hot uncontended MutexLock loop on a ranked mutex under the
+ * lock-rank-checker toggle. In Release the checker is compiled out
+ * (PICOEVAL_LOCK_RANK_CHECK == 0) and the toggle is inert, so
+ * disabled and enabled time the identical code — the measured 0%
+ * *is* the Release overhead claim. In Debug the pair quantifies what
+ * the thread-local stack bookkeeping costs.
  */
-uint64_t
-rankCheckBestOf(int reps)
+bench::PairedOverhead
+rankCheckOverhead()
 {
     support::Mutex mtx{"bench.rankcheck",
                        support::rank::kMetricsRegistry};
-    constexpr int iters = 200000;
-    uint64_t best = UINT64_MAX;
-    volatile uint64_t sink = 0;
-    for (int rep = 0; rep < reps; ++rep) {
-        uint64_t start = support::monotonicNowNs();
-        for (int i = 0; i < iters; ++i) {
+    auto spin = [&mtx](bool checked) {
+        support::lockrank::setLockRankCheckEnabled(checked);
+        volatile uint64_t sink = 0;
+        for (int i = 0; i < rankCheckIters; ++i) {
             support::MutexLock lock(mtx);
             sink = sink + 1;
         }
-        best = std::min(best,
-                        (support::monotonicNowNs() - start) / iters);
-    }
-    return best;
+    };
+    return bench::pairedOverhead([&] { spin(false); },
+                                 [&] { spin(true); });
+}
+
+/** The scenario's table rows: median ns per side, overhead. */
+void
+addRows(TextTable &table, const std::string &scenario,
+        const bench::PairedOverhead &o)
+{
+    table.addRow({scenario, "disabled", std::to_string(o.offNs), "-",
+                  "-"});
+    table.addRow({scenario, "enabled", std::to_string(o.onNs),
+                  TextTable::num(o.percent, 2) + "%",
+                  TextTable::num(o.q1Percent, 2) + ".." +
+                      TextTable::num(o.q3Percent, 2) + "%"});
+}
+
+/** The scenario's gated overhead and its ungated quartiles. */
+void
+setOverhead(bench::BenchReport &json, const std::string &prefix,
+            const bench::PairedOverhead &o)
+{
+    json.setMetric(prefix + "overhead.percent", o.percent);
+    json.setMetric(prefix + "overhead.percent.q1", o.q1Percent);
+    json.setMetric(prefix + "overhead.percent.q3", o.q3Percent);
 }
 
 } // namespace
@@ -132,11 +139,10 @@ main(int argc, char **argv)
 {
     const std::string json_out = bench::extractJsonOutArg(argc, argv);
     const std::string app_name = argc > 1 ? argv[1] : "rasta";
-    constexpr int reps = 5;
 
     std::cout << "observability overhead: SimBank sweeps over '"
-              << app_name << "', best of " << reps
-              << " (metrics+trace off vs on)\n";
+              << app_name << "', alternating pairs (metrics+trace "
+              << "off vs on)\n";
 
     auto app = bench::buildApp(app_name);
     trace::ColumnarTraceBuffer buffer;
@@ -146,83 +152,42 @@ main(int argc, char **argv)
 
     dse::CacheSpace space = dse::CacheSpace::defaultL1Space();
     dse::SimBank bank(space);
-
-    // Warm up caches and the trace buffer before either side.
-    bank.simulate(buffer, nullptr);
-
-    support::setMetricsEnabled(false);
-    support::setTraceEnabled(false);
-    uint64_t off_ns = bestOf(bank, buffer, reps);
-
-    support::setMetricsEnabled(true);
-    support::setTraceEnabled(true);
-    uint64_t on_ns = bestOf(bank, buffer, reps);
-
-    support::setMetricsEnabled(false);
-    support::setTraceEnabled(false);
-
-    double ratio = off_ns > 0 ? static_cast<double>(on_ns) /
-                                    static_cast<double>(off_ns)
-                              : 1.0;
-    double percent = (ratio - 1.0) * 100.0;
+    auto sweep = [&](bool on) {
+        setInstrumentation(on);
+        bank.simulate(buffer, nullptr);
+    };
+    const bench::PairedOverhead sweeps = bench::pairedOverhead(
+        [&] { sweep(false); }, [&] { sweep(true); });
 
     // Server scenario: per-request latency with request-scoped
     // tracing off vs fully on.
-    constexpr int serve_reps = 3, serve_requests = 6;
+    constexpr int serve_requests = 6;
     std::cout << "\nserver scenario: " << serve_requests
-              << " eval requests/rep, best of " << serve_reps
-              << " (request-scoped tracing off vs on)\n";
-    support::setMetricsEnabled(false);
-    support::setTraceEnabled(false);
-    uint64_t serve_off_ns =
-        serveBestOf(app_name, serve_reps, serve_requests);
-    support::setMetricsEnabled(true);
-    support::setTraceEnabled(true);
-    uint64_t serve_on_ns =
-        serveBestOf(app_name, serve_reps, serve_requests);
-    support::setMetricsEnabled(false);
-    support::setTraceEnabled(false);
-    double serve_percent =
-        serve_off_ns > 0
-            ? (static_cast<double>(serve_on_ns) /
-                   static_cast<double>(serve_off_ns) -
-               1.0) * 100.0
-            : 0.0;
+              << " eval requests per side, alternating pairs "
+              << "(request-scoped tracing off vs on)\n";
+    const bench::PairedOverhead serves =
+        serveOverhead(app_name, serve_requests);
+    setInstrumentation(false);
 
     // Rank-checker scenario: hot uncontended lock/unlock with the
     // runtime checker off vs on (A/B is meaningful in Debug; in
     // Release both sides run the same checker-free code).
-    constexpr int rank_reps = 5;
     std::cout << "\nrank-checker scenario: hot MutexLock loop, "
                  "checker off vs on (compiled "
               << (PICOEVAL_LOCK_RANK_CHECK ? "in" : "out") << ")\n";
-    support::lockrank::setLockRankCheckEnabled(false);
-    uint64_t rank_off_ns = rankCheckBestOf(rank_reps);
-    support::lockrank::setLockRankCheckEnabled(true);
-    uint64_t rank_on_ns = rankCheckBestOf(rank_reps);
-    double rank_percent =
-        rank_off_ns > 0
-            ? (static_cast<double>(rank_on_ns) /
-                   static_cast<double>(rank_off_ns) -
-               1.0) * 100.0
-            : 0.0;
+    const bench::PairedOverhead ranks = rankCheckOverhead();
 
     TextTable table("Wall time, instrumentation off vs on");
-    table.setHeader({"scenario", "mode", "best ns", "overhead"});
-    table.addRow({"simbank sweep", "disabled", std::to_string(off_ns),
-                  "-"});
-    table.addRow({"simbank sweep", "enabled", std::to_string(on_ns),
-                  TextTable::num(percent, 2) + "%"});
-    table.addRow({"server request", "disabled",
-                  std::to_string(serve_off_ns), "-"});
-    table.addRow({"server request", "enabled",
-                  std::to_string(serve_on_ns),
-                  TextTable::num(serve_percent, 2) + "%"});
-    table.addRow({"rankcheck lock/unlock", "disabled",
-                  std::to_string(rank_off_ns), "-"});
-    table.addRow({"rankcheck lock/unlock", "enabled",
-                  std::to_string(rank_on_ns),
-                  TextTable::num(rank_percent, 2) + "%"});
+    table.setHeader(
+        {"scenario", "mode", "median ns", "overhead", "q1..q3"});
+    addRows(table, "simbank sweep", sweeps);
+    addRows(table, "server, " + std::to_string(serve_requests) +
+                       " requests",
+            serves);
+    addRows(table,
+            "rankcheck, " + std::to_string(rankCheckIters) +
+                " lock/unlock",
+            ranks);
     table.print(std::cout);
 
     bench::BenchReport json("observability_overhead");
@@ -230,20 +195,20 @@ main(int argc, char **argv)
     json.setInfo("path",
                  "SimBank::simulate (columnar trace, fused sweep)");
     json.setMetric("accesses", buffer.size());
-    json.setMetric("reps", static_cast<uint64_t>(reps));
-    json.setMetric("ns.disabled", off_ns);
-    json.setMetric("ns.enabled", on_ns);
-    json.setMetric("overhead.percent", percent);
+    json.setMetric("pairs", static_cast<uint64_t>(sweeps.pairs));
+    json.setMetric("ns.disabled", sweeps.offNs);
+    json.setMetric("ns.enabled", sweeps.onNs);
+    setOverhead(json, "", sweeps);
     json.setMetric("server.requests",
                    static_cast<uint64_t>(serve_requests));
-    json.setMetric("server.ns.disabled", serve_off_ns);
-    json.setMetric("server.ns.enabled", serve_on_ns);
-    json.setMetric("server.overhead.percent", serve_percent);
+    json.setMetric("server.ns.disabled", serves.offNs / serve_requests);
+    json.setMetric("server.ns.enabled", serves.onNs / serve_requests);
+    setOverhead(json, "server.", serves);
     json.setMetric("rankcheck.compiled",
                    static_cast<uint64_t>(PICOEVAL_LOCK_RANK_CHECK));
-    json.setMetric("rankcheck.ns.disabled", rank_off_ns);
-    json.setMetric("rankcheck.ns.enabled", rank_on_ns);
-    json.setMetric("rankcheck.overhead.percent", rank_percent);
+    json.setMetric("rankcheck.ns.disabled", ranks.offNs / rankCheckIters);
+    json.setMetric("rankcheck.ns.enabled", ranks.onNs / rankCheckIters);
+    setOverhead(json, "rankcheck.", ranks);
     json.addTable(table);
     if (!bench::writeReport(json, json_out))
         return 1;
@@ -251,7 +216,7 @@ main(int argc, char **argv)
     // The budget check is advisory on shared CI runners (noise can
     // exceed the instrumentation itself); the JSON carries the truth.
     constexpr double budgetPercent = 2.0;
-    double worst = std::max(percent, serve_percent);
+    double worst = std::max(sweeps.percent, serves.percent);
     if (worst > budgetPercent) {
         std::cout << "\nWARNING: overhead " << TextTable::num(worst, 2)
                   << "% exceeds the " << budgetPercent

@@ -4,30 +4,29 @@
  * Spacewalker's phase boundaries and are advertised as cheap enough
  * to leave on by default in Debug builds — and affordable even in
  * Release (--verify). This bench times complete explorations with
- * verification off and on (a fresh Spacewalker per repetition, so no
- * evaluation-cache state leaks between sides) and reports the on/off
- * wall-time ratio against a 5% budget.
+ * verification off and on (a fresh Spacewalker per walk, so no
+ * evaluation-cache state leaks between sides) in alternating pairs
+ * and reports the median per-pair overhead against a 5% budget.
  *
  * Emits BENCH_verifier_overhead.json with the raw timings so CI
  * archives the ratio next to the run reports.
  */
 
-#include <algorithm>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "bench/BenchCommon.hpp"
 #include "dse/Spacewalker.hpp"
-#include "support/Metrics.hpp"
 
 using namespace pico;
 
 namespace
 {
 
-/** One complete exploration, fresh walker, in ns. */
-uint64_t
-timedWalk(const ir::Program &prog, int verify)
+/** One complete exploration with a fresh walker. */
+void
+walk(const ir::Program &prog, int verify)
 {
     dse::MemorySpaces spaces;
     dse::Spacewalker::Options opts;
@@ -36,25 +35,12 @@ timedWalk(const ir::Program &prog, int verify)
     opts.jobs = 1;
     opts.verify = verify;
     dse::Spacewalker walker(spaces, {"1111", "2211", "3221"}, opts);
-    uint64_t start = support::monotonicNowNs();
     auto result = walker.explore(prog);
-    uint64_t elapsed = support::monotonicNowNs() - start;
     if (!result.diagnostics.clean()) {
         // A dirty result would mean the bench times error paths.
         std::cerr << result.diagnostics.report();
         std::exit(1);
     }
-    return elapsed;
-}
-
-/** Best-of-N walk time (min filters scheduler noise). */
-uint64_t
-bestOf(const ir::Program &prog, int verify, int reps)
-{
-    uint64_t best = UINT64_MAX;
-    for (int i = 0; i < reps; ++i)
-        best = std::min(best, timedWalk(prog, verify));
-    return best;
 }
 
 } // namespace
@@ -64,41 +50,37 @@ main(int argc, char **argv)
 {
     const std::string json_out = bench::extractJsonOutArg(argc, argv);
     const std::string app_name = argc > 1 ? argv[1] : "rasta";
-    constexpr int reps = 3;
 
     std::cout << "verifier overhead: full exploration of '"
-              << app_name << "', best of " << reps
-              << " (verify off vs on)\n";
+              << app_name << "', alternating pairs (verify off vs "
+              << "on)\n";
 
     auto prog = workloads::buildAndProfile(
         workloads::specByName(app_name), bench::profileBlocks);
 
-    // Warm up file caches and allocator state before either side.
-    timedWalk(prog, 0);
-
-    uint64_t off_ns = bestOf(prog, 0, reps);
-    uint64_t on_ns = bestOf(prog, 1, reps);
-
-    double ratio = off_ns > 0 ? static_cast<double>(on_ns) /
-                                    static_cast<double>(off_ns)
-                              : 1.0;
-    double percent = (ratio - 1.0) * 100.0;
+    const bench::PairedOverhead walks = bench::pairedOverhead(
+        [&] { walk(prog, 0); }, [&] { walk(prog, 1); });
+    const double percent = walks.percent;
 
     TextTable table("Exploration wall time, verification off vs on");
-    table.setHeader({"mode", "best ns", "overhead"});
-    table.addRow({"off", std::to_string(off_ns), "-"});
-    table.addRow({"on", std::to_string(on_ns),
-                  TextTable::num(percent, 2) + "%"});
+    table.setHeader({"mode", "median ns", "overhead", "q1..q3"});
+    table.addRow({"off", std::to_string(walks.offNs), "-", "-"});
+    table.addRow({"on", std::to_string(walks.onNs),
+                  TextTable::num(percent, 2) + "%",
+                  TextTable::num(walks.q1Percent, 2) + ".." +
+                      TextTable::num(walks.q3Percent, 2) + "%"});
     table.print(std::cout);
 
     bench::BenchReport json("verifier_overhead");
     json.setInfo("app", app_name);
     json.setInfo("path", "Spacewalker::explore (phase-boundary "
                          "verification)");
-    json.setMetric("reps", static_cast<uint64_t>(reps));
-    json.setMetric("ns.off", off_ns);
-    json.setMetric("ns.on", on_ns);
+    json.setMetric("pairs", static_cast<uint64_t>(walks.pairs));
+    json.setMetric("ns.off", walks.offNs);
+    json.setMetric("ns.on", walks.onNs);
     json.setMetric("overhead.percent", percent);
+    json.setMetric("overhead.percent.q1", walks.q1Percent);
+    json.setMetric("overhead.percent.q3", walks.q3Percent);
     json.addTable(table);
     if (!bench::writeReport(json, json_out))
         return 1;

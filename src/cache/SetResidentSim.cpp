@@ -171,7 +171,7 @@ SetResidentSim::accessBlock(const uint64_t *addrs,
     uint64_t stores = 0;
     for (size_t i = 0; i < n; ++i) {
         uint64_t line = addrs[i] >> lineShift_;
-        bool write = kinds != nullptr && kinds[i] == 1;
+        bool write = kinds != nullptr && kinds[i] == trace::kindWrite;
         stores += write;
         if (line != last) {
             runs_.push_back({line, write});

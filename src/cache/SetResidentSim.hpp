@@ -90,11 +90,12 @@ class SetResidentSim
 
     /**
      * Feed a span of decoded columnar references. `kinds` holds the
-     * per-reference kind codes of BlockView (1 = data write; 0 and 2
-     * are reads); nullptr means all reads. Same-line runs fold into
-     * one touch (see the file comment), runs may span calls, and
-     * the geometry-outer loop only reorders writes to disjoint
-     * state, so counts are bit-identical to access() per reference.
+     * per-reference kind codes of BlockView (trace::kindWrite is a
+     * write, every other code a read); nullptr means all reads.
+     * Same-line runs fold into one touch (see the file comment),
+     * runs may span calls, and the geometry-outer loop only reorders
+     * writes to disjoint state, so counts are bit-identical to
+     * access() per reference.
      */
     void accessBlock(const uint64_t *addrs, const uint8_t *kinds,
                      size_t n);

@@ -52,7 +52,7 @@ selectRecords(const trace::BlockView &view, SimBank::Records records,
     for (uint32_t i = 0; i < view.count; ++i) {
         out.addrs[kept] = view.addrs[i];
         out.kinds[kept] = view.kinds[i];
-        kept += (view.kinds[i] == 2) == instructions;
+        kept += (view.kinds[i] == trace::kindInstruction) == instructions;
     }
     return {out.addrs.data(), out.kinds.data(), kept};
 }

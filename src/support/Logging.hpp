@@ -147,17 +147,6 @@ inform(Args &&...args)
                         detail::concat(std::forward<Args>(args)...));
 }
 
-/** Diagnostic chatter, hidden unless PICOEVAL_LOG_LEVEL=debug. */
-template <typename... Args>
-void
-debugLog(Args &&...args)
-{
-    if (logLevel() > LogLevel::Debug)
-        return;
-    detail::emitMessage(LogLevel::Debug, "debug",
-                        detail::concat(std::forward<Args>(args)...));
-}
-
 /** panic() unless the given condition holds. */
 template <typename... Args>
 void

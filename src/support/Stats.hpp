@@ -1,6 +1,6 @@
 /**
  * @file
- * Streaming statistics accumulators and histograms.
+ * Streaming statistics accumulators.
  */
 
 #ifndef PICO_SUPPORT_STATS_HPP
@@ -143,55 +143,6 @@ class WeightedDistribution
     mutable std::vector<Sample> samples_;
     mutable bool sorted_ = true;
     double totalWeight_ = 0.0;
-};
-
-/** Fixed-bin histogram over [lo, hi) with overflow/underflow bins. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, unsigned bins)
-        : lo_(lo), hi_(hi), counts_(bins + 2, 0)
-    {
-        fatalIf(bins == 0, "histogram needs at least one bin");
-        fatalIf(hi <= lo, "histogram range empty");
-    }
-
-    /** Add one sample. */
-    void
-    add(double x)
-    {
-        ++total_;
-        if (x < lo_) {
-            ++counts_.front();
-        } else if (x >= hi_) {
-            ++counts_.back();
-        } else {
-            double frac = (x - lo_) / (hi_ - lo_);
-            auto bin = static_cast<size_t>(
-                frac * static_cast<double>(counts_.size() - 2));
-            ++counts_[bin + 1];
-        }
-    }
-
-    uint64_t total() const { return total_; }
-    uint64_t underflow() const { return counts_.front(); }
-    uint64_t overflow() const { return counts_.back(); }
-    size_t bins() const { return counts_.size() - 2; }
-    uint64_t binCount(size_t i) const { return counts_.at(i + 1); }
-
-    /** Left edge of bin i. */
-    double
-    binLeft(size_t i) const
-    {
-        return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-               static_cast<double>(bins());
-    }
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<uint64_t> counts_;
-    uint64_t total_ = 0;
 };
 
 } // namespace pico

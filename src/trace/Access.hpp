@@ -20,6 +20,18 @@ struct Access
     bool isWrite = false;
 };
 
+/** Record-kind codes: the kind column of a columnar trace. */
+constexpr uint8_t kindRead = 0;        ///< data read
+constexpr uint8_t kindWrite = 1;       ///< data write
+constexpr uint8_t kindInstruction = 2; ///< instruction fetch
+
+/** The record-kind code of one reference. */
+constexpr uint8_t
+recordKind(const Access &a)
+{
+    return a.isInstr ? kindInstruction : (a.isWrite ? kindWrite : kindRead);
+}
+
 /** Which address stream the trace generator should produce. */
 enum class TraceKind : uint8_t
 {

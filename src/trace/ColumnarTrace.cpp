@@ -80,11 +80,11 @@ decodeStreams(const uint8_t *deltas, size_t delta_bytes,
     scratch.kinds.resize(count);
 
     // Kind column: 2 bits per record; the reserved value 3 is
-    // corruption (kinds are 0/1/2 only).
+    // corruption (no recordKind() code is above kindInstruction).
     for (uint32_t i = 0; i < count; ++i) {
         uint8_t k = static_cast<uint8_t>(
             (kinds[i >> 2] >> ((i & 3) * 2)) & 3);
-        if (k > 2)
+        if (k > kindInstruction)
             return false;
         scratch.kinds[i] = k;
     }
@@ -121,7 +121,7 @@ ColumnarTraceBuffer::append(const Access &a)
         closed_.push_back(std::move(open_));
         open_ = Block{};
     }
-    int kind = a.isInstr ? 2 : (a.isWrite ? 1 : 0);
+    const unsigned kind = recordKind(a);
     if (open_.count == 0) {
         open_.firstAddr = a.addr;
     } else {
@@ -132,7 +132,7 @@ ColumnarTraceBuffer::append(const Access &a)
         open_.kinds.push_back(0);
     open_.kinds.back() = static_cast<uint8_t>(
         open_.kinds.back() |
-        (static_cast<unsigned>(kind) << ((open_.count & 3) * 2)));
+        (kind << ((open_.count & 3) * 2)));
     openLastAddr_ = a.addr;
     ++open_.count;
     ++size_;

@@ -57,7 +57,7 @@ class BlockScratch
 struct BlockView
 {
     const uint64_t *addrs = nullptr;
-    /** Record kinds: 0 data read, 1 data write, 2 instruction. */
+    /** Record kinds, as recordKind() codes them. */
     const uint8_t *kinds = nullptr;
     uint32_t count = 0;
 };
@@ -114,8 +114,8 @@ class ColumnarTraceBuffer
             for (uint32_t i = 0; i < view.count; ++i) {
                 Access a;
                 a.addr = view.addrs[i];
-                a.isInstr = view.kinds[i] == 2;
-                a.isWrite = view.kinds[i] == 1;
+                a.isInstr = view.kinds[i] == kindInstruction;
+                a.isWrite = view.kinds[i] == kindWrite;
                 sink(a);
             }
         }

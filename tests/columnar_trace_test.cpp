@@ -43,12 +43,6 @@ syntheticAccesses(size_t n)
     return out;
 }
 
-int
-kindOf(const Access &a)
-{
-    return a.isInstr ? 2 : (a.isWrite ? 1 : 0);
-}
-
 void
 expectSameAccesses(const std::vector<Access> &got,
                    const std::vector<Access> &want)
@@ -88,7 +82,7 @@ expectRoundTrip(const std::vector<Access> &accesses, uint32_t capacity)
         BlockView view = buffer.decodeBlock(b, scratch);
         for (uint32_t r = 0; r < view.count; ++r, ++i) {
             ASSERT_EQ(view.addrs[r], accesses[i].addr);
-            ASSERT_EQ(view.kinds[r], kindOf(accesses[i]));
+            ASSERT_EQ(view.kinds[r], recordKind(accesses[i]));
         }
     }
     EXPECT_EQ(i, accesses.size());

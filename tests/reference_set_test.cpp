@@ -98,7 +98,7 @@ recordsOf(const trace::ColumnarTraceBuffer &capture,
         if (records == SimBank::Records::All ||
             a.isInstr == (records == SimBank::Records::Instructions)) {
             out.addrs.push_back(a.addr);
-            out.kinds.push_back(a.isInstr ? 2 : a.isWrite ? 1 : 0);
+            out.kinds.push_back(trace::recordKind(a));
         }
     });
     return out;

@@ -222,23 +222,6 @@ TEST(WeightedDistribution, Quantile)
     EXPECT_THROW(dist.quantile(1.5), FatalError);
 }
 
-TEST(Histogram, BinningAndOverflow)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-1.0);
-    h.add(0.0);
-    h.add(5.5);
-    h.add(9.999);
-    h.add(10.0);
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(5), 1u);
-    EXPECT_EQ(h.binCount(9), 1u);
-    EXPECT_DOUBLE_EQ(h.binLeft(5), 5.0);
-}
-
 TEST(TextTable, AlignedOutputContainsCells)
 {
     TextTable table("demo");

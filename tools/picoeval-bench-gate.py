@@ -69,11 +69,19 @@ GATES = [
         "floor": 3.0,    # 20 configs in one pass must beat 3x
     },
     {
-        "bench": "columnar_replay",
-        "metric": "columnar_vs_legacy_speedup",
+        "bench": "cheetah_speedup",
+        "metric": "sweep_vs_oracle_speedup",
         "kind": "higher_better",
         "min_fraction": 0.4,
-        "floor": 2.0,    # the columnar replay's >= 2x claim
+        "floor": 2.0,    # the production sweep must beat one CacheSim
+                         # pass per configuration by >= 2x
+    },
+    {
+        "bench": "cheetah_speedup",
+        "metric": "parallel_sweep_speedup_4j",
+        "kind": "higher_better",
+        "min_fraction": 0.4,
+        "floor": 1.0,    # the 4-job sweep must never lose to 1 job
     },
     {
         "bench": "observability_overhead",
