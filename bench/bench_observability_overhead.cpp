@@ -160,8 +160,10 @@ main(int argc, char **argv)
         [&] { sweep(false); }, [&] { sweep(true); });
 
     // Server scenario: per-request latency with request-scoped
-    // tracing off vs fully on.
-    constexpr int serve_requests = 6;
+    // tracing off vs fully on. Each side times 24 requests (about
+    // 0.25 s): at 6 a burst of host load over one side moved the
+    // median per-pair overhead by up to 7 points.
+    constexpr int serve_requests = 24;
     std::cout << "\nserver scenario: " << serve_requests
               << " eval requests per side, alternating pairs "
               << "(request-scoped tracing off vs on)\n";

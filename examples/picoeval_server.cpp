@@ -21,10 +21,11 @@
  *                      carry none (default 0 = none)
  *   --drain-ms N       graceful-drain deadline on SIGTERM/SIGINT
  *                      (default 10000)
- *   --chaos            arm deterministic fault-injection sites
- *                      (cache-write faults, slow evaluations,
- *                      worker exceptions) — for the chaos-tested
- *                      load harness, never production
+ *   --chaos            arm five deterministic hook sites (cache
+ *                      save and rename faults, 25 ms evaluation
+ *                      stalls, worker exceptions, per-design
+ *                      faults) — for the chaos-tested load
+ *                      harness, never production
  *   --metrics-out FILE write a machine-readable run report (JSON)
  *                      after the drain
  *   --trace-out FILE   enable request-scoped tracing and write the
@@ -52,8 +53,8 @@
 #include "server/EvalService.hpp"
 #include "server/Server.hpp"
 #include "support/Backoff.hpp"
-#include "support/FaultInjection.hpp"
 #include "support/FlightRecorder.hpp"
+#include "support/Hooks.hpp"
 #include "support/Logging.hpp"
 #include "support/Metrics.hpp"
 #include "support/RunReport.hpp"
@@ -115,18 +116,18 @@ fatalFlightDump(const char *, const std::string &)
  * Deterministic chaos configuration: the same sites and triggers
  * every run, so a chaos load test is reproducible. Sites:
  * cache-write faults (the save protocol's recovery path), slow
- * evaluations (deadline/backpressure path), worker exceptions
- * (failure-isolation path).
+ * evaluations (deadline/backpressure path), worker and per-design
+ * exceptions (failure-isolation path).
  */
 void
 armChaos()
 {
-    auto &inj = support::FaultInjector::instance();
-    inj.arm("EvaluationCache::save:before-write", 1, 2);
-    inj.arm("EvaluationCache::save:before-rename", 4, 1);
-    inj.arm("EvalService::execute", 3, 3);
-    inj.arm("EvalService::execute:slow", 1, 0);
-    inj.arm("Spacewalker::evaluateDesign", 10, 3);
+    support::armHook("evalcache.save", 1, 2);
+    support::armHook("evalcache.rename", 4, 1);
+    support::armHook("evalservice.execute", 3, 3);
+    support::armHook("evalservice.stall", 1, 0,
+                     [] { support::sleepForMs(25); });
+    support::armHook("spacewalker.design", 10, 3);
     std::cout << "chaos mode: fault sites armed\n";
 }
 

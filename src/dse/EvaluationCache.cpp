@@ -8,10 +8,9 @@
 #include <sstream>
 
 #include "support/CancelToken.hpp"
-#include "support/FaultInjection.hpp"
+#include "support/Hooks.hpp"
 #include "support/Logging.hpp"
 #include "support/Metrics.hpp"
-#include "support/SchedulePerturb.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -175,7 +174,7 @@ EvaluationCache::getOrCompute(
         // Single-flight follower: another thread is computing this
         // key right now (a retried idempotent request). Wait for its
         // result instead of duplicating the work.
-        support::perturbPoint("evalcache.follower");
+        support::hookPoint("evalcache.follower");
         std::exception_ptr error;
         {
             support::MutexLock lock(flight->inflightMutex);
@@ -199,7 +198,7 @@ EvaluationCache::getOrCompute(
     // would serialize every other key.
     std::vector<double> values;
     std::exception_ptr error;
-    support::perturbPoint("evalcache.leader");
+    support::hookPoint("evalcache.leader");
     try {
         values = compute();
         ++computed_;
@@ -214,7 +213,7 @@ EvaluationCache::getOrCompute(
         support::MutexLock lock(tableMutex_);
         inflight_.erase(key);
     }
-    support::perturbPoint("evalcache.publish");
+    support::hookPoint("evalcache.publish");
     {
         support::MutexLock lock(flight->inflightMutex);
         flight->done = true;
@@ -315,8 +314,7 @@ EvaluationCache::saveLocked() const
 {
     if (path_.empty())
         return;
-    support::perturbPoint("evalcache.flush");
-    support::faultPoint("EvaluationCache::save:before-write");
+    support::hookPoint("evalcache.save");
 
     // Clear the dirty flag *before* snapshotting, and restore it on
     // every failure path. A store() racing with this save marks the
@@ -377,7 +375,7 @@ EvaluationCache::saveLocked() const
             }
         }
         syncFile(tmp);
-        support::faultPoint("EvaluationCache::save:before-rename");
+        support::hookPoint("evalcache.rename");
         std::error_code ec;
         std::filesystem::rename(tmp, path_, ec);
         if (ec) {

@@ -4,7 +4,7 @@
 #include <optional>
 
 #include "compiler/Scheduler.hpp"
-#include "support/FaultInjection.hpp"
+#include "support/Hooks.hpp"
 #include "support/Logging.hpp"
 #include "support/TraceEvents.hpp"
 #include "trace/TraceGenerator.hpp"
@@ -568,7 +568,7 @@ Spacewalker::explore(const ir::Program &prog)
                                       "walk.design.ns");
         const char *stage = "machine-description";
         try {
-            support::faultPoint("Spacewalker::evaluateDesign");
+            support::hookPoint("spacewalker.design");
             if (cancel != nullptr)
                 cancel->checkpoint("Spacewalker::design");
             if (plan.descError)
@@ -642,13 +642,10 @@ Spacewalker::explore(const ir::Program &prog)
             // design (keeping the conservation invariant — failures
             // plus evaluated covers every design) and let the
             // remaining tasks drain through their own checkpoints.
-            // Deliberately not subject to haltOnFailure.
             PICO_METRIC_COUNT("walk.designs.deadline", 1);
             out.failures.record(name, "deadline", e.what());
             return;
         } catch (const std::exception &e) {
-            if (options_.haltOnFailure)
-                throw;
             PICO_METRIC_COUNT("walk.designs.failed", 1);
             out.failures.record(name, stage, e.what());
             return;

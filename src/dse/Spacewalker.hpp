@@ -216,13 +216,6 @@ class Spacewalker
          */
         uint64_t checkpointEvery = 8;
         /**
-         * Rethrow per-design failures instead of recording them in
-         * the FailureLog and continuing (debugging aid). In a
-         * parallel walk the failure of the *earliest* design in
-         * walk order is the one rethrown, matching the serial walk.
-         */
-        bool haltOnFailure = false;
-        /**
          * Worker threads of the exploration (the --jobs knob):
          * 1 = serial (the default), N = N-way parallel, 0 = one per
          * hardware thread. Results — Pareto sets, failure ordering,
@@ -256,8 +249,7 @@ class Spacewalker
          * Pareto points and cached metrics, claimed designs land in
          * the FailureLog under stage "deadline", and
          * ExplorationResult::deadlineExceeded is set. The token must
-         * outlive explore(). Cancellation bypasses haltOnFailure (a
-         * deadline is an answer, not a bug to halt on).
+         * outlive explore().
          */
         const support::CancelToken *cancel = nullptr;
     };

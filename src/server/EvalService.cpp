@@ -5,12 +5,10 @@
 
 #include "core/TraceModel.hpp"
 #include "dse/Spacewalker.hpp"
-#include "support/Backoff.hpp"
-#include "support/FaultInjection.hpp"
 #include "support/FlightRecorder.hpp"
+#include "support/Hooks.hpp"
 #include "support/Logging.hpp"
 #include "support/Metrics.hpp"
-#include "support/SchedulePerturb.hpp"
 #include "support/TraceEvents.hpp"
 #include "workloads/AppSpec.hpp"
 #include "workloads/Toolchain.hpp"
@@ -224,7 +222,7 @@ EvalService::workerLoop()
     TaskPtr task;
     while (queue_.pop(task)) {
         // Popped / not yet started: the window drain() races with.
-        support::perturbPoint("evalservice.worker");
+        support::hookPoint("evalservice.worker");
         inflight_.fetch_add(1, std::memory_order_relaxed);
         const uint64_t rid = task->ctx.requestId;
         FlightRecorder::instance().record(
@@ -292,15 +290,11 @@ EvalService::execute(Task &task)
     Response resp;
     const std::string key = task.req.idempotencyKey();
     try {
-        // Chaos sites: `execute` simulates a worker blowing up,
-        // `execute:slow` a stuck evaluation (the armed fault is
-        // converted into a bounded deterministic stall).
-        support::faultPoint("EvalService::execute");
-        try {
-            support::faultPoint("EvalService::execute:slow");
-        } catch (const FaultInjectedError &) {
-            support::sleepForMs(options_.chaosSlowMs);
-        }
+        // Chaos sites: `execute` is where a worker blows up,
+        // `stall` where an evaluation gets stuck (its trigger
+        // sleeps).
+        support::hookPoint("evalservice.execute");
+        support::hookPoint("evalservice.stall");
         // A request that spent its whole deadline queued must not
         // start a walk at all.
         task.token.checkpoint("EvalService::execute");
@@ -511,7 +505,7 @@ EvalService::drain(uint64_t deadline_ms)
     // Phase 1: stop admission, let the workers finish the backlog.
     queue_.close();
     // Admission closed / workers still draining the backlog.
-    support::perturbPoint("evalservice.drain");
+    support::hookPoint("evalservice.drain");
     bool graceful = true;
     {
         support::MutexLock lock(exitMutex_);

@@ -101,9 +101,6 @@ struct ServiceOptions
     uint64_t defaultDeadlineMs = 0;
     /** Drain deadline used by the destructor (ms). */
     uint64_t drainDeadlineMs = 10000;
-    /** Sleep injected when the chaos site `EvalService::execute:slow`
-     *  fires (ms). */
-    uint64_t chaosSlowMs = 25;
 };
 
 /** Concurrent evaluation service over one shared cache. */

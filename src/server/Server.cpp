@@ -8,8 +8,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "support/Hooks.hpp"
 #include "support/Logging.hpp"
-#include "support/SchedulePerturb.hpp"
 #include "support/TraceEvents.hpp"
 
 namespace pico::server
@@ -76,7 +76,7 @@ Server::run()
             continue;
         // The window a stop() can land in: a shut-down listener still
         // hands out a connection queued before the shutdown.
-        support::perturbPoint("server.accept");
+        support::hookPoint("server.accept");
         int fd = ::accept(listenFd_, nullptr, nullptr);
         if (fd < 0) {
             if (errno == EINTR || errno == ECONNABORTED)

@@ -35,8 +35,8 @@
 #include <utility>
 #include <vector>
 
+#include "support/Hooks.hpp"
 #include "support/Logging.hpp"
-#include "support/SchedulePerturb.hpp"
 #include "support/ThreadAnnotations.hpp"
 
 namespace pico::support
@@ -78,7 +78,7 @@ template <typename T> class BoundedQueue
                 peakDepth_ = items_.size();
         }
         // Push-committed / about-to-notify race window.
-        perturbPoint("boundedqueue.push");
+        hookPoint("boundedqueue.push");
         consumerCv_.notify_one();
         return QueuePush::Ok;
     }
@@ -92,7 +92,7 @@ template <typename T> class BoundedQueue
     {
         // Consumer-arrival / producer-notify race window (taken
         // before the lock so the perturbation reorders arrivals).
-        perturbPoint("boundedqueue.pop");
+        hookPoint("boundedqueue.pop");
         MutexLock lock(queueMutex_);
         while (items_.empty() && !closed_)
             consumerCv_.wait(lock.native());

@@ -36,7 +36,7 @@
 #include <cstddef>
 
 /** 1 when the runtime rank checker is compiled in (Debug builds). */
-#if !defined(NDEBUG) && !defined(PICOEVAL_DISABLE_LOCK_RANK)
+#if !defined(NDEBUG)
 #define PICOEVAL_LOCK_RANK_CHECK 1
 #else
 #define PICOEVAL_LOCK_RANK_CHECK 0
@@ -52,7 +52,7 @@ namespace pico::support
  *
  * Outer tier (coordination): drain/server bookkeeping that calls
  * into everything below. Middle tier (service state, queues, cache).
- * Inner tier (leaf instrumentation): metrics/trace/fault singletons
+ * Inner tier (leaf instrumentation): metrics/trace/hook singletons
  * that may be touched from under any other lock and must therefore
  * never acquire anything themselves.
  */
@@ -90,7 +90,7 @@ constexpr int kServiceTask = 600;
 constexpr int kMetricsRegistry = 700;
 constexpr int kTraceRegistry = 710;
 constexpr int kTraceBuf = 720;
-constexpr int kFaultInjector = 800;
+constexpr int kHooks = 800;
 } // namespace rank
 
 namespace lockrank

@@ -171,25 +171,17 @@ MetricsRegistry::resetValues()
 void
 Counter::add(uint64_t n)
 {
-#if PICOEVAL_METRICS
     if (!metricsEnabled())
         return;
     value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
 }
 
 void
 Gauge::set(double v)
 {
-#if PICOEVAL_METRICS
     if (!metricsEnabled())
         return;
     value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
 }
 
 double
@@ -214,15 +206,11 @@ Histogram::bucketOf(uint64_t value)
 void
 Histogram::observe(uint64_t value)
 {
-#if PICOEVAL_METRICS
     if (!metricsEnabled())
         return;
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
     buckets_[bucketOf(value)].fetch_add(1, std::memory_order_relaxed);
-#else
-    (void)value;
-#endif
 }
 
 // --- snapshot JSON -----------------------------------------------------

@@ -13,11 +13,10 @@
  *    at sweep, phase and request granularity, never per access, so
  *    the shared words do not contend.
  *
- *  - *Zero cost when disabled.* Compiling with
- *    -DPICOEVAL_DISABLE_METRICS turns every update into a no-op; at
- *    runtime the default is off and a single relaxed atomic load
- *    guards each update (enable with setMetricsEnabled(true) or
- *    PICOEVAL_METRICS=1 in the environment).
+ *  - *Near-zero cost when disabled.* The default is off, and a
+ *    single relaxed atomic load guards each update (enable with
+ *    setMetricsEnabled(true) or PICOEVAL_METRICS=1 in the
+ *    environment).
  *
  *  - *Outside the result path.* Metrics observe the pipeline, never
  *    feed it: enabling or disabling instrumentation cannot change a
@@ -42,14 +41,6 @@
 
 #include "support/ThreadAnnotations.hpp"
 
-/** Compile-time kill switch: define PICOEVAL_DISABLE_METRICS to
- *  compile every metric update out of the hot paths entirely. */
-#if defined(PICOEVAL_DISABLE_METRICS)
-#define PICOEVAL_METRICS 0
-#else
-#define PICOEVAL_METRICS 1
-#endif
-
 namespace pico::support
 {
 
@@ -63,11 +54,7 @@ extern std::atomic<bool> metricsOn;
 inline bool
 metricsEnabled()
 {
-#if PICOEVAL_METRICS
     return detail::metricsOn.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
 }
 
 /** Flip the runtime switch (overrides PICOEVAL_METRICS env). */
@@ -217,13 +204,11 @@ metrics()
 } // namespace pico::support
 
 /**
- * Call-site macro: compiles to nothing under
- * -DPICOEVAL_DISABLE_METRICS. The handle lookup is a function-local
- * static, so each site pays the registry mutex exactly once — which
- * means `name` MUST be a constant at each call site. For dynamic
- * names, call metrics().counter(name).add(n) directly.
+ * Call-site macro. The handle lookup is a function-local static, so
+ * each site pays the registry mutex exactly once — which means `name`
+ * MUST be a constant at each call site. For dynamic names, call
+ * metrics().counter(name).add(n) directly.
  */
-#if PICOEVAL_METRICS
 #define PICO_METRIC_COUNT(name, n)                                    \
     do {                                                              \
         if (::pico::support::metricsEnabled()) {                      \
@@ -232,8 +217,5 @@ metrics()
             pico_metric_ctr_.add(n);                                  \
         }                                                             \
     } while (0)
-#else
-#define PICO_METRIC_COUNT(name, n) ((void)0)
-#endif
 
 #endif // PICO_SUPPORT_METRICS_HPP

@@ -5,8 +5,8 @@
 #include <exception>
 #include <memory>
 
+#include "support/Hooks.hpp"
 #include "support/Logging.hpp"
-#include "support/SchedulePerturb.hpp"
 #include "support/TraceContext.hpp"
 #include "support/TraceEvents.hpp"
 
@@ -79,7 +79,7 @@ ThreadPool::workerLoop()
         }
         PICO_METRIC_COUNT("threadpool.tasks", 1);
         // Dispatch decision point: a task dequeued but not yet run.
-        perturbPoint("threadpool.dispatch");
+        hookPoint("threadpool.dispatch");
         task();
     }
 }
@@ -125,7 +125,7 @@ struct LoopState
                 return;
             // Claim/run boundary: reorders which thread gets which
             // index without changing the merge result.
-            perturbPoint("threadpool.parallelfor");
+            hookPoint("threadpool.parallelfor");
             try {
                 body(i);
             } catch (...) {

@@ -312,7 +312,6 @@ TimedSpan::TimedSpan(std::string name, const char *category,
     : name_(std::move(name)), metric_(std::move(metric)),
       category_(category)
 {
-#if PICOEVAL_METRICS
     active_ = metricsEnabled() || traceEnabled();
     if (active_) {
         startNs_ = monotonicNowNs();
@@ -327,12 +326,10 @@ TimedSpan::TimedSpan(std::string name, const char *category,
             detail::setCurrentSpanId(spanId_);
         }
     }
-#endif
 }
 
 TimedSpan::~TimedSpan()
 {
-#if PICOEVAL_METRICS
     if (tracing_)
         detail::setCurrentSpanId(parentSpanId_);
     if (!active_)
@@ -347,7 +344,6 @@ TimedSpan::~TimedSpan()
         TraceRecorder::instance().complete(name_, category_,
                                            startNs_, dur, requestId_,
                                            spanId_, parentSpanId_);
-#endif
 }
 
 } // namespace pico::support

@@ -24,7 +24,6 @@
  *  - appends touch only the calling thread's buffer (one uncontended
  *    mutex acquisition), so recording does not serialize the walk;
  *  - disabled (the default) costs one relaxed atomic load per site;
- *    -DPICOEVAL_DISABLE_METRICS compiles TimedSpan bodies out;
  *  - each thread's buffer is bounded (maxEventsPerThread); a
  *    long-lived server cannot grow without bound — overflow events
  *    are counted, not stored;
@@ -62,11 +61,7 @@ extern std::atomic<bool> traceOn;
 inline bool
 traceEnabled()
 {
-#if PICOEVAL_METRICS
     return detail::traceOn.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
 }
 
 /** Flip the runtime switch (overrides PICOEVAL_TRACE env). */

@@ -1,81 +1,31 @@
-#include "support/FaultInjection.hpp"
+/**
+ * @file
+ * Seed-driven file corruption for the recovery tests: truncate a file
+ * or flip bits at deterministic offsets, so every corruption test is
+ * exactly reproducible from its seed.
+ */
 
+#ifndef PICO_TESTS_FILE_CORRUPTION_HPP
+#define PICO_TESTS_FILE_CORRUPTION_HPP
+
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "support/Logging.hpp"
-#include "support/Metrics.hpp"
 #include "support/Random.hpp"
 
-namespace pico::support
+namespace pico::testutil
 {
 
-FaultInjector &
-FaultInjector::instance()
-{
-    static FaultInjector injector;
-    return injector;
-}
-
-void
-FaultInjector::arm(const std::string &site, uint64_t skip,
-                   uint64_t fires)
-{
-    MutexLock lock(faultMutex_);
-    auto &s = sites_[site];
-    if (!s.armed)
-        armedCount_.fetch_add(1, std::memory_order_release);
-    s.armed = true;
-    s.skip = s.hits + skip;
-    s.fires = fires;
-}
-
-void
-FaultInjector::disarm(const std::string &site)
-{
-    MutexLock lock(faultMutex_);
-    auto it = sites_.find(site);
-    if (it == sites_.end() || !it->second.armed)
-        return;
-    it->second.armed = false;
-    armedCount_.fetch_sub(1, std::memory_order_release);
-}
-
-void
-FaultInjector::reset()
-{
-    MutexLock lock(faultMutex_);
-    sites_.clear();
-    armedCount_.store(0, std::memory_order_release);
-}
-
-bool
-FaultInjector::shouldFail(const std::string &site)
-{
-    MutexLock lock(faultMutex_);
-    auto &s = sites_[site];
-    uint64_t hit = s.hits++;
-    if (!s.armed || hit < s.skip)
-        return false;
-    if (s.fires != 0 && hit >= s.skip + s.fires) {
-        s.armed = false;
-        armedCount_.fetch_sub(1, std::memory_order_release);
-        return false;
-    }
-    PICO_METRIC_COUNT("fault.trips", 1);
-    return true;
-}
-
-uint64_t
-FaultInjector::hits(const std::string &site) const
-{
-    MutexLock lock(faultMutex_);
-    auto it = sites_.find(site);
-    return it == sites_.end() ? 0 : it->second.hits;
-}
-
-void
+/**
+ * Truncate a file to keepBytes; fatal() when the file is missing or
+ * already shorter.
+ */
+inline void
 truncateFile(const std::string &path, uint64_t keepBytes)
 {
     std::error_code ec;
@@ -87,9 +37,9 @@ truncateFile(const std::string &path, uint64_t keepBytes)
     fatalIf(static_cast<bool>(ec), "cannot truncate '", path, "'");
 }
 
-void
-flipBit(const std::string &path, uint64_t byteOffset,
-        unsigned bitIndex)
+/** Flip one bit: byte byteOffset, bit bitIndex (0-7). */
+inline void
+flipBit(const std::string &path, uint64_t byteOffset, unsigned bitIndex)
 {
     fatalIf(bitIndex > 7, "bit index must be 0-7");
     std::fstream f(path,
@@ -106,9 +56,14 @@ flipBit(const std::string &path, uint64_t byteOffset,
     fatalIf(!f, "corrupting '", path, "' failed");
 }
 
-std::vector<uint64_t>
+/**
+ * Deterministic corruption offsets: n distinct byte offsets in
+ * [lo, fileSize) drawn from the given seed. lo lets callers protect
+ * a header from corruption.
+ */
+inline std::vector<uint64_t>
 corruptionOffsets(const std::string &path, uint64_t seed, size_t n,
-                  uint64_t lo)
+                  uint64_t lo = 0)
 {
     std::error_code ec;
     auto size = std::filesystem::file_size(path, ec);
@@ -125,4 +80,6 @@ corruptionOffsets(const std::string &path, uint64_t seed, size_t n,
     return {picked.begin(), picked.end()};
 }
 
-} // namespace pico::support
+} // namespace pico::testutil
+
+#endif // PICO_TESTS_FILE_CORRUPTION_HPP

@@ -1,7 +1,7 @@
 /**
  * @file
- * Fault-injection tests: the harness itself, plus every recovery
- * path it exists to exercise — crash-safe evaluation-cache
+ * Fault-injection tests: the hook registry's triggers, plus every
+ * recovery path they exist to exercise — crash-safe evaluation-cache
  * persistence and per-design failure isolation in the spacewalker.
  */
 
@@ -12,22 +12,25 @@
 
 #include "dse/EvaluationCache.hpp"
 #include "dse/Spacewalker.hpp"
-#include "support/FaultInjection.hpp"
+#include "support/Hooks.hpp"
+#include "support/Metrics.hpp"
 #include "workloads/AppSpec.hpp"
 #include "workloads/Toolchain.hpp"
+
+#include "FileCorruption.hpp"
 
 namespace pico
 {
 namespace
 {
 
-using support::FaultInjector;
-using support::ScopedFault;
+using support::hookPoint;
+using support::ScopedHook;
 
 class FaultInjection : public ::testing::Test
 {
   protected:
-    void TearDown() override { FaultInjector::instance().reset(); }
+    void TearDown() override { support::resetHooks(); }
 
     static std::filesystem::path
     tmpFile(const std::string &name)
@@ -57,60 +60,78 @@ class FaultInjection : public ::testing::Test
     }
 };
 
-// --- the injector itself ----------------------------------------------
+// --- the triggers themselves ------------------------------------------
 
 TEST_F(FaultInjection, UnarmedSitesAreFree)
 {
-    EXPECT_NO_THROW(support::faultPoint("never-armed"));
-    EXPECT_FALSE(FaultInjector::instance().anyArmed());
+    EXPECT_NO_THROW(hookPoint("never-armed"));
+    // Nothing armed: the site took the one-load fast path and was
+    // not even counted.
+    EXPECT_EQ(support::hookHits("never-armed"), 0u);
 }
 
 TEST_F(FaultInjection, ArmedSiteFiresOnceThenDisarms)
 {
-    FaultInjector::instance().arm("site-a");
-    EXPECT_THROW(support::faultPoint("site-a"), FaultInjectedError);
-    EXPECT_NO_THROW(support::faultPoint("site-a"));
-    EXPECT_EQ(FaultInjector::instance().hits("site-a"), 2u);
+    support::armHook("site-a");
+    EXPECT_THROW(hookPoint("site-a"), FaultInjectedError);
+    EXPECT_NO_THROW(hookPoint("site-a"));
+    EXPECT_EQ(support::hookHits("site-a"), 2u);
 }
 
 TEST_F(FaultInjection, SkipCountDelaysTheFault)
 {
-    FaultInjector::instance().arm("site-b", /*skip=*/2);
-    EXPECT_NO_THROW(support::faultPoint("site-b"));
-    EXPECT_NO_THROW(support::faultPoint("site-b"));
-    EXPECT_THROW(support::faultPoint("site-b"), FaultInjectedError);
+    support::armHook("site-b", /*skip=*/2);
+    EXPECT_NO_THROW(hookPoint("site-b"));
+    EXPECT_NO_THROW(hookPoint("site-b"));
+    EXPECT_THROW(hookPoint("site-b"), FaultInjectedError);
 }
 
 TEST_F(FaultInjection, OtherSitesAreUnaffected)
 {
-    FaultInjector::instance().arm("site-c");
-    EXPECT_NO_THROW(support::faultPoint("site-d"));
-    EXPECT_THROW(support::faultPoint("site-c"), FaultInjectedError);
+    support::armHook("site-c");
+    EXPECT_NO_THROW(hookPoint("site-d"));
+    EXPECT_THROW(hookPoint("site-c"), FaultInjectedError);
 }
 
 TEST_F(FaultInjection, ScopedFaultDisarmsOnExit)
 {
     {
-        ScopedFault f("site-e", /*skip=*/0, /*fires=*/0);
-        EXPECT_THROW(support::faultPoint("site-e"),
-                     FaultInjectedError);
+        ScopedHook f("site-e", /*skip=*/0, /*fires=*/0);
+        EXPECT_THROW(hookPoint("site-e"), FaultInjectedError);
     }
-    EXPECT_NO_THROW(support::faultPoint("site-e"));
+    EXPECT_NO_THROW(hookPoint("site-e"));
+}
+
+TEST_F(FaultInjection, TripIsCountedOutsideTheRegistryLock)
+{
+    // The trip counter's first use registers it under the metrics
+    // registry lock (rank 700). Taken under the hook registry's lock
+    // (rank 800), that is a rank inversion the Debug checker turns
+    // into a FatalError instead of the injected fault.
+    support::setMetricsEnabled(true);
+    support::metrics().resetValues();
+    {
+        ScopedHook f("site-f");
+        EXPECT_THROW(hookPoint("site-f"), FaultInjectedError);
+    }
+    auto counters = support::metrics().snapshot().counters;
+    support::setMetricsEnabled(false);
+    EXPECT_EQ(counters["fault.trips"], 1u);
 }
 
 TEST_F(FaultInjection, CorruptionOffsetsAreDeterministic)
 {
     auto path = tmpFile("pico_fi_offsets.bin");
     writeFile(path, std::string(256, 'x'));
-    auto a = support::corruptionOffsets(path.string(), 42, 8, 16);
-    auto b = support::corruptionOffsets(path.string(), 42, 8, 16);
+    auto a = testutil::corruptionOffsets(path.string(), 42, 8, 16);
+    auto b = testutil::corruptionOffsets(path.string(), 42, 8, 16);
     EXPECT_EQ(a, b);
     ASSERT_EQ(a.size(), 8u);
     for (auto off : a) {
         EXPECT_GE(off, 16u);
         EXPECT_LT(off, 256u);
     }
-    auto c = support::corruptionOffsets(path.string(), 43, 8, 16);
+    auto c = testutil::corruptionOffsets(path.string(), 43, 8, 16);
     EXPECT_NE(a, c);
     std::filesystem::remove(path);
 }
@@ -130,7 +151,7 @@ TEST_F(FaultInjection, CacheCrashBeforeRenameKeepsOldGeneration)
 
         cache.store("gen2", {2.0});
         {
-            ScopedFault f("EvaluationCache::save:before-rename");
+            ScopedHook f("evalcache.rename");
             EXPECT_THROW(cache.flush(), FaultInjectedError);
         }
         // The "crash" hit after the tmp write, before the rename:
@@ -161,7 +182,7 @@ TEST_F(FaultInjection, CacheCrashBeforeWriteKeepsOldGeneration)
     cache.flush();
     cache.store("gen2", {2.0});
     {
-        ScopedFault f("EvaluationCache::save:before-write");
+        ScopedHook f("evalcache.save");
         EXPECT_THROW(cache.flush(), FaultInjectedError);
     }
     dse::EvaluationCache survivor(path.string());
@@ -178,8 +199,7 @@ TEST_F(FaultInjection, CacheDestructorNeverThrows)
     auto cache =
         std::make_unique<dse::EvaluationCache>(path.string());
     cache->store("k", {1.0});
-    ScopedFault f("EvaluationCache::save:before-rename",
-                  /*skip=*/0, /*fires=*/0);
+    ScopedHook f("evalcache.rename", /*skip=*/0, /*fires=*/0);
     EXPECT_NO_THROW(cache.reset());
     std::filesystem::remove(path);
     std::filesystem::remove(path.string() + ".tmp");
@@ -239,7 +259,7 @@ TEST_F(FaultInjection, InjectedDesignFailureIsIsolated)
     dse::Spacewalker walker(tinySpaces(), {"1111", "2111", "3221"},
                             tinyOptions());
     // Poison only the second design evaluation.
-    ScopedFault f("Spacewalker::evaluateDesign", /*skip=*/1);
+    ScopedHook f("spacewalker.design", /*skip=*/1);
     auto result = walker.explore(prog);
 
     EXPECT_FALSE(result.complete());
@@ -256,6 +276,11 @@ TEST_F(FaultInjection, InjectedDesignFailureIsIsolated)
     EXPECT_FALSE(result.failures.report().empty());
 }
 
+/** Not a std::exception: the walk records no design failure for it,
+ *  so it ends explore() the way a crash ends the process. */
+struct WalkCrash
+{};
+
 TEST_F(FaultInjection, CheckpointSurvivesWalkCrash)
 {
     auto path = tmpFile("pico_fi_checkpoint.db");
@@ -266,12 +291,12 @@ TEST_F(FaultInjection, CheckpointSurvivesWalkCrash)
     auto opts = tinyOptions();
     opts.evaluationCachePath = path.string();
     opts.checkpointEvery = 1;
-    opts.haltOnFailure = true;
     {
         dse::Spacewalker walker(tinySpaces(), {"1111", "3221"},
                                 opts);
-        ScopedFault f("Spacewalker::evaluateDesign", /*skip=*/1);
-        EXPECT_THROW(walker.explore(prog), FaultInjectedError);
+        ScopedHook f("spacewalker.design", /*skip=*/1, /*fires=*/1,
+                     [] { throw WalkCrash{}; });
+        EXPECT_THROW(walker.explore(prog), WalkCrash);
 
         // Before the walker (and its destructor-time save) goes
         // away: the first design's metrics, and the class's

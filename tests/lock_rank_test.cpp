@@ -35,7 +35,7 @@ using support::lockrank::setLockRankCheckEnabled;
 /** Two ranks that are valid table values but unused by production
  *  mutexes, so these fixtures cannot collide with real state. */
 constexpr int kOuterRank = support::rank::kEvalServiceDrain;
-constexpr int kInnerRank = support::rank::kFaultInjector;
+constexpr int kInnerRank = support::rank::kHooks;
 
 TEST(LockRank, OrderedAcquisitionPasses)
 {

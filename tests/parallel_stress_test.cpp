@@ -18,7 +18,7 @@
 
 #include "dse/EvaluationCache.hpp"
 #include "dse/Spacewalker.hpp"
-#include "support/FaultInjection.hpp"
+#include "support/Hooks.hpp"
 #include "support/ThreadPool.hpp"
 #include "workloads/AppSpec.hpp"
 #include "workloads/Toolchain.hpp"
@@ -69,7 +69,7 @@ class ParallelStress : public ::testing::Test
     void
     TearDown() override
     {
-        support::FaultInjector::instance().reset();
+        support::resetHooks();
     }
 
     static void
@@ -107,8 +107,8 @@ TEST_F(ParallelStress, InjectedFailuresStayIsolatedAtEightThreads)
     // Every design task hits the site exactly once; two of the six
     // hits fire. *Which* two is schedule-dependent — the isolation
     // guarantees below must hold regardless.
-    support::ScopedFault f("Spacewalker::evaluateDesign",
-                           /*skip=*/0, /*fires=*/2);
+    support::ScopedHook f("spacewalker.design",
+                          /*skip=*/0, /*fires=*/2);
     auto result = walker.explore(*prog_);
 
     EXPECT_FALSE(result.complete());
@@ -177,8 +177,8 @@ TEST_F(ParallelStress, SaveCrashDuringParallelWalkKeepsOldGeneration)
         // The first checkpoint's rename "crashes". The injected
         // error escapes the walk (flushing is not per-design work),
         // exactly as it would in a serial walk.
-        support::ScopedFault f("EvaluationCache::save:before-rename",
-                               /*skip=*/0, /*fires=*/1);
+        support::ScopedHook f("evalcache.rename",
+                              /*skip=*/0, /*fires=*/1);
         EXPECT_THROW(walker.explore(*prog_), FaultInjectedError);
     }
     // The walker's destructor-time flush committed what the crashed
@@ -193,12 +193,12 @@ TEST_F(ParallelStress, SaveCrashDuringParallelWalkKeepsOldGeneration)
 
 TEST_F(ParallelStress, WalkSurvivesArmedButUnfiredSites)
 {
-    // Arm a site with a skip beyond every hit: the lock-free
-    // anyArmed() fast path and the locked hit counting run on every
+    // Arm a site with a skip beyond every hit: the lock-free armed
+    // check and the locked hit counting run on every
     // task of the parallel walk without firing — the walk must be
     // clean and complete (TSan guards the counter accesses).
-    support::ScopedFault f("Spacewalker::evaluateDesign",
-                           /*skip=*/1000, /*fires=*/1);
+    support::ScopedHook f("spacewalker.design",
+                          /*skip=*/1000, /*fires=*/1);
     dse::Spacewalker::Options opts;
     opts.traceBlocks = 8000;
     opts.uGranule = 40000;
@@ -208,10 +208,7 @@ TEST_F(ParallelStress, WalkSurvivesArmedButUnfiredSites)
     auto result = walker.explore(*prog_);
     EXPECT_TRUE(result.complete());
     EXPECT_EQ(result.evaluatedDesigns, 3u);
-    EXPECT_EQ(
-        support::FaultInjector::instance().hits(
-            "Spacewalker::evaluateDesign"),
-        3u);
+    EXPECT_EQ(support::hookHits("spacewalker.design"), 3u);
 }
 
 // --- concurrent-flush regression --------------------------------------

@@ -1,6 +1,6 @@
 /**
  * @file
- * Seed-swept schedule-perturbation suite (support/SchedulePerturb).
+ * Seed-swept schedule-perturbation suite (support/Hooks).
  *
  * TSan only judges the interleavings a run happens to produce; this
  * suite *manufactures* interleavings. Each test sweeps the harness
@@ -30,8 +30,8 @@
 #include "dse/EvaluationCache.hpp"
 #include "server/EvalService.hpp"
 #include "server/Protocol.hpp"
-#include "support/FaultInjection.hpp"
-#include "support/SchedulePerturb.hpp"
+#include "support/Backoff.hpp"
+#include "support/Hooks.hpp"
 #include "support/ThreadPool.hpp"
 
 namespace pico
@@ -74,7 +74,7 @@ TEST(SchedulePerturb, DisarmedByDefaultAndCheap)
     EXPECT_FALSE(support::schedulePerturbArmed());
     // Unarmed points must be inert (and cost one relaxed load).
     for (int i = 0; i < 1000; ++i)
-        support::perturbPoint("test.point");
+        support::hookPoint("test.point");
     EXPECT_EQ(support::perturbCount(), 0u);
 }
 
@@ -85,7 +85,7 @@ TEST(SchedulePerturb, DecisionStreamIsSeedDeterministic)
     auto decisions = [](uint64_t seed) {
         ScopedPerturb perturb(seed);
         for (int i = 0; i < 4096; ++i)
-            support::perturbPoint("test.stream");
+            support::hookPoint("test.stream");
         return support::perturbCount();
     };
     uint64_t a = decisions(12345);
@@ -104,18 +104,18 @@ TEST(SchedulePerturb, PointActionRunsOnceAtItsPoint)
     int runs = 0;
     const uint64_t decisions = support::perturbCount();
     {
-        support::ScopedPointAction at("test.target", [&] { ++runs; });
+        support::ScopedHook at("test.target", 0, 1, [&] { ++runs; });
         EXPECT_FALSE(support::schedulePerturbArmed());
-        support::perturbPoint("test.other");
+        support::hookPoint("test.other");
         EXPECT_FALSE(at.fired());
         for (int i = 0; i < 3; ++i)
-            support::perturbPoint("test.target");
+            support::hookPoint("test.target");
         EXPECT_TRUE(at.fired());
         // No seed is armed, so no point takes a seeded decision.
         EXPECT_EQ(support::perturbCount(), decisions);
     }
     EXPECT_EQ(runs, 1);
-    support::perturbPoint("test.target");
+    support::hookPoint("test.target");
     EXPECT_EQ(runs, 1);
 }
 
@@ -303,10 +303,10 @@ TEST(ScheduleSweep, DrainDuringChaosStormReconciles)
         ServiceOptions opts;
         opts.workers = 2;
         opts.queueWatermark = 4;
-        opts.chaosSlowMs = 5;
         opts.drainDeadlineMs = 2000;
         EvalService service(opts);
-        support::ScopedFault slow("EvalService::execute:slow", 0, 0);
+        support::ScopedHook slow("evalservice.stall", 0, 0,
+                                 [] { support::sleepForMs(5); });
 
         constexpr int kCallers = 4;
         std::atomic<int> answered{0};

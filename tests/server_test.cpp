@@ -35,11 +35,10 @@
 #include "server/Protocol.hpp"
 #include "server/Server.hpp"
 #include "support/Backoff.hpp"
-#include "support/FaultInjection.hpp"
 #include "support/FlightRecorder.hpp"
+#include "support/Hooks.hpp"
 #include "support/Metrics.hpp"
 #include "support/Random.hpp"
-#include "support/SchedulePerturb.hpp"
 #include "support/TraceEvents.hpp"
 #include "verify/ResultVerifier.hpp"
 
@@ -63,6 +62,13 @@ fastOptions()
     opts.queueWatermark = 4;
     opts.drainDeadlineMs = 5000;
     return opts;
+}
+
+/** A hook action that stalls the hitting thread for `ms`. */
+std::function<void()>
+stallMs(uint64_t ms)
+{
+    return [ms] { support::sleepForMs(ms); };
 }
 
 /** A cheap but real evaluation request. */
@@ -422,7 +428,7 @@ TEST(EvalService, UnknownAppFailsWithoutKillingTheService)
 TEST(EvalService, WorkerFaultIsIsolatedToOneRequest)
 {
     EvalService service(fastOptions());
-    support::ScopedFault fault("EvalService::execute", 0, 1);
+    support::ScopedHook fault("evalservice.execute", 0, 1);
     Response faulted = service.call(smallEval());
     EXPECT_EQ(faulted.status, Status::Failed);
     Response ok = service.call(smallEval("2111"));
@@ -434,10 +440,9 @@ TEST(EvalService, ShedsAtWatermarkUnderBurst)
     ServiceOptions opts = fastOptions();
     opts.workers = 1;
     opts.queueWatermark = 1;
-    opts.chaosSlowMs = 400;
     EvalService service(opts);
     // Stall every execution: the burst below must pile up.
-    support::ScopedFault slow("EvalService::execute:slow", 0, 0);
+    support::ScopedHook slow("evalservice.stall", 0, 0, stallMs(400));
 
     const int kCallers = 5;
     std::atomic<int> shed{0}, terminal{0};
@@ -467,11 +472,10 @@ TEST(EvalService, DeadlineExceededReturnsPartialTaggedResponse)
 {
     ServiceOptions opts = fastOptions();
     opts.workers = 1;
-    opts.chaosSlowMs = 200;
     EvalService service(opts);
     // The stall consumes the whole 50 ms deadline before the walk
     // starts: deterministic deadline_exceeded.
-    support::ScopedFault slow("EvalService::execute:slow", 0, 0);
+    support::ScopedHook slow("evalservice.stall", 0, 0, stallMs(200));
     Request req = smallEval();
     req.deadlineMs = 50;
     Response resp = service.call(req);
@@ -506,9 +510,8 @@ TEST(EvalService, DeadlineFiredWhileQueuedNeverStartsTheWalk)
     // outlives its deadline in the queue.
     ServiceOptions opts = fastOptions();
     opts.workers = 1;
-    opts.chaosSlowMs = 300;
     EvalService service(opts);
-    support::ScopedFault slow("EvalService::execute:slow", 0, 0);
+    support::ScopedHook slow("evalservice.stall", 0, 0, stallMs(300));
 
     std::thread occupant([&] {
         Request req = smallEval();
@@ -600,9 +603,8 @@ TEST(EvalService, DrainAnswersEveryWaiterAndIsIdempotent)
 {
     ServiceOptions opts = fastOptions();
     opts.workers = 1;
-    opts.chaosSlowMs = 300;
     EvalService service(opts);
-    support::ScopedFault slow("EvalService::execute:slow", 0, 0);
+    support::ScopedHook slow("evalservice.stall", 0, 0, stallMs(300));
 
     std::atomic<int> answered{0};
     std::vector<std::thread> callers;
@@ -756,7 +758,7 @@ TEST(FlightRecorderIntegration, DumpNamesShedAndFaultedRequestIds)
     support::FlightRecorder::instance().resetForTest();
     EvalService service(fastOptions());
 
-    support::ScopedFault fault("EvalService::execute", 0, 1);
+    support::ScopedHook fault("evalservice.execute", 0, 1);
     Response faulted = service.call(smallEval());
     ASSERT_EQ(faulted.status, Status::Failed);
     const uint64_t faulted_rid =
@@ -797,7 +799,7 @@ TEST(Drain, StatsSnapshotIsStableAfterDrain)
     EvalService service(fastOptions());
     ASSERT_EQ(service.call(smallEval()).status, Status::Ok);
     service.call(smallEval());                        // memo hit
-    support::ScopedFault fault("EvalService::execute", 0, 1);
+    support::ScopedHook fault("evalservice.execute", 0, 1);
     service.call(smallEval("2111"));                  // failed
     ASSERT_TRUE(service.drain(5000));
 
@@ -825,10 +827,9 @@ TEST(Drain, StatsSnapshotIsStableAfterDrain)
 TEST(Drain, ConcurrentIntrospectionSurvivesDrainAndChaos)
 {
     ServiceOptions opts = fastOptions();
-    opts.chaosSlowMs = 20;
     EvalService service(opts);
-    support::ScopedFault f1("EvalService::execute", 1, 3);
-    support::ScopedFault f2("EvalService::execute:slow", 2, 0);
+    support::ScopedHook f1("evalservice.execute", 1, 3);
+    support::ScopedHook f2("evalservice.stall", 2, 0, stallMs(20));
 
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> samples{0};
@@ -929,7 +930,7 @@ TEST(ServerSocket, ConnectionQueuedAtStopIsDropped)
     // joining (~Server would destroy it joinable and terminate).
     std::string sock = tempPath("picoeval_stop.sock");
     std::unique_ptr<server::Server> srv;
-    support::ScopedPointAction stop_at_accept("server.accept", [&] {
+    support::ScopedHook stop_at_accept("server.accept", 0, 1, [&] {
         std::thread watcher([&] { srv->stop(); });
         watcher.join();
     });
@@ -1055,17 +1056,15 @@ TEST(Chaos, ServiceSurvivesFaultStormWithoutCorruptionOrDeadlock)
     opts.cachePath = cache_path;
     opts.workers = 2;
     opts.queueWatermark = 3;
-    opts.chaosSlowMs = 30;
     uint64_t shed_count = 0, failed_count = 0;
     {
         EvalService service(opts);
         // Deterministic fault storm: worker exceptions, slow
         // executions, cache-write failures and per-design faults.
-        support::ScopedFault f1("EvalService::execute", 2, 3);
-        support::ScopedFault f2("EvalService::execute:slow", 1, 0);
-        support::ScopedFault f3(
-            "EvaluationCache::save:before-write", 0, 2);
-        support::ScopedFault f4("Spacewalker::evaluateDesign", 4, 2);
+        support::ScopedHook f1("evalservice.execute", 2, 3);
+        support::ScopedHook f2("evalservice.stall", 1, 0, stallMs(30));
+        support::ScopedHook f3("evalcache.save", 0, 2);
+        support::ScopedHook f4("spacewalker.design", 4, 2);
 
         const int kThreads = 4, kRequests = 6;
         std::atomic<uint64_t> answered{0};

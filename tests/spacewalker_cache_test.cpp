@@ -154,16 +154,6 @@ TEST(SpacewalkerCache, PoisonedDesignDoesNotKillTheWalk)
         EXPECT_EQ(p.id.find("P0111"), std::string::npos);
 }
 
-TEST(SpacewalkerCache, HaltOnFailurePropagates)
-{
-    auto prog = workloads::buildAndProfile(
-        workloads::specByName("unepic"), 8000);
-    auto opts = tinyOptions();
-    opts.haltOnFailure = true;
-    Spacewalker walker(tinySpaces(), {"1111", "0111"}, opts);
-    EXPECT_THROW(walker.explore(prog), FatalError);
-}
-
 TEST(SpacewalkerCache, AllDesignsFailingYieldsEmptyResult)
 {
     auto prog = workloads::buildAndProfile(

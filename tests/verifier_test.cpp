@@ -24,13 +24,14 @@
 #include "dse/EvaluationCache.hpp"
 #include "dse/Spacewalker.hpp"
 #include "machine/MachineDesc.hpp"
-#include "support/FaultInjection.hpp"
 #include "verify/DesignVerifier.hpp"
 #include "verify/Diagnostics.hpp"
 #include "verify/ProgramVerifier.hpp"
 #include "verify/ResultVerifier.hpp"
 #include "workloads/AppSpec.hpp"
 #include "workloads/Toolchain.hpp"
+
+#include "FileCorruption.hpp"
 
 namespace pico::verify
 {
@@ -818,7 +819,7 @@ TEST_F(CacheFileVerifierTest, HeaderCorruptionTrips)
     auto path = makeDatabase("hdr");
     cleanup_.push_back(path);
     // Deterministic fault injection inside the version header.
-    support::flipBit(path, 3, 2);
+    testutil::flipBit(path, 3, 2);
     Diagnostics diags;
     EXPECT_FALSE(verifyCacheFile(path, diags));
     EXPECT_TRUE(diags.has("result.cachefile")) << diags.report();
@@ -840,7 +841,7 @@ TEST_F(CacheFileVerifierTest, TruncatedTailTrips)
     }
     auto bar = bytes.rfind('|');
     ASSERT_NE(bar, std::string::npos);
-    support::truncateFile(path, bar);
+    testutil::truncateFile(path, bar);
     Diagnostics diags;
     EXPECT_FALSE(verifyCacheFile(path, diags));
     EXPECT_TRUE(diags.has("result.cachefile")) << diags.report();
@@ -869,11 +870,11 @@ TEST_F(CacheFileVerifierTest, SeededCorruptionNeverCrashes)
     for (uint64_t seed = 1; seed <= 4; ++seed) {
         auto path = makeDatabase("fuzz" + std::to_string(seed));
         cleanup_.push_back(path);
-        auto offsets = support::corruptionOffsets(
+        auto offsets = testutil::corruptionOffsets(
             path, seed, 3,
             std::string(dse::EvaluationCache::header).size() + 1);
         for (auto off : offsets)
-            support::flipBit(path, off, seed % 8);
+            testutil::flipBit(path, off, seed % 8);
         Diagnostics diags;
         EXPECT_NO_THROW(verifyCacheFile(path, diags));
     }

@@ -27,17 +27,22 @@ Usage:
   picoeval-bench-gate.py [--results DIR] [--baselines DIR]
                          [--benches A,B,...]
   picoeval-bench-gate.py --update-baselines [--results DIR]
+                         [--baselines DIR] [--benches A,B,...]
   picoeval-bench-gate.py --self-test
 
 --benches restricts the gate to a comma-separated subset of bench
 names (the CI bench-gate job excludes server_load, which only the
 server-smoke job produces).
 
---update-baselines copies the current reports over the baselines
-(after a deliberate performance change; commit the result).
+--update-baselines copies the current reports (of --benches, or of
+every bench) over the baselines after a deliberate performance
+change; commit the result. If a selected report is missing it names
+it, copies nothing and exits 2.
 --self-test proves the gate trips: it replays every baseline against
 itself (must pass), then against a copy with each gated metric pushed
-just beyond its tolerance (every check must fail).
+just beyond its tolerance (every check must fail). It also updates a
+subset of baselines into a scratch directory and checks that an
+update with a missing report copies nothing.
 
 Standard library only.
 """
@@ -232,13 +237,22 @@ def run_gate(results_dir, baselines_dir, out=sys.stdout,
 HEADER = ("bench", "metric", "baseline", "current", "limit", "status")
 
 
-def update_baselines(results_dir, baselines_dir):
+def update_baselines(results_dir, baselines_dir, benches=None,
+                     out=sys.stdout, err=sys.stderr):
+    """Copy the selected reports over their baselines, or none of
+    them when one is missing. Returns 0, or 2 on a missing report."""
+    benches = benches if benches is not None else EXPECTED_BENCHES
+    for bench in benches:
+        src = os.path.join(results_dir, report_name(bench))
+        if not os.path.isfile(src):
+            err.write("no report %s; no baseline updated\n" % src)
+            return 2
     os.makedirs(baselines_dir, exist_ok=True)
-    for bench in EXPECTED_BENCHES:
+    for bench in benches:
         src = os.path.join(results_dir, report_name(bench))
         dst = os.path.join(baselines_dir, report_name(bench))
         shutil.copyfile(src, dst)
-        print("baseline updated: %s" % dst)
+        out.write("baseline updated: %s\n" % dst)
     return 0
 
 
@@ -294,8 +308,39 @@ def self_test(baselines_dir, tmp_dir):
               % (len(GATES), failed))
         return 1
 
+    # 3. Update a subset of baselines into a scratch directory: only
+    #    the selected reports are copied. Then select one report the
+    #    results lack: nothing is copied and the update exits 2.
+    subset = [b for b in EXPECTED_BENCHES if b != "server_load"]
+    results = os.path.join(tmp_dir, "update-results")
+    target = os.path.join(tmp_dir, "update-baselines")
+    for d in (results, target):
+        shutil.rmtree(d, ignore_errors=True)
+        os.makedirs(d)
+    for bench in subset:
+        shutil.copyfile(os.path.join(baselines_dir, report_name(bench)),
+                        os.path.join(results, report_name(bench)))
+    buf = io.StringIO()
+    rc = update_baselines(results, target, subset, out=buf, err=buf)
+    if rc != 0 or sorted(os.listdir(target)) != sorted(
+            report_name(b) for b in subset):
+        print(buf.getvalue())
+        print("self-test FAILED: subset update copied %s (exit %d)"
+              % (sorted(os.listdir(target)), rc))
+        return 1
+    shutil.rmtree(target)
+    rc = update_baselines(results, target, EXPECTED_BENCHES, out=buf,
+                          err=buf)
+    if rc != 2 or os.path.exists(target):
+        print(buf.getvalue())
+        print("self-test FAILED: update with a missing report exited "
+              "%d and %s" % (rc, "copied files" if os.path.exists(target)
+                             else "copied nothing"))
+        return 1
+
     print("self-test passed: pristine baselines clean, "
-          "%d inflated metric(s) all tripped" % len(GATES))
+          "%d inflated metric(s) all tripped, subset update and "
+          "missing-report refusal checked" % len(GATES))
     return 0
 
 
@@ -333,7 +378,7 @@ def main():
                          os.path.join(args.results,
                                       "bench-gate-selftest"))
     if args.update_baselines:
-        return update_baselines(args.results, args.baselines)
+        return update_baselines(args.results, args.baselines, benches)
     return 1 if run_gate(args.results, args.baselines,
                          benches=benches) else 0
 

@@ -14,9 +14,9 @@ Checks C++ sources under src/ for constructions the project bans:
                  support::MutexLock wrappers so Clang's
                  -Wthread-safety analysis sees every acquisition.
   raw-stream     std::ifstream / std::fstream outside the checked
-                 readers (EvaluationCache::load, FaultInjection).
-                 Ad-hoc file reads skip the corruption quarantine the
-                 fault-tolerance layer guarantees.
+                 reader (EvaluationCache::load). Ad-hoc file reads
+                 skip the corruption quarantine the fault-tolerance
+                 layer guarantees.
   raw-output     std::cout / std::cerr / printf family outside
                  support/Logging.cpp. Library code reports through
                  the leveled logging sink, which is filterable and
@@ -98,11 +98,8 @@ RULES = [
     {
         "name": "raw-stream",
         "pattern": re.compile(r"std::ifstream\b|std::fstream\b"),
-        "allow_files": [
-            "src/dse/EvaluationCache.cpp",
-            "src/support/FaultInjection.cpp",
-        ],
-        "message": "file read outside the checked readers (must "
+        "allow_files": ["src/dse/EvaluationCache.cpp"],
+        "message": "file read outside the checked reader (must "
                    "validate/quarantine corrupt input)",
     },
     {
