@@ -1,6 +1,8 @@
 #include "bench/BenchCommon.hpp"
 
+#include <cstdlib>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 
 #include "cache/CacheSim.hpp"
@@ -232,6 +234,29 @@ AppContext
 buildApp(const std::string &name)
 {
     return AppContext(workloads::specByName(name));
+}
+
+std::string
+appArg(int argc, char **argv, const std::string &fallback)
+{
+    const std::string name = argc > 1 ? argv[1] : fallback;
+    auto reject = [&](const std::string &reason) {
+        if (!reason.empty())
+            std::cerr << argv[0] << ": " << reason << "\n";
+        std::cerr << "usage: " << argv[0] << " [app] [--json-out FILE]\n";
+        std::exit(2);
+    };
+    if (argc > 2)
+        reject("unexpected argument '" + std::string(argv[2]) + "'");
+    if (name.rfind('-', 0) == 0)
+        reject("unknown flag '" + name + "'");
+    try {
+        workloads::specByName(name);
+    } catch (const FatalError &) {
+        // fatal() has already printed the reason.
+        reject("");
+    }
+    return name;
 }
 
 // --- BenchReport -------------------------------------------------------

@@ -146,6 +146,15 @@ std::vector<AppContext> buildSuite();
 AppContext buildApp(const std::string &name);
 
 /**
+ * The app a bench names in its one optional argument (`--json-out`
+ * already extracted), or `fallback` without one. A flag such as
+ * --help, an unknown app or a second argument prints one reason and
+ * the usage line on stderr and exits 2, before the bench prints or
+ * builds anything.
+ */
+std::string appArg(int argc, char **argv, const std::string &fallback);
+
+/**
  * Machine-readable bench results: collects the tables and scalar
  * metrics a bench prints and writes them as one deterministic JSON
  * document (`BENCH_<name>.json` by default), so CI can archive and

@@ -16,8 +16,11 @@
  *
  * Before timing anything, main() proves the sweep right: fused and
  * on a 4-job pool, every configuration its bank covers must equal an
- * independent CacheSim pass, or the bench prints each mismatch and
- * exits 1 — a faster wrong answer would be worthless.
+ * independent CacheSim pass, and so must every cell of an extended
+ * bank (LRU/FIFO/random x write-back/write-through) swept over a
+ * trace with stores — misses and write traffic — or the bench prints
+ * each mismatch and exits 1: a faster wrong answer would be
+ * worthless.
  *
  * The run times of every benchmark are harvested into
  * BENCH_cheetah_speedup.json (honoring --json-out) together with the
@@ -184,6 +187,21 @@ BM_OraclePerConfig(benchmark::State &state)
         state.iterations() * sharedTrace().size() * configs.size()));
 }
 
+/** A bank of the space swept over the buffer fused and at 4 jobs. */
+std::vector<std::pair<unsigned, dse::FrozenBank>>
+sweptAtJobsOneAndFour(const dse::CacheSpace &space,
+                      const trace::ColumnarTraceBuffer &buffer)
+{
+    support::ThreadPool four(3);
+    std::vector<std::pair<unsigned, dse::FrozenBank>> swept;
+    for (unsigned jobs : {1u, 4u}) {
+        dse::SimBank bank(space);
+        bank.simulate(buffer, jobs > 1 ? &four : nullptr);
+        swept.emplace_back(jobs, bank.freeze());
+    }
+    return swept;
+}
+
 /**
  * Oracle proof: the sweep, fused (no pool) and on a 4-job pool, must
  * give every (line, sets, assoc) its bank covers the misses of one
@@ -193,13 +211,7 @@ int
 sweepMismatches()
 {
     const dse::CacheSpace space = sweepSpace();
-    support::ThreadPool four(3);
-    std::vector<std::pair<unsigned, dse::FrozenBank>> swept;
-    for (unsigned jobs : {1u, 4u}) {
-        dse::SimBank bank(space);
-        bank.simulate(sharedBuffer(), jobs > 1 ? &four : nullptr);
-        swept.emplace_back(jobs, bank.freeze());
-    }
+    const auto swept = sweptAtJobsOneAndFour(space, sharedBuffer());
 
     int configs = 0, mismatches = 0;
     for (uint32_t line = dse::SimBank::minCoveredLine;
@@ -227,6 +239,71 @@ sweepMismatches()
     std::cout << "oracle proof: " << configs
               << " configurations at jobs 1 and 4, " << mismatches
               << " mismatches\n";
+    return mismatches;
+}
+
+/**
+ * The extended proof's trace: the shared trace's first 60,000
+ * addresses as data references, 30% of them stores.
+ */
+const std::vector<trace::Access> &
+storeTrace()
+{
+    static const std::vector<trace::Access> refs = [] {
+        Rng rng(20261020);
+        std::vector<trace::Access> out;
+        for (size_t i = 0; i < 60000; ++i)
+            out.push_back({sharedTrace()[i], false, rng.coin(0.3)});
+        return out;
+    }();
+    return refs;
+}
+
+/**
+ * Extended oracle proof: the sweep space with every replacement and
+ * write policy, swept over storeTrace() fused and on a 4-job pool.
+ * Each enumerated cell's misses and write traffic must equal one
+ * CacheSim pass: LRU write-backs come from the Cheetah stacks, FIFO
+ * and random from the set-resident simulators. Prints each mismatch;
+ * returns their number.
+ */
+int
+extendedSweepMismatches()
+{
+    dse::CacheSpace space = sweepSpace();
+    space.replacements = {cache::ReplacementPolicy::LRU,
+                          cache::ReplacementPolicy::FIFO,
+                          cache::ReplacementPolicy::Random};
+    space.writePolicies = {cache::WritePolicy::WriteBack,
+                           cache::WritePolicy::WriteThrough};
+    trace::ColumnarTraceBuffer buffer;
+    for (const auto &a : storeTrace())
+        buffer(a);
+    const auto swept = sweptAtJobsOneAndFour(space, buffer);
+
+    int cells = 0, mismatches = 0;
+    for (const auto &cfg : space.enumerate()) {
+        cache::CacheSim sim(cfg);
+        for (const auto &a : storeTrace())
+            sim(a);
+        ++cells;
+        for (const auto &[jobs, bank] : swept) {
+            const auto misses = static_cast<uint64_t>(bank.misses(cfg));
+            const auto traffic =
+                static_cast<uint64_t>(bank.writeTraffic(cfg));
+            if (misses == sim.misses() && traffic == sim.writeTraffic())
+                continue;
+            std::cerr << "MISMATCH " << cfg.name() << " jobs " << jobs
+                      << ": sweep " << misses << " misses, " << traffic
+                      << " writes; CacheSim " << sim.misses()
+                      << " misses, " << sim.writeTraffic()
+                      << " writes\n";
+            ++mismatches;
+        }
+    }
+    std::cout << "extended oracle proof: " << cells
+              << " cells (lru/fifo/rand x wb/wt) at jobs 1 and 4, "
+              << mismatches << " mismatches\n";
     return mismatches;
 }
 
@@ -284,7 +361,7 @@ main(int argc, char **argv)
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
 
-    if (sweepMismatches() != 0) {
+    if (sweepMismatches() + extendedSweepMismatches() != 0) {
         std::cerr << "the sweep differs from CacheSim; refusing to "
                      "time a wrong answer\n";
         return 1;

@@ -138,7 +138,7 @@ int
 main(int argc, char **argv)
 {
     const std::string json_out = bench::extractJsonOutArg(argc, argv);
-    const std::string app_name = argc > 1 ? argv[1] : "rasta";
+    const std::string app_name = bench::appArg(argc, argv, "rasta");
 
     std::cout << "observability overhead: SimBank sweeps over '"
               << app_name << "', alternating pairs (metrics+trace "

@@ -100,7 +100,7 @@ main(int argc, char **argv)
 {
     const std::string json_out = bench::extractJsonOutArg(argc, argv);
     const std::string app_name =
-        argc > 1 ? argv[1] : "matmul-tile8";
+        bench::appArg(argc, argv, "matmul-tile8");
     constexpr int reps = 3;
     constexpr uint64_t blocks = 20000;
 

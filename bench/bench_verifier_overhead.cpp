@@ -49,7 +49,7 @@ int
 main(int argc, char **argv)
 {
     const std::string json_out = bench::extractJsonOutArg(argc, argv);
-    const std::string app_name = argc > 1 ? argv[1] : "rasta";
+    const std::string app_name = bench::appArg(argc, argv, "rasta");
 
     std::cout << "verifier overhead: full exploration of '"
               << app_name << "', alternating pairs (verify off vs "

@@ -4,11 +4,12 @@
  *
  * LRU is a stack algorithm, so Cheetah-style single-pass simulation
  * (SinglePassSim) evaluates every associativity at once from stack
- * distances. FIFO and random replacement are *not* stack algorithms:
- * the set of resident lines for associativity A is not a subset of
- * the resident set for A+1, so their miss counts come from the
- * set-resident simulator (SetResidentSim) instead, one tag array per
- * geometry (DEW-style).
+ * distances, write-backs included (a dirty-depth byte per stack
+ * slot). FIFO and random replacement are *not* stack algorithms: the
+ * set of resident lines for associativity A is not a subset of the
+ * resident set for A+1, so their miss and write-back counts come
+ * from the set-resident simulator (SetResidentSim) instead, one tag
+ * array per geometry (DEW-style), which handles FIFO and random only.
  *
  * Both write policies are write-allocate, so miss counts depend only
  * on the replacement policy; the policies differ only in memory

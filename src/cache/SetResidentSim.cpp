@@ -14,6 +14,9 @@ SetResidentSim::SetResidentSim(uint32_t line_bytes,
                                uint64_t policy_seed)
     : lineBytes_(line_bytes), policy_(policy)
 {
+    fatalIf(policy == ReplacementPolicy::LRU,
+            "LRU is a stack algorithm: SinglePassSim answers its misses "
+            "and write-backs, not SetResidentSim");
     fatalIf(!isPowerOfTwo(line_bytes) || line_bytes < 4,
             "bad line size ", line_bytes);
     lineShift_ = log2Floor(line_bytes);
@@ -80,39 +83,16 @@ SetResidentSim::touch(Resident &r, uint64_t line, bool write)
     }
 
     if (found != assoc) {
-        // Hit. LRU reorders (move to front); FIFO/random keep stable
-        // positions. Dirty state follows the line either way.
-        if (policy_ == ReplacementPolicy::LRU) {
-            uint8_t d = static_cast<uint8_t>(dirty[found] | write);
-            for (uint32_t w = found; w > 0; --w) {
-                tags[w] = tags[w - 1];
-                dirty[w] = dirty[w - 1];
-            }
-            tags[0] = line;
-            dirty[0] = d;
-        } else {
-            dirty[found] = static_cast<uint8_t>(dirty[found] | write);
-        }
+        // Hit: FIFO and random keep stable positions, and the dirty
+        // bit follows the line.
+        dirty[found] = static_cast<uint8_t>(dirty[found] | write);
         return;
     }
 
     ++r.misses;
     auto installed = static_cast<uint8_t>(write);
 
-    switch (policy_) {
-    case ReplacementPolicy::LRU:
-        // Evict the bottom of the recency order (way assoc-1), then
-        // shift everything down and install at the top.
-        if (tags[assoc - 1] != emptyTag && dirty[assoc - 1])
-            ++r.writebacks;
-        for (uint32_t w = assoc - 1; w > 0; --w) {
-            tags[w] = tags[w - 1];
-            dirty[w] = dirty[w - 1];
-        }
-        tags[0] = line;
-        dirty[0] = installed;
-        return;
-    case ReplacementPolicy::FIFO: {
+    if (policy_ == ReplacementPolicy::FIFO) {
         // The round-robin pointer always names the oldest-installed
         // way: ways fill 0..assoc-1 in order, and replacing the
         // oldest makes its successor the new oldest.
@@ -124,22 +104,17 @@ SetResidentSim::touch(Resident &r, uint64_t line, bool write)
         r.fifoPtr[set] = w + 1 == assoc ? 0 : w + 1;
         return;
     }
-    case ReplacementPolicy::Random: {
-        // Fill vacant ways in slot order without consuming random
-        // numbers; draw a victim only from a full set, so the draw
-        // sequence matches the per-config reference simulator.
-        uint32_t w = vacant;
-        if (w == assoc) {
-            w = static_cast<uint32_t>(r.rng.below(assoc));
-            if (dirty[w])
-                ++r.writebacks;
-        }
-        tags[w] = line;
-        dirty[w] = installed;
-        return;
+    // Random: fill vacant ways in slot order without consuming random
+    // numbers; draw a victim only from a full set, so the draw
+    // sequence matches the per-config reference simulator.
+    uint32_t w = vacant;
+    if (w == assoc) {
+        w = static_cast<uint32_t>(r.rng.below(assoc));
+        if (dirty[w])
+            ++r.writebacks;
     }
-    }
-    panic("unknown replacement policy");
+    tags[w] = line;
+    dirty[w] = installed;
 }
 
 void

@@ -1,34 +1,35 @@
 /**
  * @file
- * Set-resident multi-configuration simulator for non-stack
- * replacement policies (DEW-style).
+ * Set-resident multi-configuration simulator for the non-stack
+ * replacement policies, FIFO and random (DEW-style).
  *
  * Cheetah's single-pass trick (SinglePassSim) depends on LRU's stack
  * property: the resident set of an A-way cache is a prefix of the
  * resident set of an (A+1)-way cache, so one truncated LRU stack per
- * set yields every associativity at once. FIFO and random
- * replacement break that property — eviction order is independent of
- * reuse — so each (sets, assoc) geometry needs its own resident-set
- * state. This simulator keeps one flat tag array *per listed
- * geometry* and updates all of them in a single pass over the trace:
- * still one trace traversal per line size (the expensive part —
- * decode plus memory streaming), at the cost of per-geometry tag
- * updates. The caller lists the geometries it will query (a design
- * space's enumerated ones); nothing else is simulated, so the cost
- * scales with the space, not with its bounding rectangle.
+ * set yields every associativity at once, misses and write-backs
+ * alike. FIFO and random replacement break that property — eviction
+ * order is independent of reuse — so each (sets, assoc) geometry
+ * needs its own resident-set state. This simulator keeps one flat
+ * tag array *per listed geometry* and updates all of them in a single
+ * pass over the trace: still one trace traversal per line size (the
+ * expensive part — decode plus memory streaming), at the cost of
+ * per-geometry tag updates. The caller lists the geometries it will
+ * query (a design space's enumerated ones); nothing else is
+ * simulated, so the cost scales with the space, not with its
+ * bounding rectangle. LRU is rejected: SinglePassSim answers it.
  *
- * Unlike SinglePassSim it also carries a dirty bit per resident
- * line, so it reports write-back traffic (dirty-line writebacks on
- * eviction) alongside misses for every geometry. Write-through
- * traffic needs no simulation at all: with write-allocate it is
- * exactly the store count, which the caller reads from the trace.
+ * It carries a dirty bit per resident line, so it reports write-back
+ * traffic (dirty-line writebacks on eviction) alongside misses for
+ * every geometry. Write-through traffic needs no simulation at all:
+ * with write-allocate it is exactly the store count, which the
+ * caller reads from the trace.
  *
  * accessBlock() folds each run of same-line references into one
  * touch carrying the OR of the run's store bits. That is exact:
- * after a reference to line X, X is resident in every geometry (at
- * way 0 under LRU, at a fixed way under FIFO and random), so a
- * repeat is a hit everywhere. It can only set the dirty bit; it
- * moves no FIFO pointer and draws no random victim.
+ * after a reference to line X, X is resident in every geometry at a
+ * way that stays fixed until X is evicted, so a repeat is a hit
+ * everywhere. It can only set the dirty bit; it moves no FIFO
+ * pointer and draws no random victim.
  *
  * Determinism contract for random replacement: victims for geometry
  * (S, A) are drawn from policyRng(S, A, line), and a draw happens
@@ -53,7 +54,8 @@
 namespace pico::cache
 {
 
-/** Listed-geometry simulator for one line size and one policy. */
+/** Listed-geometry simulator for one line size and one non-stack
+ *  policy. */
 class SetResidentSim
 {
   public:
@@ -74,7 +76,8 @@ class SetResidentSim
      * @param geometries the geometries to simulate (set counts
      *        powers of two, associativities positive; duplicates
      *        are merged); queries outside the list throw
-     * @param policy replacement policy of every simulated geometry
+     * @param policy replacement policy of every simulated geometry:
+     *        FIFO or random (LRU is fatal())
      * @param policy_seed seed of the random-victim streams
      */
     SetResidentSim(uint32_t line_bytes,

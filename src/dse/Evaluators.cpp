@@ -1,19 +1,42 @@
 #include "dse/Evaluators.hpp"
 
+#include <algorithm>
+
 #include "support/Logging.hpp"
 #include "support/TraceEvents.hpp"
 
 namespace pico::dse
 {
 
+namespace
+{
+
+bool
+isLru(const BankLayout::Resident &r)
+{
+    return r.policy == cache::ReplacementPolicy::LRU;
+}
+
+} // namespace
+
 SimBank::SimBank(const CacheSpace &space, Coverage coverage)
     : layout_(space, coverage)
 {
-    for (const auto &s : layout_.stacks)
-        sims_.emplace_back(s.line, s.minSets, s.maxSets, s.maxAssoc);
-    for (const auto &r : layout_.residents)
-        policySims_.emplace_back(r.line, r.shapes, r.policy);
+    // An LRU resident's write-backs come from the stack of its line,
+    // which covers every shape the space lists there.
+    for (const auto &s : layout_.stacks) {
+        const bool writebacks = std::any_of(
+            layout_.residents.begin(), layout_.residents.end(),
+            [&](const auto &r) { return isLru(r) && r.line == s.line; });
+        sims_.emplace_back(s.line, s.minSets, s.maxSets, s.maxAssoc,
+                           writebacks);
+    }
+    for (const auto &r : layout_.residents) {
+        if (!isLru(r))
+            policySims_.emplace_back(r.line, r.shapes, r.policy);
+    }
 }
+
 
 std::string
 SimBank::simTag(size_t i) const
@@ -29,7 +52,7 @@ void
 SimBank::accessBlock(size_t i, const trace::BlockView &view)
 {
     if (i < sims_.size())
-        sims_[i].accessBlock(view.addrs, view.count);
+        sims_[i].accessBlock(view.addrs, view.kinds, view.count);
     else
         policySims_[i - sims_.size()].accessBlock(view.addrs, view.kinds,
                                                   view.count);
@@ -141,10 +164,10 @@ SimBank::simulate(const trace::ColumnarTraceBuffer &buffer,
 uint64_t
 SimBank::stores() const
 {
-    fatalIf(policySims_.empty(),
-            "store counts need the set-resident bank (extended "
-            "policy axes)");
-    return policySims_.front().stores();
+    fatalIf(!extended(),
+            "store counts need the extended policy axes");
+    // Every simulator of the bank reads the same records.
+    return sims_.front().stores();
 }
 
 FrozenBank
@@ -161,16 +184,27 @@ SimBank::freeze() const
                     static_cast<double>(sims_[k].misses(sets, assoc)));
         }
     }
-    // LRU misses come from the stacks above; every resident's shapes
-    // carry write-back counts.
-    for (size_t k = 0; k < policySims_.size(); ++k) {
-        const auto &r = layout_.residents[k];
+    // LRU misses come from the stacks above, and so do LRU
+    // write-backs; every resident's shapes carry write-back counts.
+    size_t k = 0;
+    for (const auto &r : layout_.residents) {
+        if (isLru(r)) {
+            const auto stack =
+                std::find_if(sims_.begin(), sims_.end(), [&](const auto &sim) {
+                    return sim.lineBytes() == r.line;
+                });
+            panicIf(stack == sims_.end(), "no stack at line ", r.line);
+            for (const auto &g : r.shapes)
+                writeback_table.push_back(static_cast<double>(
+                    stack->writebacks(g.sets, g.assoc)));
+            continue;
+        }
+        const cache::SetResidentSim &sim = policySims_[k++];
         for (const auto &g : r.shapes) {
-            if (r.policy != cache::ReplacementPolicy::LRU)
-                miss_table.push_back(static_cast<double>(
-                    policySims_[k].misses(g.sets, g.assoc)));
-            writeback_table.push_back(static_cast<double>(
-                policySims_[k].writebacks(g.sets, g.assoc)));
+            miss_table.push_back(
+                static_cast<double>(sim.misses(g.sets, g.assoc)));
+            writeback_table.push_back(
+                static_cast<double>(sim.writebacks(g.sets, g.assoc)));
         }
     }
     return FrozenBank(layout_, accesses(), extended() ? stores() : 0,

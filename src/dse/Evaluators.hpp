@@ -69,10 +69,12 @@ using TraceSource = std::function<void(const TraceSink &)>;
  * space's enumerated line sizes. Each set-resident simulator holds
  * only the (sets, assoc) geometries the space enumerates at its line
  * size, so a non-LRU geometry the space does not list is not
- * covered. The set-resident bank — which also carries dirty bits, so
- * it reports write-back traffic — is built only when the space's
- * policy axes are extended; classic LRU/WB spaces pay nothing and
- * stay bit-identical.
+ * covered. Write-back traffic is modeled only when the space's
+ * policy axes are extended: FIFO and random count it in their
+ * set-resident simulators' dirty bits, LRU in the dirty-depth bytes
+ * of the Cheetah stack at each line the layout lists an LRU resident
+ * at. Classic LRU/WB spaces build no set-resident simulator and no
+ * dirty bytes, and stay bit-identical.
  */
 class SimBank
 {
@@ -127,11 +129,12 @@ class SimBank
     /** Store references in the simulated trace (extended only). */
     uint64_t stores() const;
 
-    /** True when a set-resident (policy) bank was built. */
-    bool extended() const { return !policySims_.empty(); }
+    /** True when the space's policy axes are extended. */
+    bool extended() const { return !layout_.residents.empty(); }
 
     /** Number of independent single-pass simulations (line sizes
-     *  plus, in extended spaces, set-resident passes). */
+     *  plus, in extended spaces, FIFO and random set-resident
+     *  passes). */
     size_t simRuns() const { return sims_.size() + policySims_.size(); }
 
     uint64_t
@@ -144,7 +147,8 @@ class SimBank
      * The swept bank's answers as flat tables, written straight from
      * the simulators in BankLayout order: the miss count of every
      * covered configuration, the write-back count of every
-     * set-resident geometry, and the access and store counts.
+     * resident geometry (LRU ones read from the stack of their
+     * line), and the access and store counts.
      */
     FrozenBank freeze() const;
 
@@ -156,12 +160,12 @@ class SimBank
     void accessBlock(size_t i, const trace::BlockView &view);
 
     BankLayout layout_;
+    /** One per layout stack; those at a line the layout lists an LRU
+     *  resident at also count write-backs. */
     std::vector<cache::SinglePassSim> sims_;
     /**
      * Set-resident simulators for the extended policy axes, one per
-     * (enumerated line size, replacement policy) — including LRU,
-     * whose *misses* still come from sims_ but whose write-back
-     * traffic needs the dirty-bit model.
+     * FIFO or random resident of the layout, in layout order.
      */
     std::vector<cache::SetResidentSim> policySims_;
 };

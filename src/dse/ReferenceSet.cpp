@@ -43,11 +43,12 @@ BankLayout::BankLayout(const CacheSpace &space, Coverage coverage)
         }
     }
 
-    // Extended policy axes add one set-resident pass per (enumerated
-    // line size, policy), over exactly the geometries the space
-    // enumerates at that line size. LRU is included when present so
-    // its write-back traffic is modeled; its misses still come from
-    // the Cheetah stacks above. Classic spaces list nothing here.
+    // Extended policy axes list one resident per (enumerated line
+    // size, policy), over exactly the geometries the space enumerates
+    // at that line size. A FIFO or random resident is a set-resident
+    // pass. An LRU resident only places write-back cells: the Cheetah
+    // stack at its line counts both its misses and its write-backs.
+    // Classic spaces list nothing here.
     if (!space.extendedAxes())
         return;
     std::vector<cache::ReplacementPolicy> policies;

@@ -5,7 +5,7 @@
  *
  * After the sweep, answering a processor needs only a few numbers per
  * class: the miss count of every configuration a bank covers, the
- * write-back count of every set-resident geometry, the access and
+ * write-back count of every geometry of the policy axes, the access and
  * store counts, the AHH trace parameters and the reference binary's
  * text size. A ReferenceSet holds exactly those, in flat tables
  * indexed by (line, sets, assoc) per replacement policy, and encodes
@@ -50,7 +50,8 @@ enum class Coverage
  * The miss table holds every stack cell, stack by stack, with set
  * counts ascending and then associativities ascending; then the
  * shapes of each non-LRU resident (LRU misses come from the stacks).
- * The write-back table holds the shapes of every resident.
+ * The write-back table holds the shapes of every resident; an LRU
+ * resident's write-backs are counted by the stack at its line.
  */
 struct BankLayout
 {
@@ -68,7 +69,11 @@ struct BankLayout
         bool operator==(const Stack &) const = default;
     };
 
-    /** One set-resident simulator: its geometries, sorted, unique. */
+    /**
+     * One policy's geometries at one line, sorted, unique: a
+     * set-resident simulator for FIFO and random, write-back cells
+     * of the stack at its line for LRU.
+     */
     struct Resident
     {
         uint32_t line = 0;
@@ -123,9 +128,9 @@ class FrozenBank
     /**
      * Simulated memory writes of a covered configuration under its
      * write policy: dirty-line writebacks for write-back, the trace's
-     * store count for write-through. A classic bank (no set-resident
-     * simulators) models no write traffic: write-back returns 0,
-     * consistent with the read-only stall model.
+     * store count for write-through. A classic bank (no policy axes)
+     * models no write traffic: write-back returns 0, consistent with
+     * the read-only stall model.
      */
     double writeTraffic(const cache::CacheConfig &config) const;
 
@@ -135,7 +140,7 @@ class FrozenBank
     uint64_t accesses() const { return accesses_; }
     bool covers(const cache::CacheConfig &config) const;
 
-    /** True when the bank had set-resident (policy) simulators. */
+    /** True when the bank's space had extended policy axes. */
     bool extended() const { return !layout_.residents.empty(); }
 
     /** Oracle adapter for the dilation model. */

@@ -49,16 +49,18 @@ FlightRecorder::record(EventKind kind, uint64_t request_id,
     // Seqlock write protocol: odd while writing, even when stable.
     // Values are derived from the ticket, so a reader that raced a
     // ring lap sees a *different* even value and discards its copy.
+    // Each payload store is a release, so none can become visible
+    // before the odd sequence number.
     slot.seq.store(2 * ticket + 1, std::memory_order_release);
-    slot.tsNs.store(monotonicNowNs(), std::memory_order_relaxed);
-    slot.requestId.store(request_id, std::memory_order_relaxed);
+    slot.tsNs.store(monotonicNowNs(), std::memory_order_release);
+    slot.requestId.store(request_id, std::memory_order_release);
 
     size_t len = detail != nullptr
                      ? std::min(std::strlen(detail), maxDetailBytes)
                      : 0;
     slot.kindAndLen.store(static_cast<uint64_t>(kind) |
                               (static_cast<uint64_t>(len) << 8),
-                          std::memory_order_relaxed);
+                          std::memory_order_release);
     for (size_t w = 0; w < detailWords; ++w) {
         uint64_t word = 0;
         for (size_t b = 0; b < sizeof(uint64_t); ++b) {
@@ -68,7 +70,7 @@ FlightRecorder::record(EventKind kind, uint64_t request_id,
                             static_cast<unsigned char>(detail[i]))
                         << (8 * b);
         }
-        slot.detail[w].store(word, std::memory_order_relaxed);
+        slot.detail[w].store(word, std::memory_order_release);
     }
     slot.seq.store(2 * ticket + 2, std::memory_order_release);
 }
@@ -82,23 +84,25 @@ FlightRecorder::snapshot() const
         uint64_t before = slot.seq.load(std::memory_order_acquire);
         if (before == 0 || (before & 1) != 0)
             continue; // never written, or mid-write
+        // Acquire payload loads keep the closing sequence load after
+        // every one of them; a payload from a newer write then shows
+        // as a changed sequence number.
         Event e;
-        e.tsNs = slot.tsNs.load(std::memory_order_relaxed);
+        e.tsNs = slot.tsNs.load(std::memory_order_acquire);
         e.requestId =
-            slot.requestId.load(std::memory_order_relaxed);
-        uint64_t kl = slot.kindAndLen.load(std::memory_order_relaxed);
+            slot.requestId.load(std::memory_order_acquire);
+        uint64_t kl = slot.kindAndLen.load(std::memory_order_acquire);
         e.kind = static_cast<EventKind>(kl & 0xff);
         size_t len = std::min<size_t>((kl >> 8) & 0xff,
                                       maxDetailBytes);
         char buf[maxDetailBytes];
         for (size_t w = 0; w < detailWords; ++w) {
             uint64_t word =
-                slot.detail[w].load(std::memory_order_relaxed);
+                slot.detail[w].load(std::memory_order_acquire);
             for (size_t b = 0; b < sizeof(uint64_t); ++b)
                 buf[w * sizeof(uint64_t) + b] =
                     static_cast<char>((word >> (8 * b)) & 0xff);
         }
-        std::atomic_thread_fence(std::memory_order_acquire);
         uint64_t after = slot.seq.load(std::memory_order_acquire);
         if (after != before)
             continue; // overwritten while copying

@@ -17,9 +17,12 @@
  * (even = stable, odd = being written; values derived from the claim
  * ticket so reuse is detectable) lets readers take a consistent
  * snapshot without ever blocking a writer. Event payloads live in
- * relaxed atomic words, so concurrent record/snapshot is data-race
- * free by construction; a torn event is detected via its sequence
- * number and skipped. (If a writer stalls for a full ring lap, one
+ * atomic words, stored with release after the odd sequence number
+ * and loaded with acquire before the closing sequence load, so
+ * concurrent record/snapshot is data-race free by construction, with
+ * no standalone fence (ThreadSanitizer does not model one; on x86
+ * both orders compile to plain moves). A torn event is detected via
+ * its sequence number and skipped. (If a writer stalls for a full ring lap, one
  * garbled event can slip into a dump — an acceptable trade for a
  * recorder that may run inside a crash path.)
  */

@@ -143,11 +143,11 @@ TEST(Differential, AccessBlockMatchesPerAccessCalls)
     // Feed in uneven chunks so block boundaries land mid-run.
     size_t i = 0;
     for (size_t chunk : {7ul, 100ul, 1ul, 500ul}) {
-        block.accessBlock(trace.data() + i,
+        block.accessBlock(trace.data() + i, nullptr,
                           std::min(chunk, trace.size() - i));
         i += std::min(chunk, trace.size() - i);
     }
-    block.accessBlock(trace.data() + i, trace.size() - i);
+    block.accessBlock(trace.data() + i, nullptr, trace.size() - i);
 
     for (const auto &cfg : one.coveredConfigs())
         EXPECT_EQ(block.misses(cfg), one.misses(cfg)) << cfg.name();

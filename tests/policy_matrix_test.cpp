@@ -33,6 +33,8 @@
 #include "workloads/AppSpec.hpp"
 #include "workloads/Toolchain.hpp"
 
+#include "PolicySims.hpp"
+
 namespace pico
 {
 namespace
@@ -40,6 +42,11 @@ namespace
 
 using cache::ReplacementPolicy;
 using cache::WritePolicy;
+using testutil::feedBlocks;
+using testutil::randomWriteTrace;
+using testutil::rectangle;
+using testutil::runHeavyTrace;
+using testutil::withWritebackSim;
 
 constexpr ReplacementPolicy kPolicies[] = {ReplacementPolicy::LRU,
                                            ReplacementPolicy::FIFO,
@@ -48,103 +55,13 @@ constexpr WritePolicy kWrites[] = {WritePolicy::WriteBack,
                                    WritePolicy::WriteThrough};
 
 /**
- * 1k-access random trace with locality and ~30% stores, one per
- * stream id.
- */
-std::vector<trace::Access>
-randomWriteTrace(uint64_t seed, uint64_t stream)
-{
-    Rng rng = Rng::forStream(seed, stream);
-    std::vector<trace::Access> out;
-    out.reserve(1000);
-    uint64_t pc = 0;
-    for (int i = 0; i < 1000; ++i) {
-        if (rng.coin(0.2))
-            pc = rng.below(1 << 14) & ~3ULL;
-        out.push_back({pc, false, rng.coin(0.3)});
-        pc += 4;
-    }
-    return out;
-}
-
-/**
- * Same-line runs of 1..20 references over 512 lines (16 KB at
- * 32-byte lines), four run kinds in turn: a store at the start, a
- * store in the middle, a store only after a boundary of `chunk`
- * (the run starts before it), and no store. Fed in `chunk`-sized
- * blocks, runs straddle block boundaries.
- */
-std::vector<trace::Access>
-runHeavyTrace(uint64_t seed, size_t chunk, size_t length)
-{
-    Rng rng = Rng::forStream(seed, 0);
-    std::vector<trace::Access> out;
-    uint64_t prev_line = ~0ULL;
-    for (size_t kind = 0; out.size() < length; kind = (kind + 1) % 4) {
-        uint64_t line = rng.below(512);
-        if (line == prev_line)
-            line = (line + 1) % 512;
-        prev_line = line;
-        size_t pos = out.size();
-        size_t len = 1 + rng.below(20);
-        size_t store = 0;
-        if (kind == 1)
-            store = len / 2;
-        if (kind == 2) {
-            size_t to_boundary = chunk - pos % chunk;
-            len = to_boundary + 1 + rng.below(8);
-            store = to_boundary + rng.below(len - to_boundary);
-        }
-        for (size_t i = 0; i < len; ++i)
-            out.push_back({line * 32 + 4 * (i % 8), false,
-                           kind != 3 && i == store});
-    }
-    return out;
-}
-
-/** Every (sets, assoc) with sets in [min, max] and assoc <= max. */
-std::vector<cache::SetResidentSim::Geometry>
-rectangle(uint32_t min_sets, uint32_t max_sets, uint32_t max_assoc)
-{
-    std::vector<cache::SetResidentSim::Geometry> out;
-    for (uint32_t sets = min_sets; sets <= max_sets; sets *= 2)
-        for (uint32_t assoc = 1; assoc <= max_assoc; ++assoc)
-            out.push_back({sets, assoc});
-    return out;
-}
-
-/**
- * Feed references through accessBlock(): one block per entry of
- * `chunks`, then the rest in one block.
- */
-void
-feedBlocks(cache::SetResidentSim &sim,
-           const std::vector<trace::Access> &refs,
-           const std::vector<size_t> &chunks)
-{
-    std::vector<uint64_t> addrs;
-    std::vector<uint8_t> kinds;
-    for (const auto &a : refs) {
-        addrs.push_back(a.addr);
-        kinds.push_back(a.isWrite ? 1 : 0);
-    }
-    size_t i = 0;
-    for (size_t chunk : chunks) {
-        size_t n = std::min(chunk, addrs.size() - i);
-        sim.accessBlock(addrs.data() + i, kinds.data() + i, n);
-        i += n;
-    }
-    sim.accessBlock(addrs.data() + i, kinds.data() + i,
-                    addrs.size() - i);
-}
-
-/**
- * Exhaustive cross-check of one SetResidentSim against per-config
- * CacheSim oracles over its whole covered (sets, assoc) range, for
- * both write policies: misses and write traffic must be
- * bit-identical in every cell. The simulator is fed twice over: per
- * reference through access(), and through accessBlock() in uneven
- * blocks, as the product sweep feeds it.
+ * Exhaustive cross-check of one policy's write-back simulator (the
+ * Cheetah stacks for LRU, the set-resident simulator otherwise)
+ * against per-config CacheSim oracles over its whole covered (sets,
+ * assoc) range, for both write policies: misses and write traffic
+ * must be bit-identical in every cell. The simulator is fed twice
+ * over: per reference through access(), and through accessBlock() in
+ * uneven blocks, as the product sweep feeds it.
  */
 void
 crossCheckPolicy(ReplacementPolicy policy, uint32_t line,
@@ -152,51 +69,52 @@ crossCheckPolicy(ReplacementPolicy policy, uint32_t line,
                  uint32_t max_assoc,
                  const std::vector<trace::Access> &refs)
 {
-    const auto shapes = rectangle(min_sets, max_sets, max_assoc);
-    cache::SetResidentSim fast(line, shapes, policy);
-    for (const auto &a : refs)
-        fast(a);
-    cache::SetResidentSim blocks(line, shapes, policy);
-    feedBlocks(blocks, refs, {13, 1, 64, 7, 250, 3});
+    withWritebackSim(policy, line, min_sets, max_sets, max_assoc,
+                     [&](const auto &fresh) {
+        auto fast = fresh;
+        for (const auto &a : refs)
+            fast(a);
+        auto blocks = fresh;
+        feedBlocks(blocks, refs, {13, 1, 64, 7, 250, 3});
 
-    uint64_t stores = 0;
-    for (const auto &a : refs)
-        stores += a.isWrite ? 1 : 0;
-    EXPECT_EQ(fast.stores(), stores);
-    EXPECT_EQ(blocks.stores(), stores);
-    EXPECT_EQ(blocks.accesses(), refs.size());
+        uint64_t stores = 0;
+        for (const auto &a : refs)
+            stores += a.isWrite ? 1 : 0;
+        EXPECT_EQ(fast.stores(), stores);
+        EXPECT_EQ(blocks.stores(), stores);
+        EXPECT_EQ(blocks.accesses(), refs.size());
 
-    for (uint32_t sets = min_sets; sets <= max_sets; sets *= 2) {
-        for (uint32_t assoc = 1; assoc <= max_assoc; ++assoc) {
-            for (WritePolicy wp : kWrites) {
-                cache::CacheConfig cfg{sets, assoc, line, 1, policy,
-                                       wp};
-                cache::CacheSim ref(cfg);
-                for (const auto &a : refs)
-                    ref(a);
-                EXPECT_EQ(fast.misses(sets, assoc), ref.misses())
-                    << cfg.name();
-                // The oracle's write traffic under WB is its dirty
-                // writebacks (the set-resident dirty-bit model);
-                // under WT it is the store count, which needs no
-                // simulation.
-                uint64_t fast_traffic =
-                    wp == WritePolicy::WriteBack
-                        ? fast.writebacks(sets, assoc)
-                        : fast.stores();
-                EXPECT_EQ(fast_traffic, ref.writeTraffic())
-                    << cfg.name();
-                EXPECT_EQ(blocks.misses(sets, assoc), ref.misses())
-                    << cfg.name() << " (accessBlock)";
-                uint64_t block_traffic =
-                    wp == WritePolicy::WriteBack
-                        ? blocks.writebacks(sets, assoc)
-                        : blocks.stores();
-                EXPECT_EQ(block_traffic, ref.writeTraffic())
-                    << cfg.name() << " (accessBlock)";
+        for (uint32_t sets = min_sets; sets <= max_sets; sets *= 2) {
+            for (uint32_t assoc = 1; assoc <= max_assoc; ++assoc) {
+                for (WritePolicy wp : kWrites) {
+                    cache::CacheConfig cfg{sets, assoc, line, 1, policy,
+                                           wp};
+                    cache::CacheSim ref(cfg);
+                    for (const auto &a : refs)
+                        ref(a);
+                    EXPECT_EQ(fast.misses(sets, assoc), ref.misses())
+                        << cfg.name();
+                    // The oracle's write traffic under WB is its dirty
+                    // writebacks; under WT it is the store count,
+                    // which needs no simulation.
+                    uint64_t fast_traffic =
+                        wp == WritePolicy::WriteBack
+                            ? fast.writebacks(sets, assoc)
+                            : fast.stores();
+                    EXPECT_EQ(fast_traffic, ref.writeTraffic())
+                        << cfg.name();
+                    EXPECT_EQ(blocks.misses(sets, assoc), ref.misses())
+                        << cfg.name() << " (accessBlock)";
+                    uint64_t block_traffic =
+                        wp == WritePolicy::WriteBack
+                            ? blocks.writebacks(sets, assoc)
+                            : blocks.stores();
+                    EXPECT_EQ(block_traffic, ref.writeTraffic())
+                        << cfg.name() << " (accessBlock)";
+                }
             }
         }
-    }
+    });
 }
 
 TEST(PolicyMatrix, SetResidentMatchesOracleAcrossSeeds)
@@ -240,25 +158,24 @@ TEST(PolicyMatrix, SetResidentMatchesOracleOnAdversarialTraces)
     }
 }
 
-TEST(PolicyMatrix, SetResidentLruAgreesWithSinglePass)
+TEST(PolicyMatrix, SetResidentRejectsLru)
 {
-    // Three implementations of LRU — the stack-distance single-pass
-    // simulator, the set-resident simulator, and the oracle — must
-    // agree exactly; this pins the new simulator to the Cheetah
-    // bank it extends.
-    auto refs = randomWriteTrace(99, 0);
-    cache::SinglePassSim stack(32, 16, 64, 4);
-    cache::SetResidentSim resident(32, rectangle(16, 64, 4),
-                                   ReplacementPolicy::LRU);
-    for (const auto &a : refs) {
-        stack.access(a.addr);
-        resident(a);
+    // LRU is a stack algorithm: SinglePassSim answers its misses and
+    // write-backs, and the set-resident simulator refuses it rather
+    // than simulating every LRU geometry a second time.
+    try {
+        cache::SetResidentSim sim(32, rectangle(16, 64, 4),
+                                  ReplacementPolicy::LRU);
+        FAIL() << "SetResidentSim accepted LRU";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("SinglePassSim"),
+                  std::string::npos)
+            << e.what();
     }
-    for (uint32_t sets = 16; sets <= 64; sets *= 2)
-        for (uint32_t assoc = 1; assoc <= 4; ++assoc)
-            EXPECT_EQ(resident.misses(sets, assoc),
-                      stack.misses(sets, assoc))
-                << "sets=" << sets << " assoc=" << assoc;
+    for (ReplacementPolicy policy :
+         {ReplacementPolicy::FIFO, ReplacementPolicy::Random})
+        EXPECT_NO_THROW(
+            cache::SetResidentSim(32, rectangle(16, 64, 4), policy));
 }
 
 TEST(PolicyMatrix, AccessBlockMatchesPerAccessCalls)
@@ -271,22 +188,23 @@ TEST(PolicyMatrix, AccessBlockMatchesPerAccessCalls)
     auto check = [](const std::vector<trace::Access> &refs,
                     const std::vector<size_t> &chunks) {
         for (ReplacementPolicy policy : kPolicies) {
-            cache::SetResidentSim one(32, rectangle(16, 64, 4),
-                                      policy);
-            cache::SetResidentSim block(32, rectangle(16, 64, 4),
-                                        policy);
-            for (const auto &a : refs)
-                one(a);
-            feedBlocks(block, refs, chunks);
-            EXPECT_EQ(block.accesses(), one.accesses());
-            EXPECT_EQ(block.stores(), one.stores());
-            for (uint32_t sets = 16; sets <= 64; sets *= 2)
-                for (uint32_t assoc = 1; assoc <= 4; ++assoc) {
-                    EXPECT_EQ(block.misses(sets, assoc),
-                              one.misses(sets, assoc));
-                    EXPECT_EQ(block.writebacks(sets, assoc),
-                              one.writebacks(sets, assoc));
-                }
+            withWritebackSim(policy, 32, 16, 64, 4,
+                             [&](const auto &fresh) {
+                auto one = fresh;
+                auto block = fresh;
+                for (const auto &a : refs)
+                    one(a);
+                feedBlocks(block, refs, chunks);
+                EXPECT_EQ(block.accesses(), one.accesses());
+                EXPECT_EQ(block.stores(), one.stores());
+                for (uint32_t sets = 16; sets <= 64; sets *= 2)
+                    for (uint32_t assoc = 1; assoc <= 4; ++assoc) {
+                        EXPECT_EQ(block.misses(sets, assoc),
+                                  one.misses(sets, assoc));
+                        EXPECT_EQ(block.writebacks(sets, assoc),
+                                  one.writebacks(sets, assoc));
+                    }
+            });
         }
     };
     check(randomWriteTrace(5150, 2), {7, 100, 1, 500});

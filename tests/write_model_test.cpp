@@ -15,11 +15,12 @@
 
 #include "cache/CacheSim.hpp"
 #include "cache/Policy.hpp"
-#include "cache/SetResidentSim.hpp"
 #include "support/Random.hpp"
 #include "trace/Access.hpp"
 #include "verify/Diagnostics.hpp"
 #include "verify/ResultVerifier.hpp"
+
+#include "PolicySims.hpp"
 
 namespace pico
 {
@@ -28,6 +29,7 @@ namespace
 
 using cache::ReplacementPolicy;
 using cache::WritePolicy;
+using testutil::withWritebackSim;
 
 constexpr ReplacementPolicy kPolicies[] = {ReplacementPolicy::LRU,
                                            ReplacementPolicy::FIFO,
@@ -57,17 +59,6 @@ fuzzTrace(uint64_t seed, uint64_t stream)
     return out;
 }
 
-/** Every (sets, assoc) with sets in [min, max] and assoc <= max. */
-std::vector<cache::SetResidentSim::Geometry>
-rectangle(uint32_t min_sets, uint32_t max_sets, uint32_t max_assoc)
-{
-    std::vector<cache::SetResidentSim::Geometry> out;
-    for (uint32_t sets = min_sets; sets <= max_sets; sets *= 2)
-        for (uint32_t assoc = 1; assoc <= max_assoc; ++assoc)
-            out.push_back({sets, assoc});
-    return out;
-}
-
 TEST(WriteModel, ConservationHoldsOnFuzzedTraces)
 {
     // For every fuzzed trace, policy and geometry: writebacks are
@@ -80,32 +71,33 @@ TEST(WriteModel, ConservationHoldsOnFuzzedTraces)
             stores += a.isWrite ? 1 : 0;
 
         for (ReplacementPolicy policy : kPolicies) {
-            cache::SetResidentSim sim(16, rectangle(4, 16, 3), policy);
-            for (const auto &a : refs)
-                sim(a);
-            EXPECT_EQ(sim.stores(), stores);
-            for (uint32_t sets = 4; sets <= 16; sets *= 2) {
-                for (uint32_t assoc = 1; assoc <= 3; ++assoc) {
-                    uint64_t misses = sim.misses(sets, assoc);
-                    uint64_t wb = sim.writebacks(sets, assoc);
-                    EXPECT_LE(wb, misses)
-                        << "stream=" << stream << " sets=" << sets;
-                    EXPECT_LE(wb, stores)
-                        << "stream=" << stream << " sets=" << sets;
+            withWritebackSim(policy, 16, 4, 16, 3, [&](auto &sim) {
+                for (const auto &a : refs)
+                    sim(a);
+                EXPECT_EQ(sim.stores(), stores);
+                for (uint32_t sets = 4; sets <= 16; sets *= 2) {
+                    for (uint32_t assoc = 1; assoc <= 3; ++assoc) {
+                        uint64_t misses = sim.misses(sets, assoc);
+                        uint64_t wb = sim.writebacks(sets, assoc);
+                        EXPECT_LE(wb, misses)
+                            << "stream=" << stream << " sets=" << sets;
+                        EXPECT_LE(wb, stores)
+                            << "stream=" << stream << " sets=" << sets;
 
-                    verify::Diagnostics diags;
-                    EXPECT_TRUE(verify::verifyWriteModel(
-                        static_cast<double>(wb),
-                        static_cast<double>(misses),
-                        static_cast<double>(stores),
-                        WritePolicy::WriteBack, "fuzz", diags));
-                    EXPECT_TRUE(verify::verifyWriteModel(
-                        static_cast<double>(stores),
-                        static_cast<double>(misses),
-                        static_cast<double>(stores),
-                        WritePolicy::WriteThrough, "fuzz", diags));
+                        verify::Diagnostics diags;
+                        EXPECT_TRUE(verify::verifyWriteModel(
+                            static_cast<double>(wb),
+                            static_cast<double>(misses),
+                            static_cast<double>(stores),
+                            WritePolicy::WriteBack, "fuzz", diags));
+                        EXPECT_TRUE(verify::verifyWriteModel(
+                            static_cast<double>(stores),
+                            static_cast<double>(misses),
+                            static_cast<double>(stores),
+                            WritePolicy::WriteThrough, "fuzz", diags));
+                    }
                 }
-            }
+            });
         }
     }
 }
@@ -136,13 +128,14 @@ TEST(WriteModel, ReadOnlyTraceGeneratesNoWriteTraffic)
     for (auto &a : refs)
         a.isWrite = false;
     for (ReplacementPolicy policy : kPolicies) {
-        cache::SetResidentSim sim(16, rectangle(4, 16, 2), policy);
-        for (const auto &a : refs)
-            sim(a);
-        EXPECT_EQ(sim.stores(), 0u);
-        for (uint32_t sets = 4; sets <= 16; sets *= 2)
-            for (uint32_t assoc = 1; assoc <= 2; ++assoc)
-                EXPECT_EQ(sim.writebacks(sets, assoc), 0u);
+        withWritebackSim(policy, 16, 4, 16, 2, [&](auto &sim) {
+            for (const auto &a : refs)
+                sim(a);
+            EXPECT_EQ(sim.stores(), 0u);
+            for (uint32_t sets = 4; sets <= 16; sets *= 2)
+                for (uint32_t assoc = 1; assoc <= 2; ++assoc)
+                    EXPECT_EQ(sim.writebacks(sets, assoc), 0u);
+        });
 
         cache::CacheConfig cfg{8, 2, 16, 1, policy,
                                WritePolicy::WriteBack};
@@ -186,15 +179,16 @@ TEST(WriteModel, DirtyBitSurvivesHitsUnderEveryPolicy)
     // Install clean (load miss), dirty on a later store hit, then
     // force the eviction: exactly one writeback under write-back.
     // This is the scenario that outlaws an MRU shortcut that drops
-    // stores in the set-resident simulator — the store hit must
+    // stores in either write-back simulator — the store hit must
     // reach the bank (accessBlock's run folding carries it).
     for (ReplacementPolicy policy : kPolicies) {
-        cache::SetResidentSim sim(16, {{1, 1}}, policy);
-        sim.access(0x000, false); // install clean
-        sim.access(0x000, true);  // dirty on hit
-        sim.access(0x100, false); // evict -> writeback
-        EXPECT_EQ(sim.writebacks(1, 1), 1u)
-            << cache::replacementName(policy);
+        withWritebackSim(policy, 16, 1, 1, 1, [&](auto &sim) {
+            sim.access(0x000, false); // install clean
+            sim.access(0x000, true);  // dirty on hit
+            sim.access(0x100, false); // evict -> writeback
+            EXPECT_EQ(sim.writebacks(1, 1), 1u)
+                << cache::replacementName(policy);
+        });
 
         cache::CacheConfig cfg{1, 1, 16, 1, policy,
                                WritePolicy::WriteBack};
